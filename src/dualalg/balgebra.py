@@ -37,13 +37,14 @@ from .errors import (
     ReductionUnsolvable,
     StrategyInapplicable,
 )
-from .intlinalg import IntMatrix, in_image, kernel_basis, reduce_mod_lattice, snf
-from .oracles import enumerate_points, evaluate, sector_divisors
+from .intlinalg import IntMatrix, det, in_image, kernel_basis, reduce_mod_lattice, snf
+from .oracles import class_count, enumerate_points, evaluate, sector_divisors
 from .orbitring import InvariantElement, OrbitCache, multiply
 from .rootdata import (
     UNAVAILABLE,
     FrobeniusData,
     RootDatum,
+    _unimodular_inverse,
     is_q_restricted,
     weyl_group,
 )
@@ -96,9 +97,10 @@ class BElement:
 class BContext:
     """Everything needed to compute in the quotient ring for one datum.
 
-    Immutable after construction except the memo cache, which is an
-    idempotent write-once-per-key dictionary (racing writers would all write
-    the same value).
+    Immutable after construction except the memo cache and the lazily
+    computed oracle data (sector SNFs, class count, points, evaluation
+    matrices), each computed at most once per context.  All are idempotent
+    write-once-per-key caches (racing writers would all write the same value).
     """
 
     _next_id = itertools.count()
@@ -112,7 +114,9 @@ class BContext:
         self.cache = OrbitCache(rd)
         self.memo = {}
         self._sector_data = None
+        self._class_count = None
         self._points = {}
+        self._evaluations = {}
         if strategy == GENERIC_SC:
             self._init_generic_sc()
         elif strategy == SO_EVEN:
@@ -123,17 +127,38 @@ class BContext:
     # -- shared plumbing -------------------------------------------------
 
     def sector_data(self):
+        """(divisor lcm, per-sector SNF data) from sector_divisors."""
         if self._sector_data is None:
-            l, per = sector_divisors(self.rd, self.frob, self.weyl)
-            self._sector_data = per
+            self._sector_data = sector_divisors(self.rd, self.frob, self.weyl)
         return self._sector_data
+
+    def class_count(self):
+        if self._class_count is None:
+            self._class_count = class_count(self.rd, self.frob, self.weyl)
+        return self._class_count
 
     def points(self, ell=None):
         got = self._points.get(ell)
         if got is None:
-            got = enumerate_points(self.rd, self.frob, ell, self.weyl)
+            got = enumerate_points(
+                self.rd, self.frob, ell, self.weyl,
+                sectors=self.sector_data(), expected_orbits=self.class_count(),
+            )
             self._points[ell] = got
             self._points.setdefault(got[0].ell if got else None, got)
+        return got
+
+    def evaluations(self, ell=None):
+        """Values of every basis orbit sum at every point: rows follow the
+        basis, columns follow points(ell)."""
+        got = self._evaluations.get(ell)
+        if got is None:
+            pts = self.points(ell)
+            got = [
+                [evaluate(self.cache, InvariantElement.r(lam), pt) for pt in pts]
+                for lam in self.basis
+            ]
+            self._evaluations[ell] = got
         return got
 
     def lift(self, x: BElement):
@@ -178,7 +203,7 @@ class BContext:
             diag = [d[i, i] for i in range(k)]
             if any(x == 0 for x in diag):
                 raise NonIntegral("(F - id) singular on the central lattice")
-            uinv = _integer_inverse(u)
+            uinv = _unimodular_inverse(u)
             reps = []
             for box in itertools.product(*[range(x) for x in diag]):
                 y = uinv.apply(box)
@@ -240,17 +265,6 @@ class BContext:
         if self._cover is None:
             self._cover = _SOCover(self)
         return self._cover
-
-
-def _integer_inverse(u: IntMatrix):
-    n = u.rows
-    cols = []
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        ok, x = in_image(u, e)
-        assert ok, "unimodular matrix must be invertible over Z"
-        cols.append(x)
-    return IntMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 def _looks_like_so_even(rd: RootDatum):
@@ -466,7 +480,7 @@ def trace_form(ctx: BContext, x: BElement):
     if x.ctx_id != ctx.ctx_id:
         raise ContextMismatch("element belongs to a different context")
     lifted = ctx.lift(x)
-    sectors = ctx.sector_data()
+    _, sectors = ctx.sector_data()
     total = 0
     for lam, c in lifted.coeffs.items():
         orb = ctx.cache.orbit(lam)
@@ -483,21 +497,16 @@ def trace_form(ctx: BContext, x: BElement):
 
 
 def gram_matrix(ctx: BContext):
+    """G[i][j] = tr(b_i * b_j) = sum_k c[i][j][k] * tr(b_k), by linearity."""
     n = len(ctx.basis)
-    rows = []
-    for i in range(n):
-        bi = BElement({i: 1}, ctx.ctx_id)
-        row = []
-        for j in range(n):
-            bj = BElement({j: 1}, ctx.ctx_id)
-            row.append(trace_form(ctx, multiply_b(ctx, bi, bj)))
-        rows.append(row)
-    return IntMatrix(rows)
+    tensor = structure_constants(ctx, limit=n)
+    traces = [trace_form(ctx, BElement({k: 1}, ctx.ctx_id)) for k in range(n)]
+    return IntMatrix(
+        [[sum(c * t for c, t in zip(tensor[i][j], traces)) for j in range(n)] for i in range(n)]
+    )
 
 
 def gram_discriminant(ctx: BContext):
-    from .intlinalg import det
-
     return det(gram_matrix(ctx))
 
 
@@ -513,23 +522,15 @@ def is_plus_minus_p_power(value, p):
 def reducedness_certificate(ctx: BContext, ell=None):
     """True iff the basis evaluation matrix at all fixed points has full rank
     equal to both the basis size and the point count."""
-    pts = ctx.points(ell)
-    nb = len(ctx.basis)
-    rows = []
-    for lam in ctx.basis:
-        x = InvariantElement.r(lam)
-        rows.append([evaluate(ctx.cache, x, pt) for pt in pts])
-    r = _rank_mod_p(rows, pts[0].ell) if pts else 0
-    return r == nb == len(pts)
+    r, nb, np_ = evaluation_rank(ctx, ell)
+    return r == nb == np_
 
 
 def evaluation_rank(ctx: BContext, ell=None):
+    """(rank mod ell of the evaluation matrix, basis size, point count)."""
     pts = ctx.points(ell)
-    rows = []
-    for lam in ctx.basis:
-        x = InvariantElement.r(lam)
-        rows.append([evaluate(ctx.cache, x, pt) for pt in pts])
-    return _rank_mod_p(rows, pts[0].ell) if pts else 0, len(ctx.basis), len(pts)
+    r = _rank_mod_p(ctx.evaluations(ell), pts[0].ell) if pts else 0
+    return r, len(ctx.basis), len(pts)
 
 
 def _rank_mod_p(rows, p):

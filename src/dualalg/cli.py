@@ -16,6 +16,7 @@ import sys
 from .balgebra import (
     GENERIC_SC,
     SO_EVEN,
+    _looks_like_so_even,
     build_context,
     rank,
     so_even_claimed_rank,
@@ -97,7 +98,7 @@ def _strategy_for(rd, args):
     forced = getattr(args, "strategy", None)
     if forced:
         return {"generic": GENERIC_SC, "so": SO_EVEN}[forced]
-    if rd.label.startswith("SO("):
+    if _looks_like_so_even(rd):
         return SO_EVEN
     return GENERIC_SC
 
@@ -106,8 +107,7 @@ def cmd_rank(args):
     rd, frob = _build_datum(args)
     strategy = _strategy_for(rd, args)
     ctx = build_context(rd, frob, strategy)
-    weyl = ctx.weyl
-    cc = class_count(rd, frob, weyl)
+    cc = ctx.class_count()
     pts = ctx.points()
     payload = {
         "version": VERSION,
@@ -117,7 +117,7 @@ def cmd_rank(args):
         "rank": {"value": rank(ctx), "source": "basis"},
         "class_count": {"value": cc, "source": "formula"},
         "point_count": {"value": len(pts), "source": "point_count"},
-        "weyl_order": len(weyl),
+        "weyl_order": len(ctx.weyl),
     }
     if strategy == SO_EVEN:
         payload["published_box_size"] = {

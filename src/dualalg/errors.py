@@ -68,3 +68,7 @@ class QEven(DualalgError):
 
 class ReductionUnsolvable(DualalgError):
     """The certified linear solve behind a normal form has no integer solution."""
+
+
+class CrossCheckFailed(DualalgError):
+    """Two independent computations of the same quantity disagree."""

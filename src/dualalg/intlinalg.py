@@ -18,7 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NonSquare
+from .errors import CrossCheckFailed, DimensionMismatch, NonSquare
 
 
 class IntMatrix:
@@ -341,7 +341,8 @@ def in_image(m: IntMatrix, b):
     while len(x0) < m.cols:
         x0.append(0)
     x = v.apply(tuple(x0))
-    assert m.apply(x) == tuple(b)
+    if m.apply(x) != tuple(b):
+        raise CrossCheckFailed(f"back-substitution gives {m.apply(x)}, expected {tuple(b)}")
     return True, x
 
 
@@ -412,11 +413,3 @@ def saturation_rows(gens, ncols):
     kt = IntMatrix(k)  # rows are kernel vectors of length ncols
     sat = kernel_basis(kt)
     return [list(r) for r in sat]
-
-
-def solve_integer(m: IntMatrix, b):
-    """All integer solutions of m*x = b as (particular, kernel_basis) or None."""
-    ok, x = in_image(m, b)
-    if not ok:
-        return None
-    return x, kernel_basis(m)

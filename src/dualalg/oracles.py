@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import BadPrime, NonIntegral, PrimeMismatch
+from .errors import BadPrime, CrossCheckFailed, NonIntegral, PrimeMismatch
 from .intlinalg import IntMatrix, snf
 from .orbitring import OrbitCache
-from .rootdata import FrobeniusData, RootDatum, weyl_group
+from .rootdata import FrobeniusData, RootDatum, _is_prime, weyl_group
 
 
 def sector_matrix(frob: FrobeniusData, w):
@@ -71,17 +71,6 @@ class TorusPoint:
         return f"TorusPoint({self.values}, ell={self.ell})"
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _factorize(n):
     out = {}
     d = 2
@@ -126,38 +115,44 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
 
 def choose_ell(rd: RootDatum, frob: FrobeniusData, weyl=None):
     """Smallest prime ell = 1 mod lcm of all elementary divisors, ell != p."""
-    l, _ = sector_divisors(rd, frob, weyl)
-    ell = l + 1
-    while not (_is_prime(ell) and ell != frob.p):
-        ell += l
-    return ell
+    return _pick_ell(sector_divisors(rd, frob, weyl)[0], frob.p)
 
 
-def validate_ell(rd, frob, ell, weyl=None):
-    l, per = sector_divisors(rd, frob, weyl)
+def _pick_ell(l, p, ell=None):
+    """Validate a given ell against the divisor lcm ``l``, or choose the
+    smallest prime ell = 1 mod l with ell != p."""
+    if ell is None:
+        ell = l + 1
+        while not (_is_prime(ell) and ell != p):
+            ell += l
+        return ell
     if not _is_prime(ell):
         raise BadPrime(f"{ell} is not prime")
-    if ell == frob.p:
+    if ell == p:
         raise BadPrime("ell must differ from p")
     if (ell - 1) % l != 0:
         raise BadPrime(f"ell = {ell} is not 1 mod {l}")
-    return per
+    return ell
 
 
-def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None):
+def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
+                     sectors=None, expected_orbits=None):
     """One representative per W-orbit of the union of all sector fixed groups.
 
     Fusion across sectors works on the value vectors themselves: the W-action
     on a point t is t o w^{-1}, which on value vectors is multiplicative with
     integer exponents, so each orbit is closed out by BFS over the simple
-    reflections and deduplicated in a global set.  The number of orbits is
-    asserted to equal class_count.
+    reflections and deduplicated in a global set.  The number of orbits must
+    equal class_count, else CrossCheckFailed.  ``sectors`` (the output of
+    sector_divisors) and ``expected_orbits`` (the class count) are computed
+    here unless a caller that already holds them passes them in.
     """
     if weyl is None:
         weyl = weyl_group(rd)
-    if ell is None:
-        ell = choose_ell(rd, frob, weyl)
-    per_sector = validate_ell(rd, frob, ell, weyl)
+    if sectors is None:
+        sectors = sector_divisors(rd, frob, weyl)
+    l, per_sector = sectors
+    ell = _pick_ell(l, frob.p, ell)
     n = rd.rank
     gen = _primitive_root(ell)
     reps = []
@@ -210,10 +205,12 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None):
                 if counter[i] < diag[i]:
                     break
                 counter[i] = 0
-    expected = class_count(rd, frob, weyl)
-    assert len(reps) == expected, (
-        f"orbit fusion found {len(reps)} orbits, class_count = {expected}"
-    )
+    if expected_orbits is None:
+        expected_orbits = class_count(rd, frob, weyl)
+    if len(reps) != expected_orbits:
+        raise CrossCheckFailed(
+            f"orbit fusion found {len(reps)} orbits, class_count = {expected_orbits}"
+        )
     reps.sort(key=lambda pt: pt.values)
     return reps
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotDominant
-from .rootdata import RootDatum, dominant_representative
+from .rootdata import RootDatum
 
 
 class InvariantElement:
@@ -188,12 +187,3 @@ def multiply(cache, a: InvariantElement, b: InvariantElement):
             key = tuple(x + y for x, y in zip(mu1, mu2))
             prod[key] = prod.get(key, 0) + c1 * c2
     return contract_from_e(cache, prod)
-
-
-def require_dominant(rd: RootDatum, lam):
-    if not rd.is_dominant(lam):
-        raise NotDominant(str(lam))
-
-
-def dominant_of(rd: RootDatum, lam):
-    return dominant_representative(rd, lam)[0]

@@ -17,8 +17,8 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .errors import CapExceeded, DimensionMismatch, InvalidCartan, NotDominant
-from .intlinalg import IntMatrix, in_image, kernel_basis, reduce_mod_lattice
+from .errors import CapExceeded, DimensionMismatch, DualalgError, InvalidCartan, NotDominant
+from .intlinalg import IntMatrix, det, in_image, kernel_basis, reduce_mod_lattice, snf
 
 DEFAULT_WEYL_CAP = 10 ** 6
 
@@ -190,7 +190,11 @@ def weyl_group(rd: RootDatum, cap=None):
     (default DUALALG_WEYL_CAP env var or 10^6).
     """
     if cap is None:
-        cap = int(os.environ.get("DUALALG_WEYL_CAP", DEFAULT_WEYL_CAP))
+        raw = os.environ.get("DUALALG_WEYL_CAP", DEFAULT_WEYL_CAP)
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise DualalgError(f"DUALALG_WEYL_CAP must be an integer, got {raw!r}") from None
     ident = WeylElement(IntMatrix.identity(rd.rank))
     elems = [ident]
     seen = {ident.matrix.entries}
@@ -329,20 +333,11 @@ def prime_power_split(q):
 
 
 def _unimodular_inverse(m: IntMatrix):
-    from .intlinalg import det as _det
-
-    d = _det(m)
-    if d not in (1, -1):
+    """Exact inverse of a determinant +-1 matrix: u*m*v = 1 gives m^-1 = v*u."""
+    if det(m) not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    # adjugate via solving m*x = e_i exactly (SNF-based)
-    n = m.rows
-    cols = []
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        ok, x = in_image(m, e)
-        assert ok
-        cols.append(x)
-    return IntMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    _, u, v = snf(m)
+    return v * u
 
 
 # -- standard constructions ------------------------------------------------
@@ -427,11 +422,9 @@ def _from_cartan(c, label):
             if i != j and (c[i][j] == 0) != (c[j][i] == 0):
                 raise InvalidCartan("zero pattern must be symmetric")
     # finite type: all leading principal minors positive
-    from .intlinalg import det as _det
-
     for k in range(1, l + 1):
         minor = IntMatrix([row[:k] for row in c[:k]])
-        if _det(minor) <= 0:
+        if det(minor) <= 0:
             raise InvalidCartan("not of finite type (nonpositive principal minor)")
     roots = [tuple(c[i][j] for j in range(l)) for i in range(l)]
     coroots = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]

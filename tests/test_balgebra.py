@@ -9,6 +9,7 @@ from dualalg.balgebra import (
     build_context,
     evaluation_rank,
     gram_discriminant,
+    gram_matrix,
     is_plus_minus_p_power,
     multiply_b,
     normal_form,
@@ -191,6 +192,21 @@ def test_gram_sl2_q3_value():
     # hand computation: gram = [[1,0,1],[0,3,0],[1,0,4]], det = 9
     ctx = make_ctx("SL", 2, 3)
     assert gram_discriminant(ctx) == 9
+
+
+@pytest.mark.parametrize("fam,n,q,tau", [
+    ("GL", 2, 3, None),
+    ("Sp", 4, 2, None),
+    ("SL", 3, 2, None),
+    ("GL", 2, 3, [[0, -1], [-1, 0]]),
+])
+def test_gram_matrix_matches_pairwise_trace(fam, n, q, tau):
+    # reference: the n^2 definition G[i][j] = tr(b_i * b_j)
+    ctx = make_ctx(fam, n, q, tau=tau)
+    nb = len(ctx.basis)
+    b = [BElement({i: 1}, ctx.ctx_id) for i in range(nb)]
+    ref = [[trace_form(ctx, multiply_b(ctx, b[i], b[j])) for j in range(nb)] for i in range(nb)]
+    assert [list(row) for row in gram_matrix(ctx).entries] == ref
 
 
 def test_torus_gram_unit_discriminant():

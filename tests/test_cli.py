@@ -1,8 +1,13 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
+import pytest
+
+from dualalg import oracles
 from dualalg.cli import main
+from dualalg.rootdata import build_standard
 
 
 def run_cli(args, capsys):
@@ -175,3 +180,55 @@ def test_weyl_cap_env(monkeypatch, capsys):
     code = main(["rank", "--group", "SO", "--n", "8", "--q", "2"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_weyl_cap_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("DUALALG_WEYL_CAP", "abc")
+    code = main(["rank", "--group", "GL", "--n", "2", "--q", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "DUALALG_WEYL_CAP" in err
+
+
+def test_datum_file_so_even_detected_by_structure(tmp_path, capsys):
+    # a D_4 datum whose label does not start with "SO(" still takes SOEven
+    rd = build_standard("SO", 8)
+    doc = {
+        "rank": rd.rank,
+        "simple_roots": [list(a) for a in rd.simple_roots],
+        "simple_coroots": [list(a) for a in rd.simple_coroots],
+        "label": "D4",
+    }
+    f = tmp_path / "d4.json"
+    f.write_text(json.dumps(doc))
+    code, out = run_cli(["rank", "--datum-file", str(f), "--q", "2"], capsys)
+    payload = json.loads(out)
+    assert code == 2
+    assert payload["strategy"] == "SOEven"
+    assert payload["rank"]["value"] == 20
+    assert payload["class_count"]["value"] == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--group", "SO", "--n", "8", "--q", "2"],
+    ["points", "--group", "SO", "--n", "8", "--q", "2"],
+    ["verify", "--group", "GL", "--n", "2", "--q", "3", "--fast"],
+])
+def test_oracle_pipeline_runs_once_per_command(argv, monkeypatch, capsys):
+    # every dualalg.* binding of each function is replaced, so the count
+    # covers `from .oracles import ...` copies as well
+    calls = Counter()
+    for fn in (oracles.sector_divisors, oracles.class_count):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if mod is None or not (name == "dualalg" or name.startswith("dualalg.")):
+                continue
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    main(argv)
+    capsys.readouterr()
+    assert calls == {"sector_divisors": 1, "class_count": 1}

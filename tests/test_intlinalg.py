@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualalg.errors import DimensionMismatch, NonSquare
+from dualalg import intlinalg
+from dualalg.errors import CrossCheckFailed, DimensionMismatch, NonSquare
 from dualalg.intlinalg import (
     IntMatrix,
     det,
@@ -126,6 +127,14 @@ def test_in_image_examples():
     assert not ok and x is None
     with pytest.raises(DimensionMismatch):
         in_image(m, (1, 0, 0))
+
+
+def test_in_image_back_substitution_failure_raises(monkeypatch):
+    # a wrong column transform makes m*x != b; that must be a typed error
+    ident = IntMatrix.identity(2)
+    monkeypatch.setattr(intlinalg, "snf", lambda m: (ident, ident, ident.scale(2)))
+    with pytest.raises(CrossCheckFailed, match="back-substitution"):
+        in_image(ident, (1, 0))
 
 
 def brute_force_in_image(m: IntMatrix, b, box=10):

@@ -1,12 +1,13 @@
 import pytest
 
-from dualalg.errors import BadPrime, CapExceeded
+from dualalg.errors import BadPrime, CapExceeded, CrossCheckFailed
 from dualalg.matrixgroups import MatrixGroupSpec, brute_force_ss_classes
 from dualalg.oracles import (
     choose_ell,
     class_count,
     enumerate_points,
     evaluate,
+    sector_divisors,
     torus_fixed_count,
 )
 from dualalg.orbitring import InvariantElement, OrbitCache
@@ -61,6 +62,18 @@ def test_enumerate_points_gl2():
     assert choose_ell(rd, frob) == 7
     pts = enumerate_points(rd, frob)
     assert len(pts) == 2
+
+
+def test_enumerate_points_with_handed_in_sector_data():
+    rd = build_standard("Sp", 4)
+    frob = FrobeniusData(rd, 3, 1)
+    weyl = weyl_group(rd)
+    own = enumerate_points(rd, frob, weyl=weyl)
+    given = enumerate_points(rd, frob, weyl=weyl, sectors=sector_divisors(rd, frob, weyl),
+                             expected_orbits=class_count(rd, frob, weyl))
+    assert [pt.values for pt in own] == [pt.values for pt in given]
+    with pytest.raises(CrossCheckFailed, match="orbit fusion"):
+        enumerate_points(rd, frob, weyl=weyl, expected_orbits=len(own) + 1)
 
 
 def test_evaluate_unit_and_orbit_independence():

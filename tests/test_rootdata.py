@@ -7,6 +7,7 @@ from dualalg.intlinalg import IntMatrix
 from dualalg.rootdata import (
     UNAVAILABLE,
     FrobeniusData,
+    _unimodular_inverse,
     build_standard,
     datum_from_json,
     dominant_representative,
@@ -156,6 +157,19 @@ def test_frobenius_properties():
     assert frob.f_apply((1, 0)) == (0, -3)
     with pytest.raises(ValueError):
         FrobeniusData(rd, 3, 1, [[0, 1], [1, 0]])  # swap sends the root to its negative
+
+
+def test_unimodular_inverse():
+    for m in ([[0, -1], [-1, 0]], [[2, 1], [1, 1]], [[1, 2, 3], [0, 1, 4], [0, 0, -1]],
+              [[3, 5, 2], [1, 2, 1], [2, 3, 2]]):
+        m = IntMatrix(m)
+        inv = _unimodular_inverse(m)
+        ident = IntMatrix.identity(m.rows)
+        assert m * inv == ident and inv * m == ident
+    with pytest.raises(ValueError, match="not unimodular"):
+        _unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="not unimodular"):
+        FrobeniusData(build_standard("GL", 2), 3, 1, [[2, 0], [0, 1]])
 
 
 def test_prime_power_split():

@@ -31,6 +31,7 @@ import itertools
 
 from .errors import (
     ContextMismatch,
+    CrossCheckFailed,
     LimitExceeded,
     NonIntegral,
     NonTermination,
@@ -97,10 +98,11 @@ class BElement:
 class BContext:
     """Everything needed to compute in the quotient ring for one datum.
 
-    Immutable after construction except the memo cache and the lazily
-    computed oracle data (sector SNFs, class count, points, evaluation
-    matrices), each computed at most once per context.  All are idempotent
-    write-once-per-key caches (racing writers would all write the same value).
+    Immutable after construction except the memo cache, the lazily computed
+    oracle data (sector SNFs, class count, points, evaluation matrices) and
+    the structure-constant tensor, each computed at most once per context.
+    All are idempotent write-once-per-key caches (racing writers would all
+    write the same value).
     """
 
     _next_id = itertools.count()
@@ -117,6 +119,7 @@ class BContext:
         self._class_count = None
         self._points = {}
         self._evaluations = {}
+        self._structure = None
         if strategy == GENERIC_SC:
             self._init_generic_sc()
         elif strategy == SO_EVEN:
@@ -160,6 +163,17 @@ class BContext:
             ]
             self._evaluations[ell] = got
         return got
+
+    def structure_constants(self, limit=64):
+        """The structure-constant tensor, built once; callers only read it.
+
+        The rank limit is checked on every call, as by structure_constants."""
+        n = len(self.basis)
+        if n > limit:
+            raise LimitExceeded(f"rank {n} exceeds limit {limit}")
+        if self._structure is None:
+            self._structure = structure_constants(self, limit=n)
+        return self._structure
 
     def lift(self, x: BElement):
         """Representative invariant element using the stored basis weights."""
@@ -232,7 +246,8 @@ class BContext:
         """Index of the canonical representative of a central weight."""
         k = len(self.central_basis)
         if k == 0:
-            assert all(x == 0 for x in mu)
+            if any(mu):
+                raise NonIntegral(f"{mu} is not in the central lattice")
             return 0
         ok, y = in_image(self._central_mat, mu)
         if not ok:
@@ -334,7 +349,11 @@ class _SOCover:
         cover_frob = FrobeniusData(cover_rd, ctx.frob.p, ctx.frob.r)
         self.ctx = ctx
         self.cover_ctx = BContext(cover_rd, cover_frob, GENERIC_SC)
-        assert len(self.cover_ctx.weyl) == len(ctx.weyl), "cover must keep the Weyl group"
+        if len(self.cover_ctx.weyl) != len(ctx.weyl):
+            raise CrossCheckFailed(
+                f"cover Weyl group has order {len(self.cover_ctx.weyl)}, "
+                f"the datum's has {len(ctx.weyl)}"
+            )
         cols = []
         for lam in ctx.basis:
             nf = normal_form(self.cover_ctx, InvariantElement.r(self.embed(lam)))
@@ -418,7 +437,8 @@ def _reduce_generic(ctx: BContext, lam) -> BElement:
             alpha = next(i for i in range(rd.nroots) if rd.pair(cur, i) >= frob.q)
             w_a = ctx.lifts[alpha]
             lam_p = tuple(x - frob.q * y for x, y in zip(cur, w_a))
-            assert rd.is_dominant(lam_p)
+            if not rd.is_dominant(lam_p):
+                raise CrossCheckFailed(f"{lam_p} = {cur} - q*w_{alpha} is not dominant")
             q_w = tuple(frob.q * y for y in w_a)
             tau_w = frob.tau_apply(w_a)
             p1 = multiply(ctx.cache, InvariantElement.r(lam_p), InvariantElement.r(q_w))
@@ -499,7 +519,7 @@ def trace_form(ctx: BContext, x: BElement):
 def gram_matrix(ctx: BContext):
     """G[i][j] = tr(b_i * b_j) = sum_k c[i][j][k] * tr(b_k), by linearity."""
     n = len(ctx.basis)
-    tensor = structure_constants(ctx, limit=n)
+    tensor = ctx.structure_constants(limit=n)
     traces = [trace_form(ctx, BElement({k: 1}, ctx.ctx_id)) for k in range(n)]
     return IntMatrix(
         [[sum(c * t for c, t in zip(tensor[i][j], traces)) for j in range(n)] for i in range(n)]

@@ -4,7 +4,9 @@ Subcommands: rank, verify, oracle, points, structure, curtis.  Output is JSON
 (CSV for matrix payloads on request) with a version field and a source tag on
 every independently computed number.  Exit codes: 0 all checks pass, 2 a
 mathematical cross-check failed (the most important signal this tool emits),
-1 usage or configuration error.
+1 usage or configuration error.  A math failure raised mid-computation
+(NonIntegral, NonTermination, ReductionUnsolvable, CrossCheckFailed) also
+exits 2 and prints {"error": {"type", "detail"}} on stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .balgebra import (
     build_context,
     rank,
     so_even_claimed_rank,
-    structure_constants,
 )
 from .curtis import (
     GL2,
@@ -33,7 +34,13 @@ from .curtis import (
     phi_of_invariant,
     saturation_check,
 )
-from .errors import DualalgError
+from .errors import (
+    CrossCheckFailed,
+    DualalgError,
+    NonIntegral,
+    NonTermination,
+    ReductionUnsolvable,
+)
 from .matrixgroups import MatrixGroupSpec, brute_force_ss_classes
 from .oracles import class_count, enumerate_points
 from .rootdata import FrobeniusData, build_standard, datum_from_json, prime_power_split
@@ -44,6 +51,9 @@ VERSION = "1"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
+
+# failures of the mathematics, never of the input: exit 2 like a mismatch
+MATH_ERRORS = (NonIntegral, NonTermination, ReductionUnsolvable, CrossCheckFailed)
 
 
 def _emit(payload, args):
@@ -186,7 +196,7 @@ def cmd_structure(args):
     rd, frob = _build_datum(args)
     strategy = _strategy_for(rd, args)
     ctx = build_context(rd, frob, strategy)
-    tensor = structure_constants(ctx, limit=args.limit)
+    tensor = ctx.structure_constants(limit=args.limit)
     n = len(ctx.basis)
     quads = []
     for i in range(n):
@@ -328,6 +338,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except MATH_ERRORS as exc:
+        print(json.dumps({"error": {"type": type(exc).__name__, "detail": str(exc)}},
+                         indent=2, sort_keys=True))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except DualalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,8 +2,11 @@
 
 An :class:`InvariantElement` is a finite Z-linear combination of orbit sums
 r(lam) = sum of e(mu) over the W-orbit of lam, keyed by the dominant orbit
-representative.  Products are computed by expanding to the e-basis (multiset
-convolution of orbits) and peeling dominant terms back off, highest first.
+representative.  A product r(lam) r(mu) is computed from one orbit: every
+nu in the smaller of W lam, W mu is added to the other weight, the sum is
+walked into the dominant chamber, and the hits per dominant weight kappa,
+scaled by the larger orbit size over |W kappa|, give the coefficient of
+r(kappa) (Stembridge 2001; Humphreys 1990).  No e-basis expansion is formed.
 
 The height of a weight is the coefficient sum when its projection to the
 derived part is written in the simple-root basis; it is the strictly
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NonIntegral
 from .rootdata import RootDatum
 
 
@@ -76,28 +80,77 @@ class InvariantElement:
 
 
 class OrbitCache:
-    """Per-datum cache of W-orbits, heights and dominance checks."""
+    """Per-datum cache of W-orbits and heights, with a dominant-chamber walk.
+
+    Reflections act on plain tuples as rank-one updates
+    s_i(lam) = lam - <lam, alpha_i^vee> alpha_i, with each simple root and
+    coroot kept as its (coordinate, entry) pairs.
+    """
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self._orbits = {}
         self._heights = {}
+        self._simple = tuple(
+            (_sparse(av), _sparse(a)) for a, av in zip(rd.simple_roots, rd.simple_coroots)
+        )
+
+    def dominant(self, lam):
+        """The dominant weight in the W-orbit of ``lam``.
+
+        Reflects in any simple root with a negative pairing until none is
+        left; each step moves strictly up in the finite orbit.
+        """
+        cur = list(lam)
+        simple = self._simple
+        n = len(simple)
+        clean = 0
+        i = 0
+        while clean < n:
+            coroot, root = simple[i]
+            p = 0
+            for k, c in coroot:
+                p += cur[k] * c
+            if p < 0:
+                for k, a in root:
+                    cur[k] -= p * a
+                clean = 1
+            else:
+                clean += 1
+            i += 1
+            if i == n:
+                i = 0
+        return tuple(cur)
 
     def orbit(self, lam):
+        """The W-orbit of ``lam`` as a frozenset, shared by all its elements.
+
+        Walks down from the dominant representative, reflecting only in
+        simple roots with a positive pairing.  Each such step lengthens the
+        minimal Weyl element reaching the weight by one, so the levels are
+        disjoint and only need deduplicating within themselves.
+        """
         lam = tuple(lam)
         got = self._orbits.get(lam)
         if got is not None:
             return got
-        rd = self.rd
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            mu = frontier.pop()
-            for i in range(rd.nroots):
-                img = rd.reflection(i).apply(mu)
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
+        simple = self._simple
+        level = [self.dominant(lam)]
+        seen = set(level)
+        while level:
+            nxt = set()
+            for mu in level:
+                for coroot, root in simple:
+                    p = 0
+                    for k, c in coroot:
+                        p += mu[k] * c
+                    if p > 0:
+                        img = list(mu)
+                        for k, a in root:
+                            img[k] -= p * a
+                        nxt.add(tuple(img))
+            seen |= nxt
+            level = nxt
         orb = frozenset(seen)
         for mu in orb:
             self._orbits.setdefault(mu, orb)
@@ -122,6 +175,10 @@ class OrbitCache:
         return h
 
 
+def _sparse(vec):
+    return tuple((k, x) for k, x in enumerate(vec) if x)
+
+
 def orbit(rd: RootDatum, lam):
     return OrbitCache(rd).orbit(lam)
 
@@ -130,60 +187,39 @@ def height(rd: RootDatum, lam):
     return OrbitCache(rd).height(lam)
 
 
-def expand_to_e(cache: OrbitCache, x: InvariantElement):
-    """e-basis expansion {weight -> coefficient} of an invariant element."""
-    out = {}
-    for lam, c in x.coeffs.items():
-        for mu in cache.orbit(lam):
-            out[mu] = out.get(mu, 0) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def contract_from_e(cache: OrbitCache, emap):
-    """Rewrite a W-invariant e-basis map in the r-basis by dominant peeling.
-
-    Picks the maximal remaining dominant key by (height, lex) and subtracts its
-    orbit sum; strictly decreases the height multiset, so it terminates.
-    """
-    rd = cache.rd
-    emap = {k: v for k, v in emap.items() if v}
-    out = {}
-    while emap:
-        best = None
-        best_key = None
-        for k in emap:
-            if rd.is_dominant(k):
-                key = (cache.height(k), k)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = k
-        assert best is not None, "W-invariant support must contain a dominant weight"
-        c = emap[best]
-        out[best] = c
-        for mu in cache.orbit(best):
-            nv = emap.get(mu, 0) - c
-            if nv:
-                emap[mu] = nv
-            else:
-                emap.pop(mu, None)
-    return InvariantElement(out)
-
-
 def multiply(cache, a: InvariantElement, b: InvariantElement):
-    """Exact product re-expressed in the r-basis.
+    """Exact product re-expressed in the r-basis, one orbit sweep per term pair.
+
+    For dominant kappa the coefficient of r(kappa) in r(lam) r(mu) is
+    |W lam| * #{nu in W mu : dom(lam + nu) = kappa} / |W kappa|; the smaller
+    of the two orbits is the one swept.  Raises NonIntegral if a division is
+    not exact.
 
     Accepts an OrbitCache or a bare RootDatum (a throwaway cache is built)."""
     if isinstance(cache, RootDatum):
         cache = OrbitCache(cache)
-    if a.is_zero() or b.is_zero():
-        return InvariantElement.zero()
-    ea = expand_to_e(cache, a)
-    eb = expand_to_e(cache, b)
-    if len(ea) > len(eb):
-        ea, eb = eb, ea
-    prod = {}
-    for mu1, c1 in ea.items():
-        for mu2, c2 in eb.items():
-            key = tuple(x + y for x, y in zip(mu1, mu2))
-            prod[key] = prod.get(key, 0) + c1 * c2
-    return contract_from_e(cache, prod)
+    orbit = cache.orbit
+    dominant = cache.dominant
+    out = {}
+    for lam, c1 in a.coeffs.items():
+        orb_lam = orbit(lam)
+        for mu, c2 in b.coeffs.items():
+            orb_mu = orbit(mu)
+            if len(orb_mu) <= len(orb_lam):
+                fixed, swept, size = lam, orb_mu, len(orb_lam)
+            else:
+                fixed, swept, size = mu, orb_lam, len(orb_mu)
+            hits = {}
+            for nu in swept:
+                kappa = dominant([x + y for x, y in zip(fixed, nu)])
+                hits[kappa] = hits.get(kappa, 0) + 1
+            c = c1 * c2
+            for kappa, h in hits.items():
+                coeff, rem = divmod(size * h, len(orbit(kappa)))
+                if rem:
+                    raise NonIntegral(
+                        f"coefficient of r({list(kappa)}) in r({list(lam)}) * r({list(mu)}) "
+                        f"is {size * h}/{len(orbit(kappa))}"
+                    )
+                out[kappa] = out.get(kappa, 0) + c * coeff
+    return InvariantElement(out)

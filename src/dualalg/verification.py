@@ -18,7 +18,6 @@ from .balgebra import (
     is_plus_minus_p_power,
     normal_form,
     rank,
-    structure_constants,
     trace_form,
 )
 from .oracles import evaluate
@@ -122,7 +121,7 @@ def check_gram_p_power(ctx):
 
 def check_evaluation_homomorphism(ctx, limit=64):
     """eval(x*y) = eval(x)*eval(y) at every point for all basis pairs."""
-    tensor = structure_constants(ctx, limit=limit)
+    tensor = ctx.structure_constants(limit=limit)
     pts = ctx.points()
     n = len(ctx.basis)
     evals = ctx.evaluations()

@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
-from dualalg import oracles
+import dualalg
+from dualalg import balgebra, oracles
 from dualalg.cli import main
 from dualalg.rootdata import build_standard
 
@@ -166,10 +168,14 @@ def test_usage_errors(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same dualalg as this process, installed or not
+    src = os.path.dirname(os.path.dirname(dualalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dualalg.cli", "rank", "--group", "SL", "--n", "2", "--q", "7"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"]["value"] == 7
@@ -232,3 +238,36 @@ def test_oracle_pipeline_runs_once_per_command(argv, monkeypatch, capsys):
     main(argv)
     capsys.readouterr()
     assert calls == {"sector_divisors": 1, "class_count": 1}
+
+
+def test_math_failure_exits_2_with_typed_error(monkeypatch, capsys):
+    # one class too many makes the orbit-fusion cross-check in the point
+    # enumeration fail: a mathematical mismatch, not a usage error
+    real = balgebra.class_count
+    monkeypatch.setattr(balgebra, "class_count", lambda *a, **k: real(*a, **k) + 1)
+    code = main(["rank", "--group", "GL", "--n", "2", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "CrossCheckFailed"
+    assert "class_count = 7" in err["detail"]
+    assert captured.err == f"error: {err['detail']}\n"
+
+
+def test_verify_builds_structure_tensor_once(monkeypatch, capsys):
+    # the Gram check and the evaluation-homomorphism check share one tensor
+    calls = Counter()
+    real = balgebra.multiply_b
+
+    def counted(ctx, x, y):
+        calls["multiply_b"] += 1
+        return real(ctx, x, y)
+
+    monkeypatch.setattr(balgebra, "multiply_b", counted)
+    code = main(["verify", "--group", "GL", "--n", "3", "--q", "3", "--fast"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    names = {c["name"] for c in doc["checks"]}
+    assert {"gram_discriminant_p_power", "evaluation_homomorphism"} <= names
+    n = doc["checks"][0]["details"]["basis_size"]
+    assert calls["multiply_b"] == n * (n + 1) // 2

@@ -22,6 +22,10 @@ GOLDEN = [
      "c385ee202f5573e3d9d2bf787ec41341ea61af516533664e614e7e71984d40cc"),
     (["structure", "--group", "GL", "--n", "2", "--q", "3"], 0,
      "1c9531501c774fbd8ca842f237c2d68b6e626f06174d6812451470a663e1ea5a"),
+    (["structure", "--group", "SO", "--n", "6", "--q", "2"], 0,
+     "2ed1ad3ec933e96373d40fa7949cdb01916b4acf83466cfa98eb6937c571d6a1"),
+    (["structure", "--group", "SL", "--n", "3", "--q", "3"], 0,
+     "fa0d8eeed7b445df5ed7a2d0b28385f54f51a01a60a9acf5cd6986e2b87c0953"),
     (["verify", "--group", "SL", "--n", "2", "--q", "3"], 0,
      "137d4ba58262057676c352635eb292740baaff267341c8baa5c6c4ca2ac31ae0"),
     (["verify", "--group", "Sp", "--n", "4", "--q", "2", "--fast"], 0,

@@ -83,9 +83,6 @@ class GF:
         da, db = self._digits(a), self._digits(b)
         return self._encode([(x - y) % self.p for x, y in zip(da, db)])
 
-    def neg(self, a):
-        return self._encode([(-x) % self.p for x in self._digits(a)])
-
     def mul(self, a, b):
         if self.r == 1:
             return a * b % self.p
@@ -155,23 +152,6 @@ class GF:
                     self._generator = g
                     break
         return self._generator
-
-    def frobenius(self, a, k=1):
-        """a^(p^k)."""
-        out = a
-        for _ in range(k):
-            out = self.pow(out, self.p)
-        return out
-
-    def trace_to_prime(self, a):
-        """Trace to F_p, returned as an integer in [0, p)."""
-        acc = 0
-        cur = a
-        for _ in range(self.r):
-            acc = self.add(acc, cur)
-            cur = self.pow(cur, self.p)
-        assert acc < self.p, "trace must land in the prime subfield"
-        return acc
 
     def elements(self):
         return range(self.q)

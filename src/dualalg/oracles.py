@@ -15,12 +15,12 @@ the tuple of its values on the standard basis of the character lattice.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .errors import BadPrime, CrossCheckFailed, NonIntegral, PrimeMismatch
 from .intlinalg import IntMatrix, snf
 from .orbitring import OrbitCache
-from .rootdata import FrobeniusData, RootDatum, _is_prime, weyl_group
+from .rootdata import FrobeniusData, RootDatum, _is_prime, _sparse, weyl_group
 
 
 def sector_matrix(frob: FrobeniusData, w):
@@ -86,7 +86,7 @@ def _factorize(n):
 
 def _primitive_root(ell):
     fac = _factorize(ell - 1)
-    for g in range(2, ell):
+    for g in range(1, ell):  # 1 only for ell = 2, where F_2^x is trivial
         if all(pow(g, (ell - 1) // f, ell) != 1 for f in fac):
             return g
     raise RuntimeError(f"no primitive root mod {ell}")
@@ -139,13 +139,18 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
                      sectors=None, expected_orbits=None):
     """One representative per W-orbit of the union of all sector fixed groups.
 
-    Fusion across sectors works on the value vectors themselves: the W-action
-    on a point t is t o w^{-1}, which on value vectors is multiplicative with
-    integer exponents, so each orbit is closed out by BFS over the simple
-    reflections and deduplicated in a global set.  The number of orbits must
-    equal class_count, else CrossCheckFailed.  ``sectors`` (the output of
-    sector_divisors) and ``expected_orbits`` (the class count) are computed
-    here unless a caller that already holds them passes them in.
+    A point is held as its exponent vector L mod l (l the lcm of all
+    elementary divisors): its value on the j-th basis weight is zeta^(L_j),
+    zeta = g^((ell-1)/l).  The sector with SNF u*(F*w - id)*v = diag(d) is
+    walked as a mixed-radix counter over 0 <= c_i < d_i, each moving digit
+    adding its step (l/d_i)*(row i of u); a wrap adds it too, as d_i steps
+    vanish mod l.  The W-action t o s^{-1} is the rank-one update
+    L - <alpha, L> alpha^vee mod l, so each orbit is closed out by BFS over
+    the simple reflections and deduplicated in a global set; only the
+    representatives, each the first point found in sector order, get values.
+    The number of orbits must equal class_count, else CrossCheckFailed.
+    ``sectors`` (the output of sector_divisors) and ``expected_orbits`` (the
+    class count) are computed here unless a caller passes them in.
     """
     if weyl is None:
         weyl = weyl_group(rd)
@@ -153,56 +158,37 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
         sectors = sector_divisors(rd, frob, weyl)
     l, per_sector = sectors
     ell = _pick_ell(l, frob.p, ell)
-    n = rd.rank
-    gen = _primitive_root(ell)
+    simple = [(_sparse(a), _sparse(av)) for a, av in zip(rd.simple_roots, rd.simple_coroots)]
     reps = []
     seen = set()
-    refl = [rd.reflection(i) for i in range(rd.nroots)]
-    for w_index, (w, u, diag) in enumerate(per_sector):
-        # points of this sector: tuples a with a_i in [0, d_i); the value of a
-        # weight lam is prod_i zeta_i^{(u*lam)_i} with zeta_i of order d_i
-        zetas = [pow(gen, (ell - 1) // d, ell) for d in diag]
-        urows = u.entries
-        # value on basis weight e_j uses column j of u
-        ucols = [tuple(urows[i][j] for i in range(n)) for j in range(n)]
-        total = 1
-        for d in diag:
-            total *= d
-        counter = [0] * n
-        for _ in range(total):
-            vals = []
-            for j in range(n):
-                v = 1
-                for i in range(n):
-                    e = (ucols[j][i] * counter[i]) % diag[i]
-                    if e:
-                        v = v * pow(zetas[i], e, ell) % ell
-                vals.append(v)
-            key = tuple(vals)
-            if key not in seen:
-                reps.append(TorusPoint(key, ell, w_index))
-                frontier = [key]
-                seen.add(key)
+    for w_index, (_, u, diag) in enumerate(per_sector):
+        digits = [(d, tuple(l // d * x % l for x in row))
+                  for d, row in zip(diag, u.entries) if d > 1]
+        counter = [0] * len(digits)
+        cur = (0,) * rd.rank
+        for _ in range(prod(diag)):
+            if cur not in seen:
+                reps.append((cur, w_index))
+                seen.add(cur)
+                frontier = [cur]
                 while frontier:
-                    cur = frontier.pop()
-                    for s in refl:
-                        # (s.t)(e_j) = t(s^{-1} e_j); reflections are involutions
-                        nv = []
-                        for j in range(n):
-                            v = 1
-                            for k in range(n):
-                                e = s[k, j]
-                                if e:
-                                    v = v * pow(cur[k], e % (ell - 1), ell) % ell
-                            nv.append(v)
-                        nk = tuple(nv)
-                        if nk not in seen:
-                            seen.add(nk)
-                            frontier.append(nk)
-            # increment mixed-radix counter
-            for i in range(n):
+                    pt = frontier.pop()
+                    for root, coroot in simple:
+                        c = 0
+                        for k, a in root:
+                            c += a * pt[k]
+                        if c % l:
+                            img = list(pt)
+                            for k, a in coroot:
+                                img[k] = (img[k] - c * a) % l
+                            img = tuple(img)
+                            if img not in seen:
+                                seen.add(img)
+                                frontier.append(img)
+            for i, (d, step) in enumerate(digits):
+                cur = tuple([(x + y) % l for x, y in zip(cur, step)])
                 counter[i] += 1
-                if counter[i] < diag[i]:
+                if counter[i] < d:
                     break
                 counter[i] = 0
     if expected_orbits is None:
@@ -211,8 +197,11 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
         raise CrossCheckFailed(
             f"orbit fusion found {len(reps)} orbits, class_count = {expected_orbits}"
         )
-    reps.sort(key=lambda pt: pt.values)
-    return reps
+    zeta = pow(_primitive_root(ell), (ell - 1) // l, ell)
+    points = [TorusPoint([pow(zeta, e, ell) for e in key], ell, w_index)
+              for key, w_index in reps]
+    points.sort(key=lambda pt: pt.values)
+    return points
 
 
 def evaluate(cache, x, pt: TorusPoint, ell=None):

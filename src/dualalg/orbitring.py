@@ -16,9 +16,10 @@ decreasing measure behind every reduction in the quotient-ring layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NonIntegral
-from .rootdata import RootDatum
+from .rootdata import RootDatum, _sparse
 
 
 class InvariantElement:
@@ -94,6 +95,7 @@ class OrbitCache:
         self._simple = tuple(
             (_sparse(av), _sparse(a)) for a, av in zip(rd.simple_roots, rd.simple_coroots)
         )
+        self._height_form = None
 
     def dominant(self, lam):
         """The dominant weight in the W-orbit of ``lam``.
@@ -159,24 +161,27 @@ class OrbitCache:
     def height(self, lam):
         """Coefficient sum of the derived-part projection over simple roots.
 
-        Central weights have height 0; the value is an exact Fraction.
+        Linear in the pairings: sum_i v_i <lam, alpha_i^vee>, v_i the sum of
+        ``cartan_solve(e_i)``.  Central weights have height 0; exact Fraction.
         """
         lam = tuple(lam)
         got = self._heights.get(lam)
         if got is not None:
             return got
-        rd = self.rd
-        if rd.nroots == 0:
-            h = Fraction(0)
-        else:
-            pair_vec = [rd.pair(lam, i) for i in range(rd.nroots)]
-            h = sum(rd.cartan_solve(pair_vec), Fraction(0))
+        if self._height_form is None:
+            rd = self.rd
+            v = [sum(rd.cartan_solve([int(i == j) for j in range(rd.nroots)]), Fraction(0))
+                 for i in range(rd.nroots)]
+            den = lcm(*(x.denominator for x in v))
+            self._height_form = ([x.numerator * (den // x.denominator) for x in v], den)
+        nums, den = self._height_form
+        num = 0
+        for (coroot, _), x in zip(self._simple, nums):
+            for k, c in coroot:
+                num += x * c * lam[k]
+        h = Fraction(num, den)
         self._heights[lam] = h
         return h
-
-
-def _sparse(vec):
-    return tuple((k, x) for k, x in enumerate(vec) if x)
 
 
 def orbit(rd: RootDatum, lam):

@@ -44,8 +44,8 @@ class RootDatum:
             reflection_matrix(rank, a, av)
             for a, av in zip(self.simple_roots, self.simple_coroots)
         )
-        self.all_roots = self._root_closure()
         self.validate()
+        self.all_roots = self._root_closure()
 
     # -- structure -----------------------------------------------------
 
@@ -64,20 +64,21 @@ class RootDatum:
         return tuple(sorted(roots))
 
     def validate(self):
-        for i, (a, av) in enumerate(zip(self.simple_roots, self.simple_coroots)):
-            if pairing(a, av) != 2:
-                raise InvalidCartan(f"<alpha_{i}, alpha_{i}^vee> != 2")
+        """Finite-type generalized Cartan matrix, else the root closure would
+        not end; the closure is closed under each simple reflection."""
+        c = self.cartan
         for i in range(self.nroots):
+            if c[i][i] != 2:
+                raise InvalidCartan(f"<alpha_{i}, alpha_{i}^vee> != 2")
             for j in range(self.nroots):
-                if i != j and self.cartan[i][j] > 0:
+                if i != j and c[i][j] > 0:
                     raise InvalidCartan("positive off-diagonal Cartan entry")
-                if i != j and (self.cartan[i][j] == 0) != (self.cartan[j][i] == 0):
+                if i != j and (c[i][j] == 0) != (c[j][i] == 0):
                     raise InvalidCartan("asymmetric zero pattern")
-        rootset = set(self.all_roots)
-        for s in self._reflections:
-            for b in self.all_roots:
-                if s.apply(b) not in rootset:
-                    raise InvalidCartan("reflection does not permute roots")
+        # finite type: all leading principal minors positive
+        for k in range(1, self.nroots + 1):
+            if det(IntMatrix([row[:k] for row in c[:k]])) <= 0:
+                raise InvalidCartan("not of finite type (nonpositive principal minor)")
 
     def reflection(self, i):
         return self._reflections[i]
@@ -168,6 +169,10 @@ class WeylElement:
         return f"WeylElement({self.matrix.entries})"
 
 
+def _sparse(vec):
+    return tuple((k, x) for k, x in enumerate(vec) if x)
+
+
 def pairing(lam, covec):
     if len(lam) != len(covec):
         raise DimensionMismatch("pairing length")
@@ -195,24 +200,32 @@ def weyl_group(rd: RootDatum, cap=None):
             cap = int(raw)
         except ValueError:
             raise DualalgError(f"DUALALG_WEYL_CAP must be an integer, got {raw!r}") from None
-    ident = WeylElement(IntMatrix.identity(rd.rank))
+    # s * M = M - alpha (alpha^vee^T M) changes only the rows where alpha != 0
+    gens = [(_sparse(a), _sparse(av)) for a, av in zip(rd.simple_roots, rd.simple_coroots)]
+    ident = IntMatrix.identity(rd.rank).entries
     elems = [ident]
-    seen = {ident.matrix.entries}
-    gens = [WeylElement(rd.reflection(i)) for i in range(rd.nroots)]
+    seen = {ident}
     frontier = [ident]
     while frontier:
         new_frontier = []
-        for w in frontier:
-            for g in gens:
-                nxt = WeylElement(g.matrix * w.matrix)
-                if nxt.matrix.entries not in seen:
-                    seen.add(nxt.matrix.entries)
+        for m in frontier:
+            for root, coroot in gens:
+                row = [0] * rd.rank
+                for k, c in coroot:
+                    for j, x in enumerate(m[k]):
+                        row[j] += c * x
+                nxt = list(m)
+                for i, a in root:
+                    nxt[i] = tuple([x - a * y for x, y in zip(m[i], row)])
+                nxt = tuple(nxt)
+                if nxt not in seen:
+                    seen.add(nxt)
                     elems.append(nxt)
                     new_frontier.append(nxt)
                     if len(elems) > cap:
                         raise CapExceeded(f"Weyl group exceeds cap {cap}")
         frontier = new_frontier
-    return elems
+    return [WeylElement(IntMatrix(m)) for m in elems]
 
 
 def dominant_representative(rd: RootDatum, lam):
@@ -257,6 +270,8 @@ class FrobeniusData:
             tau = IntMatrix.identity(rd.rank)
         elif not isinstance(tau, IntMatrix):
             tau = IntMatrix(tau)
+        if (tau.rows, tau.cols) != (rd.rank, rd.rank):
+            raise ValueError(f"tau must be {rd.rank}x{rd.rank}, got {tau.rows}x{tau.cols}")
         self.tau = tau
         tau_inv = _unimodular_inverse(tau)
         self.tau_inv = tau_inv
@@ -413,19 +428,7 @@ def _from_cartan(c, label):
     for row in c:
         if len(row) != l:
             raise InvalidCartan("Cartan matrix must be square")
-    for i in range(l):
-        if c[i][i] != 2:
-            raise InvalidCartan("diagonal entries must be 2")
-        for j in range(l):
-            if i != j and c[i][j] > 0:
-                raise InvalidCartan("off-diagonal entries must be <= 0")
-            if i != j and (c[i][j] == 0) != (c[j][i] == 0):
-                raise InvalidCartan("zero pattern must be symmetric")
-    # finite type: all leading principal minors positive
-    for k in range(1, l + 1):
-        minor = IntMatrix([row[:k] for row in c[:k]])
-        if det(minor) <= 0:
-            raise InvalidCartan("not of finite type (nonpositive principal minor)")
+    # RootDatum.validate checks c, which is the Cartan matrix of this datum
     roots = [tuple(c[i][j] for j in range(l)) for i in range(l)]
     coroots = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
     return RootDatum(l, roots, coroots, label)
@@ -435,13 +438,32 @@ def datum_from_json(doc):
     """Root datum plus optional tau matrix from the JSON schema.
 
     Schema: {"rank": n, "simple_roots": [[...]], "simple_coroots": [[...]],
-    "tau": [[...]] (optional), "label": "..."}.
+    "tau": [[...]] (optional), "label": "..."}.  Every number must be a JSON
+    integer and the rank nonnegative, else DualalgError.
     """
+    if not isinstance(doc, dict):
+        raise DualalgError("datum JSON must be an object")
+    rank = _json_int("rank", doc.get("rank"))
+    if rank < 0:
+        raise DualalgError(f"rank must be nonnegative, got {rank}")
     rd = RootDatum(
-        int(doc["rank"]),
-        doc.get("simple_roots", []),
-        doc.get("simple_coroots", []),
+        rank,
+        _json_rows("simple_roots", doc.get("simple_roots", [])),
+        _json_rows("simple_coroots", doc.get("simple_coroots", [])),
         doc.get("label", "custom"),
     )
     tau = doc.get("tau")
-    return rd, (IntMatrix(tau) if tau is not None else None)
+    return rd, (IntMatrix(_json_rows("tau", tau)) if tau is not None else None)
+
+
+def _json_int(key, x):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DualalgError(f"{key} must be an integer, got {x!r}")
+    return x
+
+
+def _json_rows(key, rows):
+    """A JSON list of integer lists, checked entry by entry."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise DualalgError(f"{key} must be a list of integer lists")
+    return [[_json_int(f"{key} entry", x) for x in row] for row in rows]

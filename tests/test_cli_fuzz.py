@@ -1,0 +1,105 @@
+"""Fuzz of the CLI exit-code contract over `rank` and `points`.
+
+Random groups, small n, bad q (0, 1, 4, 6, negative) and random datum JSON
+must always end in exit 0, 1 or 2 with no traceback: 0 and 2 print a JSON
+document, 1 prints an `error:` line.  DUALALG_WEYL_CAP is kept low so every
+example stays small; the examples are derandomized, so a run is repeatable.
+"""
+
+import contextlib
+import io
+import json
+import os
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dualalg.cli import main
+
+GROUPS = ["Torus", "GL", "SL", "PGL", "Sp", "SO"]
+# q = 4 is a valid prime power, kept with the bad values as the smallest r > 1
+Q_VALUES = [2, 3, 5, 4, 0, 1, 6, -1, -2, -4, -7, None]
+KEYS = ["rank", "simple_roots", "simple_coroots", "tau", "label"]
+
+# well-formed data: unitary GL(2), SL(2), B_2 in the lattice Z^2, a rank-0 torus
+VALID_DOCS = [
+    {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]],
+     "tau": [[0, -1], [-1, 0]], "label": "unitary-gl2"},
+    {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
+    {"rank": 2, "simple_roots": [[1, -1], [0, 1]], "simple_coroots": [[1, -1], [0, 2]]},
+    {"rank": 0},
+]
+
+json_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(KEYS), inner,
+                                                                 max_size=5),
+    max_leaves=12,
+)
+
+
+@st.composite
+def shaped_docs(draw):
+    """Integer data of the right shape; only rarely a valid root datum."""
+    rank = draw(st.integers(-1, 3))
+    width = max(rank, 0)
+    k = draw(st.integers(0, 2))
+    vec = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    doc = {"rank": rank, "simple_roots": draw(st.lists(vec, min_size=k, max_size=k)),
+           "simple_coroots": draw(st.lists(vec, min_size=k, max_size=k))}
+    if draw(st.booleans()):
+        entry = st.integers(-1, 1)
+        doc["tau"] = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                                   min_size=width, max_size=width))
+    return doc
+
+
+datum_docs = st.sampled_from(VALID_DOCS) | shaped_docs() | json_junk
+
+
+@st.composite
+def argvs(draw, datum_path):
+    cmd = draw(st.sampled_from(["rank", "points"]))
+    argv = [cmd]
+    if draw(st.booleans()):
+        with open(datum_path, "w") as fh:
+            json.dump(draw(datum_docs), fh)
+        argv += ["--datum-file", datum_path]
+    else:
+        argv += ["--group", draw(st.sampled_from(GROUPS))]
+        n = draw(st.sampled_from([2, 4, 3, 6, 1, 5, 0, -1, None]))
+        if n is not None:
+            argv += ["--n", str(n)]
+    q = draw(st.sampled_from(Q_VALUES))
+    if q is not None:
+        argv += ["--q", str(q)]
+    if cmd == "points" and draw(st.booleans()):
+        argv += ["--ell", str(draw(st.integers(-3, 300)))]
+    return argv
+
+
+def test_rank_and_points_exit_0_1_2_without_traceback(tmp_path_factory):
+    datum_path = str(tmp_path_factory.mktemp("fuzz") / "datum.json")
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argvs(datum_path))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+                assert code == 2, argv
+                return
+        assert "Traceback" not in err.getvalue(), argv
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert err.getvalue().startswith("error: "), argv
+        else:
+            json.loads(out.getvalue())
+
+    with mock.patch.dict(os.environ, {"DUALALG_WEYL_CAP": "50"}):
+        run()

@@ -20,6 +20,10 @@ GOLDEN = [
      "d8fd0967724e45d515964802325280b2be05b2ae5a22e566ccfb7f4604d3ef0f"),
     (["points", "--group", "Sp", "--n", "4", "--q", "3"], 0,
      "c385ee202f5573e3d9d2bf787ec41341ea61af516533664e614e7e71984d40cc"),
+    (["points", "--group", "SO", "--n", "6", "--q", "7"], 0,
+     "0d1e64a7f0ecb8f75591f76112db39aa6318dee92b51a3edbfdd1f2fa8eca380"),
+    (["points", "--group", "Sp", "--n", "4", "--q", "3", "--ell", "241"], 0,
+     "5492ff4cee30b7c109ca2b6abd89e395cea60c379b2f44096a824031d34da37f"),
     (["structure", "--group", "GL", "--n", "2", "--q", "3"], 0,
      "1c9531501c774fbd8ca842f237c2d68b6e626f06174d6812451470a663e1ea5a"),
     (["structure", "--group", "SO", "--n", "6", "--q", "2"], 0,

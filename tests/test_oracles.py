@@ -3,6 +3,9 @@ import pytest
 from dualalg.errors import BadPrime, CapExceeded, CrossCheckFailed
 from dualalg.matrixgroups import MatrixGroupSpec, brute_force_ss_classes
 from dualalg.oracles import (
+    TorusPoint,
+    _pick_ell,
+    _primitive_root,
     choose_ell,
     class_count,
     enumerate_points,
@@ -12,6 +15,70 @@ from dualalg.oracles import (
 )
 from dualalg.orbitring import InvariantElement, OrbitCache
 from dualalg.rootdata import FrobeniusData, build_standard, weyl_group
+
+
+# -- value-vector reference enumeration ---------------------------------------
+# The library's former enumerate_points: every sector point is built as its
+# tuple of values in F_ell by one pow per nonzero digit, and orbits are closed
+# by BFS that applies the reflection matrices multiplicatively to the values.
+# Kept here as the slow, independent oracle for the exponent-vector walk.
+
+
+def reference_points(rd, frob, ell, sectors, expected_orbits):
+    l, per_sector = sectors
+    ell = _pick_ell(l, frob.p, ell)
+    n = rd.rank
+    gen = _primitive_root(ell)
+    reps = []
+    seen = set()
+    refl = [rd.reflection(i) for i in range(rd.nroots)]
+    for w_index, (w, u, diag) in enumerate(per_sector):
+        zetas = [pow(gen, (ell - 1) // d, ell) for d in diag]
+        urows = u.entries
+        ucols = [tuple(urows[i][j] for i in range(n)) for j in range(n)]
+        total = 1
+        for d in diag:
+            total *= d
+        counter = [0] * n
+        for _ in range(total):
+            vals = []
+            for j in range(n):
+                v = 1
+                for i in range(n):
+                    e = (ucols[j][i] * counter[i]) % diag[i]
+                    if e:
+                        v = v * pow(zetas[i], e, ell) % ell
+                vals.append(v)
+            key = tuple(vals)
+            if key not in seen:
+                reps.append(TorusPoint(key, ell, w_index))
+                frontier = [key]
+                seen.add(key)
+                while frontier:
+                    cur = frontier.pop()
+                    for s in refl:
+                        # (s.t)(e_j) = t(s^{-1} e_j); reflections are involutions
+                        nv = []
+                        for j in range(n):
+                            v = 1
+                            for k in range(n):
+                                e = s[k, j]
+                                if e:
+                                    v = v * pow(cur[k], e % (ell - 1), ell) % ell
+                            nv.append(v)
+                        nk = tuple(nv)
+                        if nk not in seen:
+                            seen.add(nk)
+                            frontier.append(nk)
+            for i in range(n):
+                counter[i] += 1
+                if counter[i] < diag[i]:
+                    break
+                counter[i] = 0
+    if len(reps) != expected_orbits:
+        raise CrossCheckFailed(f"orbit fusion found {len(reps)} orbits")
+    reps.sort(key=lambda pt: pt.values)
+    return reps
 
 
 def test_torus_fixed_counts():
@@ -133,3 +200,37 @@ def test_point_determinism():
     a = enumerate_points(rd, frob)
     b = enumerate_points(rd, frob)
     assert [pt.values for pt in a] == [pt.values for pt in b]
+
+
+# (family, n, p, tau, ell): untwisted q = 2 across the families, the unitary
+# GL(2) q = 3 (tau = -swap), and two ell above the default
+POINT_CASES = [
+    ("SL", 3, 2, None, None),
+    ("Sp", 4, 2, None, None),
+    ("GL", 3, 2, None, None),
+    ("SO", 8, 2, None, None),
+    ("SO", 10, 2, None, None),
+    ("GL", 2, 3, [[0, -1], [-1, 0]], None),
+    ("Sp", 4, 3, None, 241),
+    ("GL", 3, 2, None, 127),
+]
+
+
+@pytest.mark.parametrize(
+    "fam,n,p,tau,ell", POINT_CASES,
+    ids=[f"{c[0]}{c[1]}-q{c[2]}" + ("-tau" if c[3] else "") + (f"-ell{c[4]}" if c[4] else "")
+         for c in POINT_CASES],
+)
+def test_enumerate_points_matches_value_vector_reference(fam, n, p, tau, ell):
+    rd = build_standard(fam, n)
+    frob = FrobeniusData(rd, p, 1, tau)
+    weyl = weyl_group(rd)
+    sectors = sector_divisors(rd, frob, weyl)
+    count = class_count(rd, frob, weyl)
+    got = enumerate_points(rd, frob, ell, weyl, sectors=sectors, expected_orbits=count)
+    want = reference_points(rd, frob, ell, sectors, count)
+    assert [(pt.values, pt.ell, pt.w_index) for pt in got] == [
+        (pt.values, pt.ell, pt.w_index) for pt in want
+    ]
+    if ell is not None:
+        assert got[0].ell == ell

@@ -180,6 +180,26 @@ def test_height_examples():
     assert c.height((1, -1)) == 1
 
 
+@pytest.mark.parametrize("fam,n", [("SL", 3), ("Sp", 4), ("GL", 3), ("SO", 8), ("SO", 10)])
+def test_height_matches_cartan_solve(fam, n):
+    rd = build_standard(fam, n)
+    cache = OrbitCache(rd)
+    central = rd.central_lattice()
+    rng = random.Random(f"height{fam}{n}")
+    for trial in range(60):
+        lam = [rng.randint(-5, 5) for _ in range(rd.rank)]
+        if trial % 3 == 0:
+            lam = [0] * rd.rank  # a central weight, alone or shifted below
+        for z in central:
+            k = rng.randint(-3, 3)
+            lam = [x + k * y for x, y in zip(lam, z)]
+        lam = tuple(lam)
+        pairings = [rd.pair(lam, i) for i in range(rd.nroots)]
+        assert cache.height(lam) == sum(rd.cartan_solve(pairings), Fraction(0)), lam
+        if trial % 3 == 0:
+            assert cache.height(lam) == 0
+
+
 def test_height_descent_property():
     for fam, n in [("SL", 3), ("Sp", 4), ("SO", 8)]:
         rd = build_standard(fam, n)

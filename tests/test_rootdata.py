@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dualalg.errors import CapExceeded, InvalidCartan, NotDominant
+from dualalg.errors import CapExceeded, DualalgError, InvalidCartan, NotDominant
 from dualalg.intlinalg import IntMatrix
 from dualalg.rootdata import (
     UNAVAILABLE,
@@ -15,6 +15,33 @@ from dualalg.rootdata import (
     prime_power_split,
     weyl_group,
 )
+
+
+# -- matrix-product reference closure -----------------------------------------
+# The library's former weyl_group: breadth-first closure of the simple
+# reflections by full IntMatrix products.  Kept here as the slow, independent
+# oracle for the rank-one closure on plain tuples.
+
+
+def reference_weyl_group(rd, cap):
+    ident = IntMatrix.identity(rd.rank)
+    elems = [ident]
+    seen = {ident.entries}
+    gens = [rd.reflection(i) for i in range(rd.nroots)]
+    frontier = [ident]
+    while frontier:
+        new_frontier = []
+        for w in frontier:
+            for g in gens:
+                nxt = g * w
+                if nxt.entries not in seen:
+                    seen.add(nxt.entries)
+                    elems.append(nxt)
+                    new_frontier.append(nxt)
+                    if len(elems) > cap:
+                        raise CapExceeded(f"Weyl group exceeds cap {cap}")
+        frontier = new_frontier
+    return elems
 
 
 def test_gl2_datum():
@@ -65,6 +92,32 @@ def test_weyl_identity_first():
 def test_weyl_cap():
     with pytest.raises(CapExceeded):
         weyl_group(build_standard("SO", 8), cap=10)
+
+
+WEYL_CASES = [
+    ("SL", 3, None),
+    ("Sp", 4, None),
+    ("GL", 3, None),
+    ("SO", 8, None),
+    ("SO", 10, None),
+    ("Torus", 2, None),
+    ("FromCartan", None, [[2, -1], [-3, 2]]),
+]
+
+
+@pytest.mark.parametrize("fam,n,cartan", WEYL_CASES, ids=[f"{c[0]}{c[1] or ''}" for c in WEYL_CASES])
+def test_weyl_group_matches_matrix_product_reference(fam, n, cartan):
+    rd = build_standard(fam, n, cartan=cartan)
+    got = weyl_group(rd)
+    assert [w.matrix for w in got] == reference_weyl_group(rd, cap=10 ** 6)
+    order = len(got)
+    assert len(weyl_group(rd, cap=order)) == order
+    for cap in {1, order // 2, order - 1} & set(range(1, order)):
+        with pytest.raises(CapExceeded):
+            weyl_group(rd, cap=cap)
+    if order > 1:
+        with pytest.raises(CapExceeded):
+            reference_weyl_group(rd, order - 1)
 
 
 def test_weyl_group_axioms_small():
@@ -191,3 +244,26 @@ def test_datum_from_json():
     assert rd.label == "unitary-gl2"
     frob = FrobeniusData(rd, 3, 1, tau)
     assert frob.q == 3
+
+
+def test_datum_from_json_rejects_malformed():
+    good = {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]}
+    for doc, msg in [
+        ([1, 2], "must be an object"),
+        ({}, "rank must be an integer, got None"),
+        ({**good, "rank": 1.5}, "rank must be an integer"),
+        ({**good, "rank": True}, "rank must be an integer"),
+        ({**good, "rank": -1}, "nonnegative"),
+        ({**good, "simple_roots": [[None, 1]]}, "simple_roots entry must be an integer, got None"),
+        ({**good, "simple_coroots": [3]}, "simple_coroots must be a list of integer lists"),
+        ({**good, "tau": "x"}, "tau must be a list of integer lists"),
+    ]:
+        with pytest.raises(DualalgError, match=msg):
+            datum_from_json(doc)
+    # an affine Cartan matrix is refused before the (infinite) root closure
+    with pytest.raises(InvalidCartan, match="finite type"):
+        datum_from_json({"rank": 2, "simple_roots": [[2, -2], [-2, 2]],
+                         "simple_coroots": [[1, 0], [0, 1]]})
+    rd, tau = datum_from_json({**good, "tau": [[1]]})
+    with pytest.raises(ValueError, match="tau must be 2x2, got 1x1"):
+        FrobeniusData(rd, 3, 1, tau)

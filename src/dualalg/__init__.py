@@ -17,7 +17,7 @@ from .balgebra import (
     trace_form,
 )
 from .intlinalg import IntMatrix, det, hnf, in_image, snf
-from .oracles import TorusPoint, class_count, enumerate_points, evaluate, torus_fixed_count
+from .oracles import TorusPoint, class_count, enumerate_points, evaluate
 from .orbitring import InvariantElement, OrbitCache, height, multiply, orbit
 from .rootdata import (
     FrobeniusData,
@@ -61,7 +61,6 @@ __all__ = [
     "reducedness_certificate",
     "snf",
     "structure_constants",
-    "torus_fixed_count",
     "trace_form",
     "weyl_group",
 ]

@@ -39,7 +39,7 @@ from .errors import (
     StrategyInapplicable,
 )
 from .intlinalg import IntMatrix, det, in_image, kernel_basis, reduce_mod_lattice, snf
-from .oracles import class_count, enumerate_points, evaluate, sector_divisors
+from .oracles import enumerate_points, evaluate, sector_average, sector_divisors
 from .orbitring import InvariantElement, OrbitCache, multiply
 from .rootdata import (
     UNAVAILABLE,
@@ -99,7 +99,7 @@ class BContext:
     """Everything needed to compute in the quotient ring for one datum.
 
     Immutable after construction except the memo cache, the lazily computed
-    oracle data (sector SNFs, class count, points, evaluation matrices) and
+    oracle data (the sector table, points, evaluation matrices) and
     the structure-constant tensor, each computed at most once per context.
     All are idempotent write-once-per-key caches (racing writers would all
     write the same value).
@@ -116,7 +116,6 @@ class BContext:
         self.cache = OrbitCache(rd)
         self.memo = {}
         self._sector_data = None
-        self._class_count = None
         self._points = {}
         self._evaluations = {}
         self._structure = None
@@ -130,23 +129,19 @@ class BContext:
     # -- shared plumbing -------------------------------------------------
 
     def sector_data(self):
-        """(divisor lcm, per-sector SNF data) from sector_divisors."""
+        """(divisor lcm, per-sector (u, diag, order)) from sector_divisors."""
         if self._sector_data is None:
             self._sector_data = sector_divisors(self.rd, self.frob, self.weyl)
         return self._sector_data
 
     def class_count(self):
-        if self._class_count is None:
-            self._class_count = class_count(self.rd, self.frob, self.weyl)
-        return self._class_count
+        """The |W|-average of the sector orders in sector_data()."""
+        return sector_average(self.sector_data()[1])
 
     def points(self, ell=None):
         got = self._points.get(ell)
         if got is None:
-            got = enumerate_points(
-                self.rd, self.frob, ell, self.weyl,
-                sectors=self.sector_data(), expected_orbits=self.class_count(),
-            )
+            got = enumerate_points(self.rd, self.frob, ell, self.weyl, sectors=self.sector_data())
             self._points[ell] = got
             self._points.setdefault(got[0].ell if got else None, got)
         return got
@@ -496,7 +491,7 @@ def structure_constants(ctx: BContext, limit=64):
 
 def trace_form(ctx: BContext, x: BElement):
     """Average over W of the number of orbit characters trivial on each
-    twisted fixed torus; integer by the theory, asserted here."""
+    twisted fixed torus; integer by the theory, checked here."""
     if x.ctx_id != ctx.ctx_id:
         raise ContextMismatch("element belongs to a different context")
     lifted = ctx.lift(x)
@@ -505,7 +500,7 @@ def trace_form(ctx: BContext, x: BElement):
     for lam, c in lifted.coeffs.items():
         orb = ctx.cache.orbit(lam)
         hits = 0
-        for w, u, diag in sectors:
+        for u, diag, _ in sectors:
             for mu in orb:
                 y = u.apply(mu)
                 if all(yi % d == 0 for yi, d in zip(y, diag)):

@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 
 from .balgebra import GENERIC_SC, build_context, normal_form
-from .errors import QEven
+from .errors import CrossCheckFailed, DimensionMismatch, PrimeMismatch, QEven
 from .finitefield import GF
 from .intlinalg import IntMatrix, lattice_hnf, lattices_equal, saturation_rows
 from .orbitring import InvariantElement, OrbitCache
@@ -40,7 +40,8 @@ class CyclotomicInt:
         if coeffs is None:
             coeffs = (0,) * (p - 1)
         self.coeffs = tuple(int(c) for c in coeffs)
-        assert len(self.coeffs) == p - 1
+        if len(self.coeffs) != p - 1:
+            raise DimensionMismatch(f"Z[zeta_{p}] takes {p - 1} coefficients, got {coeffs!r}")
 
     @staticmethod
     def zero(p):
@@ -58,12 +59,16 @@ class CyclotomicInt:
             return CyclotomicInt(p, (-1,) * (p - 1))
         return CyclotomicInt(p, tuple(1 if i == k else 0 for i in range(p - 1)))
 
+    def _same_p(self, other):
+        if self.p != other.p:
+            raise PrimeMismatch(f"operands in Z[zeta_{self.p}] and Z[zeta_{other.p}]")
+
     def __add__(self, other):
-        assert self.p == other.p
+        self._same_p(other)
         return CyclotomicInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        assert self.p == other.p
+        self._same_p(other)
         return CyclotomicInt(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
@@ -73,7 +78,7 @@ class CyclotomicInt:
         return CyclotomicInt(self.p, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other):
-        assert self.p == other.p
+        self._same_p(other)
         p = self.p
         folded = [0] * p
         for i, a in enumerate(self.coeffs):
@@ -409,7 +414,8 @@ def eside_curtis_tables(q):
         for _ in range(r):
             tr = k2.add(tr, cur)
             cur = k2.pow(cur, p)
-        assert tr < p, "trace must land in the prime subfield"
+        if tr >= p:
+            raise CrossCheckFailed(f"trace {tr} of {u} does not land in the prime subfield F_{p}")
         return CyclotomicInt.root_power(p, tr)
 
     tables = {}
@@ -468,7 +474,7 @@ def eside_parity_holds(q, tables=None):
 
 def homomorphism_check(group, q, ctx=None):
     """Transfer of every normal-formed basis product equals the convolution of
-    transfers; returns True or raises AssertionError with the offending pair."""
+    transfers; returns True or raises CrossCheckFailed naming the offending pair."""
     rd = datum_for(group)
     p, r = prime_power_split(q)
     frob = FrobeniusData(rd, p, r)
@@ -488,6 +494,10 @@ def homomorphism_check(group, q, ctx=None):
         f1, fs = phi_of_invariant(group, q, ctx.lift(nf), cache)
         g1 = convolve(ti, "split", images[ij1][0].coeffs, images[ij2][0].coeffs)
         gs = convolve(ti, "twisted", images[ij1][1].coeffs, images[ij2][1].coeffs)
-        assert f1.coeffs == g1, (ij1, ij2, f1.coeffs, g1)
-        assert fs.coeffs == gs, (ij1, ij2, fs.coeffs, gs)
+        for side, got, want in (("split", f1.coeffs, g1), ("twisted", fs.coeffs, gs)):
+            if got != want:
+                raise CrossCheckFailed(
+                    f"{side} transfer of basis product {ij1} * {ij2} is {got}, "
+                    f"convolution gives {want}"
+                )
     return True

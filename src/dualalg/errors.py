@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Contract violations raise one of these; plain ``assert`` is reserved for
-internal invariants that indicate an implementation bug rather than bad
-input.
+Every check raises one of these, never a bare ``assert`` (which ``python -O``
+strips): bad input and limits raise the plain types, and a failed
+mathematical check raises NonIntegral, NonTermination, ReductionUnsolvable
+or CrossCheckFailed, which the command line maps to exit 2.
 """
 
 

@@ -10,7 +10,7 @@ working definitions of semisimplicity in a finite matrix group.
 
 from __future__ import annotations
 
-from .errors import CapExceeded
+from .errors import CapExceeded, CrossCheckFailed
 from .finitefield import GF, poly_derivative, poly_gcd
 
 DEFAULT_GROUP_CAP = 10 ** 6
@@ -112,7 +112,10 @@ def enumerate_group(spec: MatrixGroupSpec, field=None):
         if want_det_one and d != 1:
             continue
         elems.append(m)
-    assert len(elems) == order
+    if len(elems) != order:
+        raise CrossCheckFailed(
+            f"enumerated {len(elems)} elements of {spec.family}({n}, q={q}), order formula {order}"
+        )
     return field, elems
 
 
@@ -210,7 +213,8 @@ def brute_force_ss_classes(spec: MatrixGroupSpec):
                     frontier.append(y)
         class_reps.append(rep)
         class_sizes.append(len(cls))
-    assert sum(class_sizes) == order
+    if sum(class_sizes) != order:
+        raise CrossCheckFailed(f"class sizes sum to {sum(class_sizes)}, group order {order}")
     ss_count = 0
     histogram = {}
     for rep in class_reps:
@@ -219,9 +223,10 @@ def brute_force_ss_classes(spec: MatrixGroupSpec):
         mp = minimal_polynomial(field, rep, n)
         g = poly_gcd(field, mp, poly_derivative(field, mp))
         squarefree = len(g) == 1
-        assert p_regular == squarefree, (
-            f"p-regular/semisimple mismatch at order {k}, minpoly {mp}"
-        )
+        if p_regular != squarefree:
+            raise CrossCheckFailed(
+                f"p-regular/semisimple mismatch at {rep}: order {k}, minpoly {mp}"
+            )
         if p_regular:
             ss_count += 1
             histogram[k] = histogram.get(k, 0) + 1

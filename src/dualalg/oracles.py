@@ -6,7 +6,10 @@ For a twist w the fixed points of w∘F on the dual torus form a finite abelian
 group isomorphic to the cokernel of (F*w - id) on the character lattice; its
 order is |det(F*w - id)|.  Averaging those orders over W counts the W-orbits
 of the union of all sectors, which is the point count of the fixed-point
-scheme and the target of every rank cross-check in this package.
+scheme and the target of every rank cross-check in this package.  Each
+sector matrix is built once, in sector_divisors: the class count averages its
+Bareiss determinants, the point walk reads its Smith normal form, and the two
+are compared sector by sector.
 
 Points are realized concretely: a prime ell with ell = 1 mod every elementary
 divisor makes all required roots of unity live in F_ell, so a point is just
@@ -18,32 +21,24 @@ from __future__ import annotations
 from math import gcd, prod
 
 from .errors import BadPrime, CrossCheckFailed, NonIntegral, PrimeMismatch
-from .intlinalg import IntMatrix, snf
+from .intlinalg import IntMatrix, det, snf
 from .orbitring import OrbitCache
-from .rootdata import FrobeniusData, RootDatum, _is_prime, _sparse, weyl_group
-
-
-def sector_matrix(frob: FrobeniusData, w):
-    """Matrix of (F o w - id) on the character lattice."""
-    m = frob.f_matrix * w.matrix
-    return m - IntMatrix.identity(m.rows)
-
-
-def torus_fixed_count(rd: RootDatum, frob: FrobeniusData, w):
-    """|T^{wF}| = |det(F*w - id)|."""
-    from .intlinalg import det
-
-    return abs(det(sector_matrix(frob, w)))
+from .rootdata import FrobeniusData, RootDatum, _is_prime, weyl_group
 
 
 def class_count(rd: RootDatum, frob: FrobeniusData, weyl=None):
-    """(1/|W|) * sum over w of |det(F*w - id)|, asserted integral."""
-    if weyl is None:
-        weyl = weyl_group(rd)
-    total = sum(torus_fixed_count(rd, frob, w) for w in weyl)
-    if total % len(weyl) != 0:
-        raise NonIntegral(f"sector sum {total} not divisible by |W| = {len(weyl)}")
-    return total // len(weyl)
+    """(1/|W|) * sum over w of |det(F*w - id)|, checked integral."""
+    return sector_average(sector_divisors(rd, frob, weyl)[1])
+
+
+def sector_average(per_sector):
+    """The |W|-average of the sector orders |det(F*w - id)| held in the table
+    from sector_divisors; NonIntegral if the division is not exact."""
+    total = sum(order for _, _, order in per_sector)
+    count, rem = divmod(total, len(per_sector))
+    if rem:
+        raise NonIntegral(f"sector sum {total} not divisible by |W| = {len(per_sector)}")
+    return count
 
 
 class TorusPoint:
@@ -93,29 +88,34 @@ def _primitive_root(ell):
 
 
 def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
-    """All elementary divisors of the matrices (F*w - id), with SNF data.
+    """The sector table: each A = F*w - id is built once, and both its order
+    |det A| (Bareiss) and its SNF u*A*v = diag(d) are read off it.
 
-    Returns (divisors_lcm, per_sector) where per_sector[i] = (w, U, diag).
+    Returns (divisors_lcm, per_sector) with per_sector[i] = (u, diag, |det A|).
+    The two routes are compared sector by sector: CrossCheckFailed naming the
+    sector if prod(diag) != |det A|.
     """
     if weyl is None:
         weyl = weyl_group(rd)
+    one = IntMatrix.identity(rd.rank)
     per_sector = []
     l = 1
-    for w in weyl:
-        a = sector_matrix(frob, w)
-        d, u, _ = snf(a)
-        diag = tuple(d[i, i] for i in range(rd.rank))
-        if any(x == 0 for x in diag):
+    for i, w in enumerate(weyl):
+        a = frob.f_matrix * w.matrix - one
+        order = abs(det(a))
+        if order == 0:
             raise NonIntegral("sector matrix is singular; q >= 2 should prevent this")
-        per_sector.append((w, u, diag))
+        d, u, _ = snf(a)
+        diag = tuple(d[k, k] for k in range(rd.rank))
+        if prod(diag) != order:
+            raise CrossCheckFailed(
+                f"sector {i}: SNF diagonal {list(diag)} has product {prod(diag)}, "
+                f"|det(F*w - id)| = {order}"
+            )
+        per_sector.append((u, diag, order))
         for x in diag:
             l = l * x // gcd(l, x)
     return l, per_sector
-
-
-def choose_ell(rd: RootDatum, frob: FrobeniusData, weyl=None):
-    """Smallest prime ell = 1 mod lcm of all elementary divisors, ell != p."""
-    return _pick_ell(sector_divisors(rd, frob, weyl)[0], frob.p)
 
 
 def _pick_ell(l, p, ell=None):
@@ -135,8 +135,7 @@ def _pick_ell(l, p, ell=None):
     return ell
 
 
-def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
-                     sectors=None, expected_orbits=None):
+def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *, sectors=None):
     """One representative per W-orbit of the union of all sector fixed groups.
 
     A point is held as its exponent vector L mod l (l the lcm of all
@@ -148,20 +147,18 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
     L - <alpha, L> alpha^vee mod l, so each orbit is closed out by BFS over
     the simple reflections and deduplicated in a global set; only the
     representatives, each the first point found in sector order, get values.
-    The number of orbits must equal class_count, else CrossCheckFailed.
-    ``sectors`` (the output of sector_divisors) and ``expected_orbits`` (the
-    class count) are computed here unless a caller passes them in.
+    The number of orbits must equal the class count, the |W|-average of the
+    sector orders in the same table, else CrossCheckFailed.  ``sectors`` (the
+    output of sector_divisors) is computed here unless a caller passes it in.
     """
-    if weyl is None:
-        weyl = weyl_group(rd)
     if sectors is None:
         sectors = sector_divisors(rd, frob, weyl)
     l, per_sector = sectors
     ell = _pick_ell(l, frob.p, ell)
-    simple = [(_sparse(a), _sparse(av)) for a, av in zip(rd.simple_roots, rd.simple_coroots)]
+    simple = rd.simple
     reps = []
     seen = set()
-    for w_index, (_, u, diag) in enumerate(per_sector):
+    for w_index, (u, diag, _) in enumerate(per_sector):
         digits = [(d, tuple(l // d * x % l for x in row))
                   for d, row in zip(diag, u.entries) if d > 1]
         counter = [0] * len(digits)
@@ -191,8 +188,7 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
                 if counter[i] < d:
                     break
                 counter[i] = 0
-    if expected_orbits is None:
-        expected_orbits = class_count(rd, frob, weyl)
+    expected_orbits = sector_average(per_sector)
     if len(reps) != expected_orbits:
         raise CrossCheckFailed(
             f"orbit fusion found {len(reps)} orbits, class_count = {expected_orbits}"

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NonIntegral
-from .rootdata import RootDatum, _sparse
+from .rootdata import RootDatum
 
 
 class InvariantElement:
@@ -84,17 +84,14 @@ class OrbitCache:
     """Per-datum cache of W-orbits and heights, with a dominant-chamber walk.
 
     Reflections act on plain tuples as rank-one updates
-    s_i(lam) = lam - <lam, alpha_i^vee> alpha_i, with each simple root and
-    coroot kept as its (coordinate, entry) pairs.
+    s_i(lam) = lam - <lam, alpha_i^vee> alpha_i, read from the datum's table
+    ``rd.simple`` of sparse simple roots and coroots.
     """
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self._orbits = {}
         self._heights = {}
-        self._simple = tuple(
-            (_sparse(av), _sparse(a)) for a, av in zip(rd.simple_roots, rd.simple_coroots)
-        )
         self._height_form = None
 
     def dominant(self, lam):
@@ -104,12 +101,12 @@ class OrbitCache:
         left; each step moves strictly up in the finite orbit.
         """
         cur = list(lam)
-        simple = self._simple
+        simple = self.rd.simple
         n = len(simple)
         clean = 0
         i = 0
         while clean < n:
-            coroot, root = simple[i]
+            root, coroot = simple[i]
             p = 0
             for k, c in coroot:
                 p += cur[k] * c
@@ -136,13 +133,13 @@ class OrbitCache:
         got = self._orbits.get(lam)
         if got is not None:
             return got
-        simple = self._simple
+        simple = self.rd.simple
         level = [self.dominant(lam)]
         seen = set(level)
         while level:
             nxt = set()
             for mu in level:
-                for coroot, root in simple:
+                for root, coroot in simple:
                     p = 0
                     for k, c in coroot:
                         p += mu[k] * c
@@ -176,7 +173,7 @@ class OrbitCache:
             self._height_form = ([x.numerator * (den // x.denominator) for x in v], den)
         nums, den = self._height_form
         num = 0
-        for (coroot, _), x in zip(self._simple, nums):
+        for (_, coroot), x in zip(self.rd.simple, nums):
             for k, c in coroot:
                 num += x * c * lam[k]
         h = Fraction(num, den)

@@ -40,9 +40,10 @@ class RootDatum:
         self.cartan = tuple(
             tuple(pairing(a, bv) for bv in self.simple_coroots) for a in self.simple_roots
         )
-        self._reflections = tuple(
-            reflection_matrix(rank, a, av)
-            for a, av in zip(self.simple_roots, self.simple_coroots)
+        # (alpha, alpha^vee) as (coordinate, entry) pairs: the simple
+        # reflection is the rank-one update s(lam) = lam - <lam, alpha^vee> alpha
+        self.simple = tuple(
+            (_sparse(a), _sparse(av)) for a, av in zip(self.simple_roots, self.simple_coroots)
         )
         self.validate()
         self.all_roots = self._root_closure()
@@ -54,8 +55,12 @@ class RootDatum:
         frontier = list(self.simple_roots)
         while frontier:
             lam = frontier.pop()
-            for s in self._reflections:
-                img = s.apply(lam)
+            for root, coroot in self.simple:
+                img = list(lam)
+                c = sum(lam[k] * x for k, x in coroot)
+                for k, a in root:
+                    img[k] -= c * a
+                img = tuple(img)
                 if img not in roots:
                     roots.add(img)
                     frontier.append(img)
@@ -79,9 +84,6 @@ class RootDatum:
         for k in range(1, self.nroots + 1):
             if det(IntMatrix([row[:k] for row in c[:k]])) <= 0:
                 raise InvalidCartan("not of finite type (nonpositive principal minor)")
-
-    def reflection(self, i):
-        return self._reflections[i]
 
     def pair(self, lam, i):
         """<lam, alpha_i^vee>."""
@@ -179,13 +181,17 @@ def pairing(lam, covec):
     return sum(x * y for x, y in zip(lam, covec))
 
 
-def reflection_matrix(rank, alpha, alphavee):
-    cols = []
-    for j in range(rank):
-        e = tuple(1 if k == j else 0 for k in range(rank))
-        c = pairing(e, alphavee)
-        cols.append(tuple(e[k] - c * alpha[k] for k in range(rank)))
-    return IntMatrix([[cols[j][i] for j in range(rank)] for i in range(rank)])
+def _reflect_rows(m, root, coroot):
+    """s * M = M - alpha (alpha^vee^T M) on a tuple of row tuples; only the
+    rows where alpha != 0 change."""
+    row = [0] * len(m)
+    for k, c in coroot:
+        for j, x in enumerate(m[k]):
+            row[j] += c * x
+    out = list(m)
+    for i, a in root:
+        out[i] = tuple([x - a * y for x, y in zip(m[i], row)])
+    return tuple(out)
 
 
 def weyl_group(rd: RootDatum, cap=None):
@@ -200,8 +206,6 @@ def weyl_group(rd: RootDatum, cap=None):
             cap = int(raw)
         except ValueError:
             raise DualalgError(f"DUALALG_WEYL_CAP must be an integer, got {raw!r}") from None
-    # s * M = M - alpha (alpha^vee^T M) changes only the rows where alpha != 0
-    gens = [(_sparse(a), _sparse(av)) for a, av in zip(rd.simple_roots, rd.simple_coroots)]
     ident = IntMatrix.identity(rd.rank).entries
     elems = [ident]
     seen = {ident}
@@ -209,15 +213,8 @@ def weyl_group(rd: RootDatum, cap=None):
     while frontier:
         new_frontier = []
         for m in frontier:
-            for root, coroot in gens:
-                row = [0] * rd.rank
-                for k, c in coroot:
-                    for j, x in enumerate(m[k]):
-                        row[j] += c * x
-                nxt = list(m)
-                for i, a in root:
-                    nxt[i] = tuple([x - a * y for x, y in zip(m[i], row)])
-                nxt = tuple(nxt)
+            for root, coroot in rd.simple:
+                nxt = _reflect_rows(m, root, coroot)
                 if nxt not in seen:
                     seen.add(nxt)
                     elems.append(nxt)
@@ -231,18 +228,19 @@ def weyl_group(rd: RootDatum, cap=None):
 def dominant_representative(rd: RootDatum, lam):
     """The dominant weight in the W-orbit of ``lam`` and a witness w with
     w(lam) dominant."""
-    cur = tuple(lam)
-    w = IntMatrix.identity(rd.rank)
+    cur = list(lam)
+    w = IntMatrix.identity(rd.rank).entries
     guard = 0
     while True:
-        for i in range(rd.nroots):
-            if rd.pair(cur, i) < 0:
-                s = rd.reflection(i)
-                cur = s.apply(cur)
-                w = s * w
+        for root, coroot in rd.simple:
+            c = sum(cur[k] * x for k, x in coroot)
+            if c < 0:
+                for k, a in root:
+                    cur[k] -= c * a
+                w = _reflect_rows(w, root, coroot)
                 break
         else:
-            return cur, WeylElement(w)
+            return tuple(cur), WeylElement(IntMatrix(w))
         guard += 1
         if guard > 10 ** 7:
             raise CapExceeded("dominant reduction did not terminate")

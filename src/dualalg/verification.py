@@ -24,13 +24,10 @@ from .oracles import evaluate
 from .orbitring import InvariantElement
 
 
-def random_dominant_weight(rd, rng, bound):
-    """Random dominant weight with coordinates bounded by ``bound``."""
-    from .rootdata import dominant_representative
-
-    lam = tuple(rng.randint(-bound, bound) for _ in range(rd.rank))
-    dom, _ = dominant_representative(rd, lam)
-    return dom
+def random_dominant_weight(cache, rng, bound):
+    """Dominant weight in the W-orbit of a random weight with coordinates
+    bounded by ``bound``."""
+    return cache.dominant([rng.randint(-bound, bound) for _ in range(cache.rd.rank)])
 
 
 def check_rank_identities(ctx):
@@ -59,11 +56,11 @@ def check_reducedness(ctx):
 
 
 def check_f_invariance(ctx, rng, samples=100, bound=None):
-    rd, frob = ctx.rd, ctx.frob
+    frob = ctx.frob
     if bound is None:
         bound = 2 * frob.q
     for _ in range(samples):
-        lam = random_dominant_weight(rd, rng, bound)
+        lam = random_dominant_weight(ctx.cache, rng, bound)
         flam = frob.f_apply(lam)
         a = normal_form(ctx, InvariantElement.r(lam))
         b = normal_form(ctx, InvariantElement.r(flam))
@@ -78,10 +75,9 @@ def check_f_invariance(ctx, rng, samples=100, bound=None):
 
 def check_height_descent(cache, weyl, rng, samples=1000, bound=6):
     """ht(w*lam) < ht(lam) for dominant lam with nonzero derived part."""
-    rd = cache.rd
     tested = 0
     for _ in range(samples):
-        lam = random_dominant_weight(rd, rng, bound)
+        lam = random_dominant_weight(cache, rng, bound)
         h = cache.height(lam)
         if h == 0:
             continue

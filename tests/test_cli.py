@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 
 import dualalg
-from dualalg import balgebra, oracles
+from dualalg import balgebra, matrixgroups, oracles
 from dualalg.cli import main
+from dualalg.intlinalg import IntMatrix
 from dualalg.rootdata import build_standard
 
 
@@ -16,6 +17,25 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def child_env():
+    """Environment under which a child process imports the same dualalg as
+    this process, installed or not."""
+    src = os.path.dirname(os.path.dirname(dualalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Replace every dualalg.* module binding of ``fn``, so `from .x import f`
+    copies are covered as well."""
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "dualalg" or name.startswith("dualalg.")):
+            continue
+        for attr, val in list(vars(mod).items()):
+            if val is fn:
+                monkeypatch.setattr(mod, attr, replacement)
 
 
 def test_rank_gl2(capsys):
@@ -168,14 +188,11 @@ def test_usage_errors(capsys):
 
 
 def test_console_entry_point():
-    # the child imports the same dualalg as this process, installed or not
-    src = os.path.dirname(os.path.dirname(dualalg.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dualalg.cli", "rank", "--group", "SL", "--n", "2", "--q", "7"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"]["value"] == 7
@@ -221,30 +238,93 @@ def test_datum_file_so_even_detected_by_structure(tmp_path, capsys):
     ["verify", "--group", "GL", "--n", "2", "--q", "3", "--fast"],
 ])
 def test_oracle_pipeline_runs_once_per_command(argv, monkeypatch, capsys):
-    # every dualalg.* binding of each function is replaced, so the count
-    # covers `from .oracles import ...` copies as well
+    # one sector table per command; the class count is read off it, so the
+    # module class_count (which builds its own table) is never called
     calls = Counter()
     for fn in (oracles.sector_divisors, oracles.class_count):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
 
-        for name, mod in list(sys.modules.items()):
-            if mod is None or not (name == "dualalg" or name.startswith("dualalg.")):
-                continue
-            for attr, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+        patch_everywhere(monkeypatch, fn, counted)
     main(argv)
     capsys.readouterr()
-    assert calls == {"sector_divisors": 1, "class_count": 1}
+    assert calls == {"sector_divisors": 1}
+
+
+def test_each_sector_matrix_built_once(monkeypatch, capsys):
+    # products F*w with F = 2 on SO(8): one per Weyl element, plus the
+    # tau*F = F*tau = q check when the Frobenius data are built
+    products = Counter()
+    real = IntMatrix.__mul__
+
+    def counted(self, other):
+        products[self.entries] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    code = main(["rank", "--group", "SO", "--n", "8", "--q", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["weyl_order"] == 192
+    f = IntMatrix.identity(4).scale(2).entries
+    assert products[f] == 192 + 1
+
+
+def test_sector_snf_disagreeing_with_det_exits_2(monkeypatch, capsys):
+    # the per-sector check prod(diag) = |det(F*w - id)| must fire
+    real = oracles.snf
+
+    def doubled(m):
+        d, u, v = real(m)
+        rows = [list(r) for r in d.entries]
+        rows[-1][-1] *= 2
+        return IntMatrix(rows), u, v
+
+    monkeypatch.setattr(oracles, "snf", doubled)
+    code = main(["rank", "--group", "GL", "--n", "2", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "CrossCheckFailed"
+    assert err["detail"].startswith("sector 0:")
+
+
+def test_corrupted_homomorphism_check_exits_2_under_optimize():
+    # python -O strips assert statements; the transfer check must still fire
+    script = (
+        "import sys\n"
+        "import dualalg.curtis as curtis\n"
+        "from dualalg.cli import main\n"
+        "curtis.convolve = lambda ti, which, f, g: {}\n"
+        "sys.exit(main(['curtis', '--group', 'GL2', '--q', '3', '--check', 'homomorphism']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "CrossCheckFailed"
+    assert "Traceback" not in proc.stderr
+
+
+def test_oracle_semisimplicity_mismatch_exits_2(monkeypatch, capsys):
+    # a gcd that never returns 1 calls every minimal polynomial non-squarefree,
+    # against the p-regular classes: a typed mismatch naming the element
+    monkeypatch.setattr(matrixgroups, "poly_gcd", lambda field, f, g: [0, 1])
+    code = main(["oracle", "--group", "GL", "--n", "2", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "CrossCheckFailed"
+    assert "p-regular/semisimple mismatch" in err["detail"]
 
 
 def test_math_failure_exits_2_with_typed_error(monkeypatch, capsys):
     # one class too many makes the orbit-fusion cross-check in the point
     # enumeration fail: a mathematical mismatch, not a usage error
-    real = balgebra.class_count
-    monkeypatch.setattr(balgebra, "class_count", lambda *a, **k: real(*a, **k) + 1)
+    real = oracles.sector_average
+    patch_everywhere(monkeypatch, real, lambda table: real(table) + 1)
     code = main(["rank", "--group", "GL", "--n", "2", "--q", "3"])
     captured = capsys.readouterr()
     assert code == 2

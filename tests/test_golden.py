@@ -6,6 +6,7 @@ a hash only when an output change is intended, and say why in CHANGES.md.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -38,11 +39,21 @@ GOLDEN = [
      "95d5d919c400e6e4d7d3ac921f9bc7efebbf65de9fbdb67b7b3e2e129020ad69"),
     (["verify", "--group", "SO", "--n", "4", "--q", "3", "--fast"], 2,
      "00390cbdba2cd5167f81a5502f2bf9658a6643ad383f627dfa6ff7a032dccd9e"),
+    (["oracle", "--group", "GL", "--n", "3", "--q", "2"], 0,
+     "5ed15280553dc4cf28a0a230c6e05558712dbb355ea281d09e7eb4a07c100524"),
+    (["curtis", "--group", "GL2", "--q", "3", "--check", "homomorphism"], 0,
+     "28b1891e21d6e367d8bf99a470b285ebd95f9fd7d90c1deba1e907843606efd4"),
+    # tau != 1: the README's unitary GL(2) datum, a path relative to this file
+    (["rank", "--datum-file", "data/unitary_gl2.json", "--q", "3"], 0,
+     "52b53baeda06b71573ab5eadccf46156bffd6cd1cd5337625a975540d8606d95"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_golden_output(argv, code, digest, capsys):
+    here = os.path.dirname(__file__)
+    argv = [os.path.join(here, a) if prev == "--datum-file" else a
+            for prev, a in zip([None] + argv, argv)]
     got = main(argv)
     out = capsys.readouterr().out
     assert got == code

@@ -1,17 +1,16 @@
 import pytest
 
 from dualalg.errors import BadPrime, CapExceeded, CrossCheckFailed
+from dualalg.intlinalg import IntMatrix
 from dualalg.matrixgroups import MatrixGroupSpec, brute_force_ss_classes
 from dualalg.oracles import (
     TorusPoint,
     _pick_ell,
     _primitive_root,
-    choose_ell,
     class_count,
     enumerate_points,
     evaluate,
     sector_divisors,
-    torus_fixed_count,
 )
 from dualalg.orbitring import InvariantElement, OrbitCache
 from dualalg.rootdata import FrobeniusData, build_standard, weyl_group
@@ -24,6 +23,12 @@ from dualalg.rootdata import FrobeniusData, build_standard, weyl_group
 # Kept here as the slow, independent oracle for the exponent-vector walk.
 
 
+def reflection_matrix(rd, i):
+    """Matrix of s_i: column j is e_j - <e_j, alpha_i^vee> alpha_i."""
+    a, av = rd.simple_roots[i], rd.simple_coroots[i]
+    return IntMatrix([[int(r == j) - av[j] * a[r] for j in range(rd.rank)] for r in range(rd.rank)])
+
+
 def reference_points(rd, frob, ell, sectors, expected_orbits):
     l, per_sector = sectors
     ell = _pick_ell(l, frob.p, ell)
@@ -31,8 +36,8 @@ def reference_points(rd, frob, ell, sectors, expected_orbits):
     gen = _primitive_root(ell)
     reps = []
     seen = set()
-    refl = [rd.reflection(i) for i in range(rd.nroots)]
-    for w_index, (w, u, diag) in enumerate(per_sector):
+    refl = [reflection_matrix(rd, i) for i in range(rd.nroots)]
+    for w_index, (u, diag, _) in enumerate(per_sector):
         zetas = [pow(gen, (ell - 1) // d, ell) for d in diag]
         urows = u.entries
         ucols = [tuple(urows[i][j] for i in range(n)) for j in range(n)]
@@ -82,15 +87,13 @@ def reference_points(rd, frob, ell, sectors, expected_orbits):
 
 
 def test_torus_fixed_counts():
+    # |T^{wF}| = |det(F*w - id)|, read off the sector table (identity first)
     rd = build_standard("Torus", 1)
-    frob = FrobeniusData(rd, 2, 2)
-    (w,) = weyl_group(rd)
-    assert torus_fixed_count(rd, frob, w) == 3
+    _, table = sector_divisors(rd, FrobeniusData(rd, 2, 2))
+    assert [order for _, _, order in table] == [3]
     gl = build_standard("GL", 2)
-    frob = FrobeniusData(gl, 3, 1)
-    ident, s = weyl_group(gl)
-    assert torus_fixed_count(gl, frob, ident) == 4
-    assert torus_fixed_count(gl, frob, s) == 8  # q^2 - 1
+    _, table = sector_divisors(gl, FrobeniusData(gl, 3, 1))
+    assert [order for _, _, order in table] == [4, 8]  # q^2 - 1 for the swap
 
 
 def test_class_counts():
@@ -126,7 +129,7 @@ def test_enumerate_points_sl2():
 def test_enumerate_points_gl2():
     rd = build_standard("GL", 2)
     frob = FrobeniusData(rd, 2, 1)
-    assert choose_ell(rd, frob) == 7
+    assert _pick_ell(sector_divisors(rd, frob)[0], frob.p) == 7
     pts = enumerate_points(rd, frob)
     assert len(pts) == 2
 
@@ -136,11 +139,14 @@ def test_enumerate_points_with_handed_in_sector_data():
     frob = FrobeniusData(rd, 3, 1)
     weyl = weyl_group(rd)
     own = enumerate_points(rd, frob, weyl=weyl)
-    given = enumerate_points(rd, frob, weyl=weyl, sectors=sector_divisors(rd, frob, weyl),
-                             expected_orbits=class_count(rd, frob, weyl))
+    l, table = sector_divisors(rd, frob, weyl)
+    given = enumerate_points(rd, frob, weyl=weyl, sectors=(l, table))
     assert [pt.values for pt in own] == [pt.values for pt in given]
+    # the expected orbit count is the average of the table's orders, so a
+    # table whose orders disagree with its walk fails the fusion check
+    forged = [(u, diag, order + 1) for u, diag, order in table]
     with pytest.raises(CrossCheckFailed, match="orbit fusion"):
-        enumerate_points(rd, frob, weyl=weyl, expected_orbits=len(own) + 1)
+        enumerate_points(rd, frob, weyl=weyl, sectors=(l, forged))
 
 
 def test_evaluate_unit_and_orbit_independence():
@@ -227,7 +233,7 @@ def test_enumerate_points_matches_value_vector_reference(fam, n, p, tau, ell):
     weyl = weyl_group(rd)
     sectors = sector_divisors(rd, frob, weyl)
     count = class_count(rd, frob, weyl)
-    got = enumerate_points(rd, frob, ell, weyl, sectors=sectors, expected_orbits=count)
+    got = enumerate_points(rd, frob, ell, weyl, sectors=sectors)
     want = reference_points(rd, frob, ell, sectors, count)
     assert [(pt.values, pt.ell, pt.w_index) for pt in got] == [
         (pt.values, pt.ell, pt.w_index) for pt in want

@@ -23,11 +23,17 @@ from dualalg.rootdata import (
 # oracle for the rank-one closure on plain tuples.
 
 
+def reflection_matrix(rd, i):
+    """Matrix of s_i: column j is e_j - <e_j, alpha_i^vee> alpha_i."""
+    a, av = rd.simple_roots[i], rd.simple_coroots[i]
+    return IntMatrix([[int(r == j) - av[j] * a[r] for j in range(rd.rank)] for r in range(rd.rank)])
+
+
 def reference_weyl_group(rd, cap):
     ident = IntMatrix.identity(rd.rank)
     elems = [ident]
     seen = {ident.entries}
-    gens = [rd.reflection(i) for i in range(rd.nroots)]
+    gens = [reflection_matrix(rd, i) for i in range(rd.nroots)]
     frontier = [ident]
     while frontier:
         new_frontier = []

@@ -129,7 +129,8 @@ class BContext:
     # -- shared plumbing -------------------------------------------------
 
     def sector_data(self):
-        """(divisor lcm, per-sector (u, diag, order)) from sector_divisors."""
+        """(divisor lcm, per-sector (u, diag, order, class size)) from
+        sector_divisors."""
         if self._sector_data is None:
             self._sector_data = sector_divisors(self.rd, self.frob, self.weyl)
         return self._sector_data
@@ -491,7 +492,11 @@ def structure_constants(ctx: BContext, limit=64):
 
 def trace_form(ctx: BContext, x: BElement):
     """Average over W of the number of orbit characters trivial on each
-    twisted fixed torus; integer by the theory, checked here."""
+    twisted fixed torus; integer by the theory, checked here.
+
+    The count is the same on F-conjugate sectors (their images differ by a
+    Weyl element and each orbit is W-stable), so each class representative's
+    count is weighted by its class size."""
     if x.ctx_id != ctx.ctx_id:
         raise ContextMismatch("element belongs to a different context")
     lifted = ctx.lift(x)
@@ -500,11 +505,13 @@ def trace_form(ctx: BContext, x: BElement):
     for lam, c in lifted.coeffs.items():
         orb = ctx.cache.orbit(lam)
         hits = 0
-        for u, diag, _ in sectors:
+        for u, diag, _, size in sectors:
+            if u is None:
+                continue
             for mu in orb:
                 y = u.apply(mu)
                 if all(yi % d == 0 for yi, d in zip(y, diag)):
-                    hits += 1
+                    hits += size
         total += c * hits
     if total % len(ctx.weyl) != 0:
         raise NonIntegral(f"trace sum {total} not divisible by |W|")

@@ -18,6 +18,8 @@ Conventions:
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import CrossCheckFailed, DimensionMismatch, NonSquare
 
 
@@ -34,6 +36,16 @@ class IntMatrix:
         for row in rows:
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged rows")
+
+    @classmethod
+    def of_rows(cls, rows):
+        """Wrap a tuple of equal-length tuples of ints as they are, with no
+        copy and no check; for rows the package has just built itself."""
+        m = object.__new__(cls)
+        m.entries = rows
+        m.rows = len(rows)
+        m.cols = len(rows[0]) if rows else 0
+        return m
 
     @staticmethod
     def identity(n):
@@ -69,9 +81,9 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix product shape")
-            ot = other.transpose().entries
-            return IntMatrix(
-                [[_dot(r, c) for c in ot] for r in self.entries]
+            ot = tuple(zip(*other.entries))
+            return IntMatrix.of_rows(
+                tuple(tuple([_dot(r, c) for c in ot]) for r in self.entries)
             )
         return NotImplemented
 
@@ -100,7 +112,7 @@ class IntMatrix:
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def det(m: IntMatrix):

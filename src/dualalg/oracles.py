@@ -7,13 +7,18 @@ group isomorphic to the cokernel of (F*w - id) on the character lattice; its
 order is |det(F*w - id)|.  Averaging those orders over W counts the W-orbits
 of the union of all sectors, which is the point count of the fixed-point
 scheme and the target of every rank cross-check in this package.  Each
-sector matrix is built once, in sector_divisors: the class count averages its
-Bareiss determinants, the point walk reads its Smith normal form, and the two
-are compared sector by sector.
+sector matrix is built once, in sector_divisors, and its Bareiss determinant
+taken; the class count averages those over all of W.  Up to the W-action a
+sector depends only on the F-conjugacy class of w, so the Smith normal form
+is taken, and the point walk and the trace form run, once per class, on its
+first sector in Weyl order.  Every sector's determinant is compared with the
+SNF diagonal of its class.
 
 Points are realized concretely: a prime ell with ell = 1 mod every elementary
-divisor makes all required roots of unity live in F_ell, so a point is just
-the tuple of its values on the standard basis of the character lattice.
+divisor makes all required roots of unity live in F_ell.  A point is held as
+its exponent vector mod l (the lcm of the divisors) against a generator zeta
+of the l-th roots of unity, so a weight's value is one dot product mod l and
+one power of zeta.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from math import gcd, prod
 from .errors import BadPrime, CrossCheckFailed, NonIntegral, PrimeMismatch
 from .intlinalg import IntMatrix, det, snf
 from .orbitring import OrbitCache
-from .rootdata import FrobeniusData, RootDatum, _is_prime, weyl_group
+from .rootdata import FrobeniusData, RootDatum, _is_prime, _reflect_rows, weyl_group
 
 
 def class_count(rd: RootDatum, frob: FrobeniusData, weyl=None):
@@ -34,7 +39,7 @@ def class_count(rd: RootDatum, frob: FrobeniusData, weyl=None):
 def sector_average(per_sector):
     """The |W|-average of the sector orders |det(F*w - id)| held in the table
     from sector_divisors; NonIntegral if the division is not exact."""
-    total = sum(order for _, _, order in per_sector)
+    total = sum(order for _, _, order, _ in per_sector)
     count, rem = divmod(total, len(per_sector))
     if rem:
         raise NonIntegral(f"sector sum {total} not divisible by |W| = {len(per_sector)}")
@@ -42,25 +47,32 @@ def sector_average(per_sector):
 
 
 class TorusPoint:
-    """A character-lattice homomorphism into F_ell^x.
+    """A character-lattice homomorphism into F_ell^x, held as its exponent
+    vector: the j-th standard basis weight goes to zeta^(exponents[j]), where
+    zeta generates the l-th roots of unity in F_ell.
 
-    ``values[j]`` is the image of the j-th standard basis weight; ``w_index``
-    records the sector the representative was first found in.
+    ``values`` are those images; ``w_index`` records the sector the
+    representative was first found in.
     """
 
-    __slots__ = ("values", "ell", "w_index")
+    __slots__ = ("exponents", "zeta", "l", "ell", "w_index")
 
-    def __init__(self, values, ell, w_index):
-        self.values = tuple(values)
+    def __init__(self, exponents, zeta, l, ell, w_index):
+        self.exponents = tuple(exponents)
+        self.zeta = zeta
+        self.l = l
         self.ell = ell
         self.w_index = w_index
 
+    @property
+    def values(self):
+        return tuple(pow(self.zeta, e, self.ell) for e in self.exponents)
+
     def eval_weight(self, lam):
-        v = 1
-        ell = self.ell
-        for base, e in zip(self.values, lam):
-            v = v * pow(base, e % (ell - 1), ell) % ell
-        return v
+        e = 0
+        for x, y in zip(self.exponents, lam):
+            e += x * y
+        return pow(self.zeta, e % self.l, self.ell)
 
     def __repr__(self):
         return f"TorusPoint({self.values}, ell={self.ell})"
@@ -87,35 +99,99 @@ def _primitive_root(ell):
     raise RuntimeError(f"no primitive root mod {ell}")
 
 
-def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
-    """The sector table: each A = F*w - id is built once, and both its order
-    |det A| (Bareiss) and its SNF u*A*v = diag(d) are read off it.
+def _conjugate(m, root, coroot):
+    """s * M * s for the simple reflection s = 1 - alpha alpha^vee^T, on a
+    tuple of row tuples: the row step of _reflect_rows, then each row r goes
+    to r - <r, alpha> alpha^vee."""
+    out = []
+    for row in _reflect_rows(m, root, coroot):
+        c = 0
+        for k, a in root:
+            c += row[k] * a
+        if c:
+            row = list(row)
+            for k, a in coroot:
+                row[k] -= c * a
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
 
-    Returns (divisors_lcm, per_sector) with per_sector[i] = (u, diag, |det A|).
-    The two routes are compared sector by sector: CrossCheckFailed naming the
-    sector if prod(diag) != |det A|.
+
+def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
+    """The sector table: each A_w = F*w - id is built once, its order |det A_w|
+    is taken by Bareiss for every w, and the SNF u*A*v = diag(d) once per
+    F-conjugacy class.
+
+    s*A_w*s = A_w' with w' = (tau s tau^-1)*w*s for every simple reflection s,
+    as tau permutes the simple roots; so the sectors split into classes under
+    A -> s*A*s, and conjugate sectors have the same SNF diagonal and W-images
+    of each other's fixed points.  The representative of a class is its first
+    sector in Weyl order.
+
+    Returns (divisors_lcm, per_sector) with per_sector[i] = (u, diag, |det A_i|,
+    class size) on a representative and (None, diag, |det A_i|, 0) elsewhere.
+    Every sector's |det| is compared with the product of its class's SNF
+    diagonal: CrossCheckFailed naming the sector on a mismatch, or when a
+    conjugate of a sector matrix is not a sector matrix or lies in an
+    earlier class.
     """
     if weyl is None:
         weyl = weyl_group(rd)
-    one = IntMatrix.identity(rd.rank)
+    f = frob.f_matrix
+    mats = [tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                  for i, row in enumerate((f * w.matrix).entries))
+            for w in weyl]
+    index = {a: i for i, a in enumerate(mats)}
+    rep_of = [None] * len(mats)
     per_sector = []
     l = 1
-    for i, w in enumerate(weyl):
-        a = frob.f_matrix * w.matrix - one
-        order = abs(det(a))
+    for i, a in enumerate(mats):
+        order = abs(det(IntMatrix.of_rows(a)))
         if order == 0:
             raise NonIntegral("sector matrix is singular; q >= 2 should prevent this")
-        d, u, _ = snf(a)
-        diag = tuple(d[k, k] for k in range(rd.rank))
+        if rep_of[i] is None:
+            d, u, _ = snf(IntMatrix.of_rows(a))
+            diag = tuple(d[k, k] for k in range(rd.rank))
+            size = _close_class(i, mats, index, rd.simple, rep_of)
+            per_sector.append((u, diag, order, size))
+            for x in diag:
+                l = l * x // gcd(l, x)
+        else:
+            diag = per_sector[rep_of[i]][1]
+            per_sector.append((None, diag, order, 0))
         if prod(diag) != order:
             raise CrossCheckFailed(
-                f"sector {i}: SNF diagonal {list(diag)} has product {prod(diag)}, "
-                f"|det(F*w - id)| = {order}"
+                f"sector {i}: SNF diagonal {list(diag)} of sector {rep_of[i]} has product "
+                f"{prod(diag)}, |det(F*w - id)| = {order}"
             )
-        per_sector.append((u, diag, order))
-        for x in diag:
-            l = l * x // gcd(l, x)
     return l, per_sector
+
+
+def _close_class(i, mats, index, simple, rep_of):
+    """Mark each sector conjugate to sector i under A -> s*A*s with i in
+    ``rep_of`` and return the class size.  Classes are disjoint, so meeting
+    a sector of an earlier class is a CrossCheckFailed, as is a conjugate
+    that is no sector matrix."""
+    rep_of[i] = i
+    size = 1
+    frontier = [i]
+    while frontier:
+        j = frontier.pop()
+        for root, coroot in simple:
+            k = index.get(_conjugate(mats[j], root, coroot))
+            if k is None:
+                raise CrossCheckFailed(
+                    f"sector {j}: its conjugate by a simple reflection is not a sector matrix"
+                )
+            if rep_of[k] is None:
+                rep_of[k] = i
+                size += 1
+                frontier.append(k)
+            elif rep_of[k] != i:
+                raise CrossCheckFailed(
+                    f"sector {j}: conjugate to sector {k} of the class of sector {rep_of[k]}"
+                )
+    return size
 
 
 def _pick_ell(l, p, ell=None):
@@ -158,7 +234,9 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
     simple = rd.simple
     reps = []
     seen = set()
-    for w_index, (u, diag, _) in enumerate(per_sector):
+    for w_index, (u, diag, _, _) in enumerate(per_sector):
+        if u is None:
+            continue
         digits = [(d, tuple(l // d * x % l for x in row))
                   for d, row in zip(diag, u.entries) if d > 1]
         counter = [0] * len(digits)
@@ -194,8 +272,7 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
             f"orbit fusion found {len(reps)} orbits, class_count = {expected_orbits}"
         )
     zeta = pow(_primitive_root(ell), (ell - 1) // l, ell)
-    points = [TorusPoint([pow(zeta, e, ell) for e in key], ell, w_index)
-              for key, w_index in reps]
+    points = [TorusPoint(key, zeta, l, ell, w_index) for key, w_index in reps]
     points.sort(key=lambda pt: pt.values)
     return points
 

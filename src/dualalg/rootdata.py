@@ -222,7 +222,7 @@ def weyl_group(rd: RootDatum, cap=None):
                     if len(elems) > cap:
                         raise CapExceeded(f"Weyl group exceeds cap {cap}")
         frontier = new_frontier
-    return [WeylElement(IntMatrix(m)) for m in elems]
+    return [WeylElement(IntMatrix.of_rows(m)) for m in elems]
 
 
 def dominant_representative(rd: RootDatum, lam):

@@ -21,6 +21,7 @@ from dualalg.balgebra import (
     trace_form,
 )
 from dualalg.errors import ContextMismatch, LimitExceeded, StrategyInapplicable
+from dualalg.intlinalg import IntMatrix, snf
 from dualalg.oracles import class_count, evaluate
 from dualalg.orbitring import InvariantElement
 from dualalg.rootdata import FrobeniusData, build_standard, dominant_representative, prime_power_split
@@ -207,6 +208,33 @@ def test_gram_matrix_matches_pairwise_trace(fam, n, q, tau):
     b = [BElement({i: 1}, ctx.ctx_id) for i in range(nb)]
     ref = [[trace_form(ctx, multiply_b(ctx, b[i], b[j])) for j in range(nb)] for i in range(nb)]
     assert [list(row) for row in gram_matrix(ctx).entries] == ref
+
+
+@pytest.mark.parametrize("fam,n,q,tau", [
+    ("GL", 3, 3, None),
+    ("Sp", 4, 3, None),
+    ("SL", 3, 2, [[0, 1], [1, 0]]),
+    ("GL", 2, 3, [[0, -1], [-1, 0]]),
+])
+def test_trace_form_matches_all_sector_definition(fam, n, q, tau):
+    # reference: hits counted in every sector, each with its own SNF, against
+    # the library's class representatives weighted by their class sizes
+    ctx = make_ctx(fam, n, q, tau=tau)
+    one = IntMatrix.identity(ctx.rd.rank)
+    sectors = []
+    for w in ctx.weyl:
+        d, u, _ = snf(ctx.frob.f_matrix * w.matrix - one)
+        sectors.append((u, [d[k, k] for k in range(ctx.rd.rank)]))
+    for i in range(len(ctx.basis)):
+        x = BElement({i: 1}, ctx.ctx_id)
+        total = 0
+        for lam, c in ctx.lift(x).coeffs.items():
+            for u, diag in sectors:
+                for mu in ctx.cache.orbit(lam):
+                    if all(y % d == 0 for y, d in zip(u.apply(mu), diag)):
+                        total += c
+        assert total % len(ctx.weyl) == 0
+        assert trace_form(ctx, x) == total // len(ctx.weyl)
 
 
 def test_torus_gram_unit_discriminant():

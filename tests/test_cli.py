@@ -10,7 +10,7 @@ import dualalg
 from dualalg import balgebra, matrixgroups, oracles
 from dualalg.cli import main
 from dualalg.intlinalg import IntMatrix
-from dualalg.rootdata import build_standard
+from dualalg.rootdata import _reflect_rows, build_standard, weyl_group
 
 
 def run_cli(args, capsys):
@@ -288,6 +288,52 @@ def test_sector_snf_disagreeing_with_det_exits_2(monkeypatch, capsys):
     err = json.loads(captured.out)["error"]
     assert err["type"] == "CrossCheckFailed"
     assert err["detail"].startswith("sector 0:")
+
+
+def test_sector_snf_once_per_class(monkeypatch, capsys):
+    # rank SO(8) q=2: one SNF for each of the 13 conjugacy classes of W(D4),
+    # and still one Bareiss determinant for each of the 192 sectors
+    rd = build_standard("SO", 8)
+    one = IntMatrix.identity(4)
+    f = one.scale(2)
+    sectors = {(f * w.matrix - one).entries for w in weyl_group(rd)}
+    args = {"snf": Counter(), "det": Counter()}
+    for name in args:
+        def counted(m, _fn=getattr(oracles, name), _seen=args[name]):
+            _seen[m.entries] += 1
+            return _fn(m)
+
+        # the oracle module's own bindings: other layers take SNFs and
+        # determinants of matrices that may coincide with a sector matrix
+        monkeypatch.setattr(oracles, name, counted)
+    code = main(["rank", "--group", "SO", "--n", "8", "--q", "2"])
+    capsys.readouterr()
+    assert code == 2
+    assert sum(args["snf"].values()) == 13
+    assert set(args["snf"]) <= sectors
+    assert args["det"] == dict.fromkeys(sectors, 1)
+
+
+IDENTITY_4 = IntMatrix.identity(4).entries
+
+
+@pytest.mark.parametrize("conjugate,detail", [
+    # s*A without the right factor s is no sector matrix: a typed mismatch
+    # naming the sector, not a KeyError
+    (_reflect_rows, "sector 0: its conjugate by a simple reflection is not a sector matrix"),
+    # every conjugate sent to sector 0 (F - id = id at q = 2): sector 1 would
+    # join the class of sector 0 after it was closed
+    (lambda m, root, coroot: IDENTITY_4, "sector 1: conjugate to sector 0"),
+], ids=["one-sided", "into-closed-class"])
+def test_corrupted_sector_conjugation_exits_2(conjugate, detail, monkeypatch, capsys):
+    patch_everywhere(monkeypatch, oracles._conjugate, conjugate)
+    code = main(["rank", "--group", "SO", "--n", "8", "--q", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "CrossCheckFailed"
+    assert err["detail"].startswith(detail)
+    assert "Traceback" not in captured.err
 
 
 def test_corrupted_homomorphism_check_exits_2_under_optimize():

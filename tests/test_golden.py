@@ -46,6 +46,13 @@ GOLDEN = [
     # tau != 1: the README's unitary GL(2) datum, a path relative to this file
     (["rank", "--datum-file", "data/unitary_gl2.json", "--q", "3"], 0,
      "52b53baeda06b71573ab5eadccf46156bffd6cd1cd5337625a975540d8606d95"),
+    (["points", "--datum-file", "data/unitary_gl2.json", "--q", "3"], 0,
+     "cac12c12c3eecfc3a2a72ad964099e1402e343ecaeeb1dbd3ba412e2e3e64cc2"),
+    # |W| = 1920 sectors in 18 classes
+    (["rank", "--group", "SO", "--n", "10", "--q", "2"], 2,
+     "751eda62eec54bb9574b14779719755ee94476097fbcf3797992c1567deaf5ea"),
+    (["points", "--group", "Sp", "--n", "8", "--q", "2"], 0,
+     "c8fc57e2e06ac466002ab24f710365ee3d99c1a659c5d71c295eb20fdf835a5b"),
 ]
 
 

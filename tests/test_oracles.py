@@ -1,10 +1,11 @@
+from math import gcd
+
 import pytest
 
 from dualalg.errors import BadPrime, CapExceeded, CrossCheckFailed
-from dualalg.intlinalg import IntMatrix
+from dualalg.intlinalg import IntMatrix, snf
 from dualalg.matrixgroups import MatrixGroupSpec, brute_force_ss_classes
 from dualalg.oracles import (
-    TorusPoint,
     _pick_ell,
     _primitive_root,
     class_count,
@@ -16,11 +17,10 @@ from dualalg.orbitring import InvariantElement, OrbitCache
 from dualalg.rootdata import FrobeniusData, build_standard, weyl_group
 
 
-# -- value-vector reference enumeration ---------------------------------------
-# The library's former enumerate_points: every sector point is built as its
-# tuple of values in F_ell by one pow per nonzero digit, and orbits are closed
-# by BFS that applies the reflection matrices multiplicatively to the values.
-# Kept here as the slow, independent oracle for the exponent-vector walk.
+# -- all-sector references ----------------------------------------------------
+# The library takes one SNF per F-conjugacy class of sectors.  The references
+# below take one per Weyl element, build the sector matrices and the
+# reflections as IntMatrix products, and find the classes on W itself.
 
 
 def reflection_matrix(rd, i):
@@ -29,15 +29,63 @@ def reflection_matrix(rd, i):
     return IntMatrix([[int(r == j) - av[j] * a[r] for j in range(rd.rank)] for r in range(rd.rank)])
 
 
-def reference_points(rd, frob, ell, sectors, expected_orbits):
-    l, per_sector = sectors
+def reference_sector_table(rd, frob, weyl):
+    """(lcm of all elementary divisors, [(u, diag)] with u*(F*w - id)*v =
+    diag for every w, each from its own SNF)."""
+    one = IntMatrix.identity(rd.rank)
+    l = 1
+    table = []
+    for w in weyl:
+        d, u, _ = snf(frob.f_matrix * w.matrix - one)
+        diag = tuple(d[k, k] for k in range(rd.rank))
+        table.append((u, diag))
+        for x in diag:
+            l = l * x // gcd(l, x)
+    return l, table
+
+
+def reference_classes(rd, frob, weyl):
+    """The F-conjugacy classes of W as sorted index lists, closed under
+    w -> (tau s tau^-1) * w * s over the simple reflections s."""
+    index = {w.matrix: i for i, w in enumerate(weyl)}
+    moves = [(frob.tau * s * frob.tau_inv, s)
+             for s in (reflection_matrix(rd, i) for i in range(rd.nroots))]
+    cls = [None] * len(weyl)
+    classes = []
+    for i in range(len(weyl)):
+        if cls[i] is not None:
+            continue
+        members = [i]
+        cls[i] = len(classes)
+        for j in members:
+            for left, right in moves:
+                k = index[left * weyl[j].matrix * right]
+                if cls[k] is None:
+                    cls[k] = len(classes)
+                    members.append(k)
+        classes.append(sorted(members))
+    return classes
+
+
+# -- value-vector reference enumeration ---------------------------------------
+# The library's former enumerate_points: every point of every sector is built
+# as its tuple of values in F_ell by one pow per nonzero digit, and orbits are
+# closed by BFS that applies the reflection matrices multiplicatively to the
+# values.  Kept here as the slow, independent oracle for the exponent-vector
+# walk over class representatives.
+
+
+def reference_points(rd, frob, ell, weyl, expected_orbits):
+    """Sorted (values, ell, w_index) of one point per orbit, walking all
+    sectors of reference_sector_table."""
+    l, per_sector = reference_sector_table(rd, frob, weyl)
     ell = _pick_ell(l, frob.p, ell)
     n = rd.rank
     gen = _primitive_root(ell)
     reps = []
     seen = set()
     refl = [reflection_matrix(rd, i) for i in range(rd.nroots)]
-    for w_index, (u, diag, _) in enumerate(per_sector):
+    for w_index, (u, diag) in enumerate(per_sector):
         zetas = [pow(gen, (ell - 1) // d, ell) for d in diag]
         urows = u.entries
         ucols = [tuple(urows[i][j] for i in range(n)) for j in range(n)]
@@ -56,7 +104,7 @@ def reference_points(rd, frob, ell, sectors, expected_orbits):
                 vals.append(v)
             key = tuple(vals)
             if key not in seen:
-                reps.append(TorusPoint(key, ell, w_index))
+                reps.append((key, ell, w_index))
                 frontier = [key]
                 seen.add(key)
                 while frontier:
@@ -82,7 +130,7 @@ def reference_points(rd, frob, ell, sectors, expected_orbits):
                 counter[i] = 0
     if len(reps) != expected_orbits:
         raise CrossCheckFailed(f"orbit fusion found {len(reps)} orbits")
-    reps.sort(key=lambda pt: pt.values)
+    reps.sort()
     return reps
 
 
@@ -90,10 +138,10 @@ def test_torus_fixed_counts():
     # |T^{wF}| = |det(F*w - id)|, read off the sector table (identity first)
     rd = build_standard("Torus", 1)
     _, table = sector_divisors(rd, FrobeniusData(rd, 2, 2))
-    assert [order for _, _, order in table] == [3]
+    assert [order for _, _, order, _ in table] == [3]
     gl = build_standard("GL", 2)
     _, table = sector_divisors(gl, FrobeniusData(gl, 3, 1))
-    assert [order for _, _, order in table] == [4, 8]  # q^2 - 1 for the swap
+    assert [order for _, _, order, _ in table] == [4, 8]  # q^2 - 1 for the swap
 
 
 def test_class_counts():
@@ -144,7 +192,7 @@ def test_enumerate_points_with_handed_in_sector_data():
     assert [pt.values for pt in own] == [pt.values for pt in given]
     # the expected orbit count is the average of the table's orders, so a
     # table whose orders disagree with its walk fails the fusion check
-    forged = [(u, diag, order + 1) for u, diag, order in table]
+    forged = [(u, diag, order + 1, size) for u, diag, order, size in table]
     with pytest.raises(CrossCheckFailed, match="orbit fusion"):
         enumerate_points(rd, frob, weyl=weyl, sectors=(l, forged))
 
@@ -209,7 +257,10 @@ def test_point_determinism():
 
 
 # (family, n, p, tau, ell): untwisted q = 2 across the families, the unitary
-# GL(2) q = 3 (tau = -swap), and two ell above the default
+# GL(2) q = 3 (tau = -swap), 2A2 and 2D4 at q = 2 (tau the graph automorphism),
+# and two ell above the default
+SWAP = [[0, 1], [1, 0]]
+D4_GRAPH = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
 POINT_CASES = [
     ("SL", 3, 2, None, None),
     ("Sp", 4, 2, None, None),
@@ -217,6 +268,8 @@ POINT_CASES = [
     ("SO", 8, 2, None, None),
     ("SO", 10, 2, None, None),
     ("GL", 2, 3, [[0, -1], [-1, 0]], None),
+    ("SL", 3, 2, SWAP, None),
+    ("SO", 8, 2, D4_GRAPH, None),
     ("Sp", 4, 3, None, 241),
     ("GL", 3, 2, None, 127),
 ]
@@ -231,12 +284,56 @@ def test_enumerate_points_matches_value_vector_reference(fam, n, p, tau, ell):
     rd = build_standard(fam, n)
     frob = FrobeniusData(rd, p, 1, tau)
     weyl = weyl_group(rd)
-    sectors = sector_divisors(rd, frob, weyl)
     count = class_count(rd, frob, weyl)
-    got = enumerate_points(rd, frob, ell, weyl, sectors=sectors)
-    want = reference_points(rd, frob, ell, sectors, count)
-    assert [(pt.values, pt.ell, pt.w_index) for pt in got] == [
-        (pt.values, pt.ell, pt.w_index) for pt in want
-    ]
+    got = enumerate_points(rd, frob, ell, weyl)
+    want = reference_points(rd, frob, ell, weyl, count)
+    assert [(pt.values, pt.ell, pt.w_index) for pt in got] == want
     if ell is not None:
         assert got[0].ell == ell
+    # a weight's value is one pow of zeta at its dot product with the exponents,
+    # equal to the product of the coordinate values raised to the weight
+    lam = tuple(range(-1, rd.rank - 1))
+    for pt in got:
+        want_value = 1
+        for v, e in zip(pt.values, lam):
+            want_value = want_value * pow(v, e % (pt.ell - 1), pt.ell) % pt.ell
+        assert pt.eval_weight(lam) == want_value
+
+
+G2 = ((2, -1), (-3, 2))
+
+# (label, family, n, tau, number of F-conjugacy classes of W)
+CLASS_CASES = [
+    ("A3", "SL", 4, None, 5),
+    ("A4", "SL", 5, None, 7),
+    ("B2", "Sp", 4, None, 5),
+    ("C4", "Sp", 8, None, 20),
+    ("D4", "SO", 8, None, 13),
+    ("D5", "SO", 10, None, 18),
+    ("G2", "FromCartan", None, None, 6),
+    ("2A2", "SL", 3, SWAP, 3),
+    ("2D4", "SO", 8, D4_GRAPH, 9),
+]
+
+
+@pytest.mark.parametrize("label,fam,n,tau,classes", CLASS_CASES, ids=[c[0] for c in CLASS_CASES])
+def test_sector_classes(label, fam, n, tau, classes):
+    rd = build_standard(fam, n, cartan=G2, label=label)
+    frob = FrobeniusData(rd, 2, 1, tau)
+    weyl = weyl_group(rd)
+    l, table = sector_divisors(rd, frob, weyl)
+    reps = [i for i, (u, _, _, _) in enumerate(table) if u is not None]
+    assert len(reps) == classes
+    assert sum(size for _, _, _, size in table) == len(weyl)
+    assert all(size == 0 for u, _, _, size in table if u is None)
+    # the classes found on W itself: each has its least index as the table's
+    # representative and its length as the size there
+    want = reference_classes(rd, frob, weyl)
+    assert sorted(c[0] for c in want) == reps
+    assert all(table[c[0]][3] == len(c) for c in want)
+    # every sector's own SNF diagonal is its representative's
+    ref_l, ref_table = reference_sector_table(rd, frob, weyl)
+    assert ref_l == l
+    for c in want:
+        for i in c:
+            assert ref_table[i][1] == table[i][1] == table[c[0]][1]

@@ -18,7 +18,12 @@ Points are realized concretely: a prime ell with ell = 1 mod every elementary
 divisor makes all required roots of unity live in F_ell.  A point is held as
 its exponent vector mod l (the lcm of the divisors) against a generator zeta
 of the l-th roots of unity, so a weight's value is one dot product mod l and
-one power of zeta.
+one power of zeta.  Exponent vectors are points of Y/lY (Y the cocharacter
+lattice), and two lie in one W-orbit exactly when their integer lifts lie in
+one orbit of W x lY.  The closed l-scaled alcove is a strict fundamental
+domain for W x lQ^vee (Q^vee the coroot lattice), so each point gets an
+exact orbit key: its central pairings reduced into [0, l), then the least
+alcove representative over the cosets of Q^vee in the semisimple part of Y.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from math import gcd, prod
 from .errors import BadPrime, CrossCheckFailed, NonIntegral, PrimeMismatch
 from .intlinalg import IntMatrix, det, snf
 from .orbitring import OrbitCache
-from .rootdata import FrobeniusData, RootDatum, _is_prime, _reflect_rows, weyl_group
+from .rootdata import FrobeniusData, RootDatum, _is_prime, _reflect_rows, _sparse, weyl_group
 
 
 def class_count(rd: RootDatum, frob: FrobeniusData, weyl=None):
@@ -51,11 +56,11 @@ class TorusPoint:
     vector: the j-th standard basis weight goes to zeta^(exponents[j]), where
     zeta generates the l-th roots of unity in F_ell.
 
-    ``values`` are those images; ``w_index`` records the sector the
-    representative was first found in.
+    ``values`` are those images, computed on first read; ``w_index`` records
+    the sector the representative was first found in.
     """
 
-    __slots__ = ("exponents", "zeta", "l", "ell", "w_index")
+    __slots__ = ("exponents", "zeta", "l", "ell", "w_index", "_values")
 
     def __init__(self, exponents, zeta, l, ell, w_index):
         self.exponents = tuple(exponents)
@@ -63,10 +68,13 @@ class TorusPoint:
         self.l = l
         self.ell = ell
         self.w_index = w_index
+        self._values = None
 
     @property
     def values(self):
-        return tuple(pow(self.zeta, e, self.ell) for e in self.exponents)
+        if self._values is None:
+            self._values = tuple(pow(self.zeta, e, self.ell) for e in self.exponents)
+        return self._values
 
     def eval_weight(self, lam):
         e = 0
@@ -211,6 +219,63 @@ def _pick_ell(l, p, ell=None):
     return ell
 
 
+def key_lattice(rd: RootDatum, l):
+    """The data of orbit_key at modulus l, from rd.alcove_data(): (l, central,
+    shifts, walls) with ``central`` the pairs (phi_k, l*y_k), ``shifts`` the
+    l*z, and ``walls`` the (beta, beta^vee, offset) of the closed l-scaled
+    alcove {offset + <beta, L> >= 0}: the simple roots with offset 0, then
+    -theta, -theta^vee with offset l for each highest root theta."""
+    central, cosets, highest = rd.alcove_data()
+    central = [(_sparse(phi), _sparse([l * x for x in y])) for phi, y in central]
+    shifts = [tuple(l * x for x in z) for z in cosets]
+    walls = [(root, coroot, 0) for root, coroot in rd.simple]
+    walls += [(_sparse([-x for x in theta]), _sparse([-x for x in theta_v]), l)
+              for theta, theta_v in highest]
+    return l, central, shifts, walls
+
+
+def orbit_key(pt, lattice):
+    """Exact W-orbit key of the point L in Y/lY, from key_lattice(rd, l).
+
+    W acts on exponent vectors by the reflections L - <alpha, L> alpha^vee,
+    and its orbits on Y/lY are orbits of W x lY on integer lifts.
+    Translating by l*y_k brings each central pairing phi_k . L into [0, l);
+    what is left of lY is lY_ss, the union of the cosets l*z + lQ^vee.  For
+    each z, L + l*z is reflected into the closed l-scaled alcove, a strict
+    fundamental domain for W x lQ^vee (each reflection in a wall the point
+    lies strictly beyond brings it nearer an interior point), and the key is
+    the least of these alcove points.
+    """
+    l, central, shifts, walls = lattice
+    base = list(pt)
+    for phi, ly in central:
+        c = 0
+        for k, a in phi:
+            c += a * base[k]
+        c //= l
+        if c:
+            for k, a in ly:
+                base[k] -= c * a
+    best = None
+    for shift in shifts:
+        v = [x + y for x, y in zip(base, shift)]
+        moved = True
+        while moved:
+            moved = False
+            for root, coroot, offset in walls:
+                c = offset
+                for k, a in root:
+                    c += a * v[k]
+                if c < 0:
+                    for k, a in coroot:
+                        v[k] -= c * a
+                    moved = True
+        v = tuple(v)
+        if best is None or v < best:
+            best = v
+    return best
+
+
 def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *, sectors=None):
     """One representative per W-orbit of the union of all sector fixed groups.
 
@@ -219,19 +284,18 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
     zeta = g^((ell-1)/l).  The sector with SNF u*(F*w - id)*v = diag(d) is
     walked as a mixed-radix counter over 0 <= c_i < d_i, each moving digit
     adding its step (l/d_i)*(row i of u); a wrap adds it too, as d_i steps
-    vanish mod l.  The W-action t o s^{-1} is the rank-one update
-    L - <alpha, L> alpha^vee mod l, so each orbit is closed out by BFS over
-    the simple reflections and deduplicated in a global set; only the
-    representatives, each the first point found in sector order, get values.
-    The number of orbits must equal the class count, the |W|-average of the
-    sector orders in the same table, else CrossCheckFailed.  ``sectors`` (the
-    output of sector_divisors) is computed here unless a caller passes it in.
+    vanish mod l.  Each walked point gets its exact orbit key (orbit_key),
+    and a point whose key is new is kept as its orbit's representative, the
+    first point of the orbit found in sector order.  The number of orbits
+    must equal the class count, the |W|-average of the sector orders in the
+    same table, else CrossCheckFailed.  ``sectors`` (the output of
+    sector_divisors) is computed here unless a caller passes it in.
     """
     if sectors is None:
         sectors = sector_divisors(rd, frob, weyl)
     l, per_sector = sectors
     ell = _pick_ell(l, frob.p, ell)
-    simple = rd.simple
+    lattice = key_lattice(rd, l)
     reps = []
     seen = set()
     for w_index, (u, diag, _, _) in enumerate(per_sector):
@@ -242,24 +306,10 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
         counter = [0] * len(digits)
         cur = (0,) * rd.rank
         for _ in range(prod(diag)):
-            if cur not in seen:
+            key = orbit_key(cur, lattice)
+            if key not in seen:
+                seen.add(key)
                 reps.append((cur, w_index))
-                seen.add(cur)
-                frontier = [cur]
-                while frontier:
-                    pt = frontier.pop()
-                    for root, coroot in simple:
-                        c = 0
-                        for k, a in root:
-                            c += a * pt[k]
-                        if c % l:
-                            img = list(pt)
-                            for k, a in coroot:
-                                img[k] = (img[k] - c * a) % l
-                            img = tuple(img)
-                            if img not in seen:
-                                seen.add(img)
-                                frontier.append(img)
             for i, (d, step) in enumerate(digits):
                 cur = tuple([(x + y) % l for x, y in zip(cur, step)])
                 counter[i] += 1

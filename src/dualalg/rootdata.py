@@ -17,7 +17,14 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .errors import CapExceeded, DimensionMismatch, DualalgError, InvalidCartan, NotDominant
+from .errors import (
+    CapExceeded,
+    CrossCheckFailed,
+    DimensionMismatch,
+    DualalgError,
+    InvalidCartan,
+    NotDominant,
+)
 from .intlinalg import IntMatrix, det, in_image, kernel_basis, reduce_mod_lattice, snf
 
 DEFAULT_WEYL_CAP = 10 ** 6
@@ -100,6 +107,73 @@ class RootDatum:
             return [tuple(r) for r in IntMatrix.identity(self.rank).entries]
         p = IntMatrix(self.simple_coroots)
         return [tuple(v) for v in kernel_basis(p)]
+
+    def highest_roots(self):
+        """(theta, theta^vee) for each irreducible component, sorted: each
+        simple root walked up to the dominant chamber together with its
+        coroot, kept when no theta + alpha_j is a root, as only the highest
+        root of a component is maximal among its positive roots."""
+        roots = set(self.all_roots)
+        found = {}
+        for lam, lam_v in zip(self.simple_roots, self.simple_coroots):
+            lam, lam_v = list(lam), list(lam_v)
+            moved = True
+            while moved:
+                moved = False
+                for root, coroot in self.simple:
+                    c = sum(lam[k] * x for k, x in coroot)
+                    if c < 0:
+                        for k, a in root:
+                            lam[k] -= c * a
+                        c_v = sum(lam_v[k] * a for k, a in root)
+                        for k, x in coroot:
+                            lam_v[k] -= c_v * x
+                        moved = True
+            lam = tuple(lam)
+            if all(tuple(x + y for x, y in zip(lam, a)) not in roots for a in self.simple_roots):
+                found[lam] = tuple(lam_v)
+        return sorted(found.items())
+
+    def alcove_data(self):
+        """Lattice data for reducing points of Y into the closed alcove:
+        (central, cosets, highest_roots).
+
+        ``central`` pairs each basis functional phi_k of central_lattice()
+        with a y_k in Y such that phi_j . y_k = delta_jk (Phi is saturated,
+        so in_image finds them).  ``cosets`` represent Y_ss/Q^vee, Y_ss = Y cap
+        ker Phi and Q^vee the coroot lattice, from one SNF u*C*v = diag(d) of
+        the coroot rows C: row i of u*C is d_i*b_i with b_1, ... a basis of
+        Y_ss, and the cosets are the sums of c_i*b_i with 0 <= c_i < d_i.
+        CrossCheckFailed when a central functional cannot be lifted, when a
+        row of u*C is no multiple of its d_i, or when some b_i leaves ker Phi.
+        """
+        phi = self.central_lattice()
+        phi_m = IntMatrix(phi)
+        central = []
+        for k, row in enumerate(phi):
+            ok, y = in_image(phi_m, tuple(int(j == k) for j in range(len(phi))))
+            if not ok:
+                raise CrossCheckFailed(f"central functional {list(row)} cannot be lifted to Y")
+            central.append((row, y))
+        cosets = [(0,) * self.rank]
+        if self.nroots:
+            c = IntMatrix(self.simple_coroots)
+            d, u, _ = snf(c)
+            for i, row in enumerate((u * c).entries):
+                di = d[i, i]
+                if di == 0 or any(x % di for x in row):
+                    raise CrossCheckFailed(
+                        f"coroot SNF row {list(row)} is not {di} times a vector of Y"
+                    )
+                b = tuple(x // di for x in row)
+                for f in phi:
+                    if pairing(f, b):
+                        raise CrossCheckFailed(
+                            f"coroot direction {list(b)} lies outside Y_ss: it pairs "
+                            f"nonzero with central functional {list(f)}"
+                        )
+                cosets = [tuple(x + j * y for x, y in zip(z, b)) for j in range(di) for z in cosets]
+        return central, cosets, self.highest_roots()
 
     def fundamental_weight_lifts(self):
         """Weights with <w_i, alpha_j^vee> = delta_ij, or UNAVAILABLE.

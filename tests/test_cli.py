@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from math import prod
 
 import pytest
 
@@ -10,7 +11,7 @@ import dualalg
 from dualalg import balgebra, matrixgroups, oracles
 from dualalg.cli import main
 from dualalg.intlinalg import IntMatrix
-from dualalg.rootdata import _reflect_rows, build_standard, weyl_group
+from dualalg.rootdata import FrobeniusData, RootDatum, _reflect_rows, build_standard, weyl_group
 
 
 def run_cli(args, capsys):
@@ -334,6 +335,58 @@ def test_corrupted_sector_conjugation_exits_2(conjugate, detail, monkeypatch, ca
     assert err["type"] == "CrossCheckFailed"
     assert err["detail"].startswith(detail)
     assert "Traceback" not in captured.err
+
+
+def test_orbit_key_once_per_walked_point(monkeypatch, capsys):
+    # points SO(8) q=2: the orbit fusion keys each point walked on a class
+    # representative exactly once, and closes no orbit
+    rd = build_standard("SO", 8)
+    _, table = oracles.sector_divisors(rd, FrobeniusData(rd, 2, 1))
+    walked = sum(prod(diag) for u, diag, _, _ in table if u is not None)
+    calls = Counter()
+    real = oracles.orbit_key
+
+    def counted(pt, lattice):
+        calls["orbit_key"] += 1
+        return real(pt, lattice)
+
+    patch_everywhere(monkeypatch, real, counted)
+    code = main(["points", "--group", "SO", "--n", "8", "--q", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["count"]["value"] == 16
+    assert calls["orbit_key"] == walked
+
+
+@pytest.mark.parametrize("group,n,central,detail", [
+    # (2, 2) is even on all of Y, so no y in Y has (2, 2).y = 1
+    ("GL", "2", [(2, 2)], "central functional [2, 2] cannot be lifted to Y"),
+    # SL(3) has no central weight; a false one pairs nonzero with a coroot
+    ("SL", "3", [(1, 0)], "coroot direction [1, 0] lies outside Y_ss"),
+], ids=["unliftable", "coroot-outside"])
+def test_bad_alcove_lattice_exits_2(group, n, central, detail, monkeypatch, capsys):
+    monkeypatch.setattr(RootDatum, "central_lattice", lambda self: central)
+    code = main(["points", "--group", group, "--n", n, "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "CrossCheckFailed"
+    assert err["detail"].startswith(detail)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key,found", [
+    (lambda pt, lattice: pt, 9),  # nothing fused: each distinct walked point
+    (lambda pt, lattice: 0, 1),  # everything fused into one orbit
+], ids=["too-fine", "too-coarse"])
+def test_wrong_orbit_key_fails_orbit_fusion(key, found, monkeypatch, capsys):
+    patch_everywhere(monkeypatch, oracles.orbit_key, key)
+    code = main(["points", "--group", "SL", "--n", "3", "--q", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "CrossCheckFailed"
+    assert err["detail"] == f"orbit fusion found {found} orbits, class_count = 4"
 
 
 def test_corrupted_homomorphism_check_exits_2_under_optimize():

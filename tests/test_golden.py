@@ -53,6 +53,14 @@ GOLDEN = [
      "751eda62eec54bb9574b14779719755ee94476097fbcf3797992c1567deaf5ea"),
     (["points", "--group", "Sp", "--n", "8", "--q", "2"], 0,
      "c8fc57e2e06ac466002ab24f710365ee3d99c1a659c5d71c295eb20fdf835a5b"),
+    # orbit keys over four cosets of Q^vee, two cosets with affine walls, and
+    # a central pairing (taken before the alcove key replaced the orbit BFS)
+    (["points", "--group", "PGL", "--n", "4", "--q", "3"], 0,
+     "78557755b9d64045faeef5b0e0da04f108865b8cca80f024f06df0437557a0f2"),
+    (["points", "--group", "SO", "--n", "8", "--q", "3"], 0,
+     "8a459048e72dd038645e2f21227bfc2df93fe1d635ec40728e93404a7178abea"),
+    (["points", "--group", "GL", "--n", "3", "--q", "5"], 0,
+     "73a4ebb3038e38438beda735c03af8c171396ca90a4370cbd93ba1505d8e94a7"),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 from math import gcd
 
 import pytest
@@ -11,10 +12,18 @@ from dualalg.oracles import (
     class_count,
     enumerate_points,
     evaluate,
+    key_lattice,
+    orbit_key,
     sector_divisors,
 )
 from dualalg.orbitring import InvariantElement, OrbitCache
-from dualalg.rootdata import FrobeniusData, build_standard, weyl_group
+from dualalg.rootdata import (
+    FrobeniusData,
+    RootDatum,
+    build_standard,
+    prime_power_split,
+    weyl_group,
+)
 
 
 # -- all-sector references ----------------------------------------------------
@@ -256,11 +265,18 @@ def test_point_determinism():
     assert [pt.values for pt in a] == [pt.values for pt in b]
 
 
-# (family, n, p, tau, ell): untwisted q = 2 across the families, the unitary
+# (family, n, q, tau, ell): untwisted q = 2 across the families, the unitary
 # GL(2) q = 3 (tau = -swap), 2A2 and 2D4 at q = 2 (tau the graph automorphism),
-# and two ell above the default
+# two ell above the default, and rows whose orbit keys need each part of the
+# alcove reduction: the Y_ss/Q^vee cosets (PGL, SO), the affine walls (q > 2
+# everywhere), the central normalisation and a non-simply-laced highest root
+# (G2).  GL(2) on the sheared basis (e1, e1 + e2) of X has W acting on Y by
+# (L1, L2) -> (-L1, L1 + L2), so walked points of one orbit differ in their
+# central pairing L1 + 2*L2 by l; on the standard GL and Torus bases they do
+# not.  n is None for G2 and the sheared GL(2)
 SWAP = [[0, 1], [1, 0]]
 D4_GRAPH = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+G2 = ((2, -1), (-3, 2))
 POINT_CASES = [
     ("SL", 3, 2, None, None),
     ("Sp", 4, 2, None, None),
@@ -272,17 +288,34 @@ POINT_CASES = [
     ("SO", 8, 2, D4_GRAPH, None),
     ("Sp", 4, 3, None, 241),
     ("GL", 3, 2, None, 127),
+    ("PGL", 4, 3, None, None),
+    ("PGL", 3, 4, None, None),
+    ("G2", None, 2, None, None),
+    ("G2", None, 3, None, None),
+    ("SO", 4, 3, None, None),
+    ("Torus", 2, 3, None, None),
+    ("SO", 6, 7, None, None),
+    ("SO", 8, 3, None, None),
+    ("GL2-sheared", None, 3, None, None),
 ]
 
 
+def point_datum(fam, n):
+    if fam == "G2":
+        return build_standard("FromCartan", cartan=G2, label="G2")
+    if fam == "GL2-sheared":
+        return RootDatum(2, [(1, 0)], [(2, -1)], fam)
+    return build_standard(fam, n)
+
+
 @pytest.mark.parametrize(
-    "fam,n,p,tau,ell", POINT_CASES,
-    ids=[f"{c[0]}{c[1]}-q{c[2]}" + ("-tau" if c[3] else "") + (f"-ell{c[4]}" if c[4] else "")
-         for c in POINT_CASES],
+    "fam,n,q,tau,ell", POINT_CASES,
+    ids=[f"{c[0]}{c[1] or ''}-q{c[2]}" + ("-tau" if c[3] else "")
+         + (f"-ell{c[4]}" if c[4] else "") for c in POINT_CASES],
 )
-def test_enumerate_points_matches_value_vector_reference(fam, n, p, tau, ell):
-    rd = build_standard(fam, n)
-    frob = FrobeniusData(rd, p, 1, tau)
+def test_enumerate_points_matches_value_vector_reference(fam, n, q, tau, ell):
+    rd = point_datum(fam, n)
+    frob = FrobeniusData(rd, *prime_power_split(q), tau)
     weyl = weyl_group(rd)
     count = class_count(rd, frob, weyl)
     got = enumerate_points(rd, frob, ell, weyl)
@@ -300,7 +333,64 @@ def test_enumerate_points_matches_value_vector_reference(fam, n, p, tau, ell):
         assert pt.eval_weight(lam) == want_value
 
 
-G2 = ((2, -1), (-3, 2))
+# -- the orbit key -------------------------------------------------------------
+# Checked on every point of (Z/l)^rank against orbits closed by BFS over the
+# simple reflections mod l, the closure enumerate_points once ran per orbit.
+
+KEY_DATA = [("SL", 3), ("PGL", 3), ("GL", 2), ("Sp", 4), ("SO", 4), ("G2", None), ("Torus", 2),
+            ("GL2-sheared", None)]
+
+
+def reflect(rd, pt, i):
+    """s_i(L) = L - <alpha_i, L> alpha_i^vee on an integer lift."""
+    c = sum(a * x for a, x in zip(rd.simple_roots[i], pt))
+    return tuple(x - c * y for x, y in zip(pt, rd.simple_coroots[i]))
+
+
+def bfs_orbits(rd, l):
+    """The W-orbits on (Z/l)^rank, as a map from each point to its orbit's
+    least point."""
+    orbit_of = {}
+    for start in itertools.product(range(l), repeat=rd.rank):
+        if start in orbit_of:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            pt = frontier.pop()
+            for i in range(rd.nroots):
+                img = tuple(x % l for x in reflect(rd, pt, i))
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        least = min(orbit)
+        orbit_of.update(dict.fromkeys(orbit, least))
+    return orbit_of
+
+
+@pytest.mark.parametrize("fam,n", KEY_DATA, ids=[f"{f}{n or ''}" for f, n in KEY_DATA])
+@pytest.mark.parametrize("l", [6, 12])
+def test_orbit_key_is_exact(fam, n, l):
+    rd = point_datum(fam, n)
+    lattice = key_lattice(rd, l)
+    orbit_of = bfs_orbits(rd, l)
+    keys = {}
+    for pt in itertools.product(range(l), repeat=rd.rank):
+        key = orbit_key(pt, lattice)
+        # the key is a lift of a point of the orbit ...
+        assert orbit_of[tuple(x % l for x in key)] == orbit_of[pt]
+        # ... invariant under each simple reflection and each l*e_j, on lifts
+        for i in range(rd.nroots):
+            assert orbit_key(reflect(rd, pt, i), lattice) == key
+        for j in range(rd.rank):
+            for sign in (1, -1):
+                shifted = tuple(x + sign * l * (k == j) for k, x in enumerate(pt))
+                assert orbit_key(shifted, lattice) == key
+        keys.setdefault(key, set()).add(orbit_of[pt])
+    # ... and separates orbits: one key per orbit
+    assert len(keys) == len(set(orbit_of.values()))
+    assert all(len(orbits) == 1 for orbits in keys.values())
+
 
 # (label, family, n, tau, number of F-conjugacy classes of W)
 CLASS_CASES = [

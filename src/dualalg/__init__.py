@@ -18,7 +18,7 @@ from .balgebra import (
 )
 from .intlinalg import IntMatrix, det, hnf, in_image, snf
 from .oracles import TorusPoint, class_count, enumerate_points, evaluate
-from .orbitring import InvariantElement, OrbitCache, height, multiply, orbit
+from .orbitring import InvariantElement, OrbitCache, multiply
 from .rootdata import (
     FrobeniusData,
     RootDatum,
@@ -49,14 +49,12 @@ __all__ = [
     "enumerate_points",
     "evaluate",
     "gram_discriminant",
-    "height",
     "hnf",
     "in_image",
     "is_q_restricted",
     "multiply",
     "multiply_b",
     "normal_form",
-    "orbit",
     "rank",
     "reducedness_certificate",
     "snf",

@@ -35,18 +35,18 @@ from .errors import (
     LimitExceeded,
     NonIntegral,
     NonTermination,
+    NotDominant,
     ReductionUnsolvable,
     StrategyInapplicable,
 )
 from .intlinalg import IntMatrix, det, in_image, kernel_basis, reduce_mod_lattice, snf
 from .oracles import enumerate_points, evaluate, sector_average, sector_divisors
-from .orbitring import InvariantElement, OrbitCache, multiply
+from .orbitring import InvariantElement, OrbitCache, combine, multiply
 from .rootdata import (
     UNAVAILABLE,
     FrobeniusData,
     RootDatum,
     _unimodular_inverse,
-    is_q_restricted,
     weyl_group,
 )
 
@@ -66,20 +66,13 @@ class BElement:
     def __add__(self, other):
         if self.ctx_id != other.ctx_id:
             raise ContextMismatch("elements from different contexts")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return BElement(out, self.ctx_id)
+        return BElement(combine(((self.coeffs, 1), (other.coeffs, 1))), self.ctx_id)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return BElement({k: c * v for k, v in self.coeffs.items()}, self.ctx_id)
+        return BElement(combine(((self.coeffs, c),)), self.ctx_id)
 
     def __eq__(self, other):
         return (
@@ -107,17 +100,17 @@ class BContext:
 
     _next_id = itertools.count()
 
-    def __init__(self, rd, frob, strategy, weyl=None):
+    def __init__(self, rd, frob, strategy):
         self.rd = rd
         self.frob = frob
         self.strategy = strategy
         self.ctx_id = next(BContext._next_id)
-        self.weyl = weyl if weyl is not None else weyl_group(rd)
+        self.weyl = weyl_group(rd)
         self.cache = OrbitCache(rd)
         self.memo = {}
         self._sector_data = None
-        self._points = {}
-        self._evaluations = {}
+        self._points = None
+        self._evaluations = None
         self._structure = None
         if strategy == GENERIC_SC:
             self._init_generic_sc()
@@ -139,26 +132,23 @@ class BContext:
         """The |W|-average of the sector orders in sector_data()."""
         return sector_average(self.sector_data()[1])
 
-    def points(self, ell=None):
-        got = self._points.get(ell)
-        if got is None:
-            got = enumerate_points(self.rd, self.frob, ell, self.weyl, sectors=self.sector_data())
-            self._points[ell] = got
-            self._points.setdefault(got[0].ell if got else None, got)
-        return got
+    def points(self):
+        if self._points is None:
+            self._points = enumerate_points(
+                self.rd, self.frob, weyl=self.weyl, sectors=self.sector_data()
+            )
+        return self._points
 
-    def evaluations(self, ell=None):
+    def evaluations(self):
         """Values of every basis orbit sum at every point: rows follow the
-        basis, columns follow points(ell)."""
-        got = self._evaluations.get(ell)
-        if got is None:
-            pts = self.points(ell)
-            got = [
+        basis, columns follow points()."""
+        if self._evaluations is None:
+            pts = self.points()
+            self._evaluations = [
                 [evaluate(self.cache, InvariantElement.r(lam), pt) for pt in pts]
                 for lam in self.basis
             ]
-            self._evaluations[ell] = got
-        return got
+        return self._evaluations
 
     def structure_constants(self, limit=64):
         """The structure-constant tensor, built once; callers only read it.
@@ -173,10 +163,7 @@ class BContext:
 
     def lift(self, x: BElement):
         """Representative invariant element using the stored basis weights."""
-        out = InvariantElement()
-        for idx, c in x.coeffs.items():
-            out = out + InvariantElement.r(self.basis[idx], c)
-        return out
+        return InvariantElement(combine(({self.basis[i]: 1}, c) for i, c in x.coeffs.items()))
 
     def unit(self):
         return self.from_weight((0,) * self.rd.rank)
@@ -387,8 +374,8 @@ def _dense(x: BElement, size):
     return out
 
 
-def build_context(rd, frob, strategy, weyl=None) -> BContext:
-    return BContext(rd, frob, strategy, weyl)
+def build_context(rd, frob, strategy) -> BContext:
+    return BContext(rd, frob, strategy)
 
 
 def rank(ctx: BContext) -> int:
@@ -399,10 +386,8 @@ def normal_form(ctx: BContext, x: InvariantElement) -> BElement:
     """Image of an invariant element in the quotient, in basis coordinates."""
     if ctx.strategy == SO_EVEN:
         return ctx.cover().reduce(x)
-    out = BElement({}, ctx.ctx_id)
-    for lam, c in x.coeffs.items():
-        out = out + _reduce_generic(ctx, lam).scale(c)
-    return out
+    terms = [(_reduce_generic(ctx, lam).coeffs, c) for lam, c in x.coeffs.items()]
+    return BElement(combine(terms), ctx.ctx_id)
 
 
 def _reduce_generic(ctx: BContext, lam) -> BElement:
@@ -418,8 +403,11 @@ def _reduce_generic(ctx: BContext, lam) -> BElement:
         cur = stack.pop()
         if cur in ctx.memo:
             continue
-        if is_q_restricted(rd, frob, cur):
-            b = tuple(rd.pair(cur, i) for i in range(rd.nroots))
+        b = rd.pairings(cur)
+        if any(x < 0 for x in b):
+            raise NotDominant(str(cur))
+        alpha = next((i for i, x in enumerate(b) if x >= frob.q), None)
+        if alpha is None:
             mu = list(cur)
             for coeff, w in zip(b, ctx.lifts):
                 for j in range(rd.rank):
@@ -430,7 +418,6 @@ def _reduce_generic(ctx: BContext, lam) -> BElement:
             continue
         replacement = replacements.get(cur)
         if replacement is None:
-            alpha = next(i for i in range(rd.nroots) if rd.pair(cur, i) >= frob.q)
             w_a = ctx.lifts[alpha]
             lam_p = tuple(x - frob.q * y for x, y in zip(cur, w_a))
             if not rd.is_dominant(lam_p):
@@ -443,24 +430,22 @@ def _reduce_generic(ctx: BContext, lam) -> BElement:
                     f"leading coefficient of r({cur}) is {p1.coeffs.get(cur)}"
                 )
             p2 = multiply(ctx.cache, InvariantElement.r(lam_p), InvariantElement.r(tau_w))
-            replacement = p2 - (p1 - InvariantElement.r(cur))
+            replacement = combine(((p2.coeffs, 1), (p1.coeffs, -1), ({cur: 1}, 1)))
             h_cur = ctx.cache.height(cur)
-            for term in replacement.coeffs:
+            for term in replacement:
                 if not ctx.cache.height(term) < h_cur:
                     raise NonTermination(
                         f"height failed to decrease: {term} vs {cur} "
                         f"({ctx.cache.height(term)} >= {h_cur})"
                     )
             replacements[cur] = replacement
-        pending = [t for t in replacement.coeffs if t not in ctx.memo]
+        pending = [t for t in replacement if t not in ctx.memo]
         if pending:
             stack.append(cur)
             stack.extend(pending)
             continue
-        acc = BElement({}, ctx.ctx_id)
-        for term, c in replacement.coeffs.items():
-            acc = acc + ctx.memo[term].scale(c)
-        ctx.memo[cur] = acc
+        terms = [(ctx.memo[t].coeffs, c) for t, c in replacement.items()]
+        ctx.memo[cur] = BElement(combine(terms), ctx.ctx_id)
     return ctx.memo[lam]
 
 
@@ -541,17 +526,17 @@ def is_plus_minus_p_power(value, p):
     return v == 1
 
 
-def reducedness_certificate(ctx: BContext, ell=None):
+def reducedness_certificate(ctx: BContext):
     """True iff the basis evaluation matrix at all fixed points has full rank
     equal to both the basis size and the point count."""
-    r, nb, np_ = evaluation_rank(ctx, ell)
+    r, nb, np_ = evaluation_rank(ctx)
     return r == nb == np_
 
 
-def evaluation_rank(ctx: BContext, ell=None):
+def evaluation_rank(ctx: BContext):
     """(rank mod ell of the evaluation matrix, basis size, point count)."""
-    pts = ctx.points(ell)
-    r = _rank_mod_p(ctx.evaluations(ell), pts[0].ell) if pts else 0
+    pts = ctx.points()
+    r = _rank_mod_p(ctx.evaluations(), pts[0].ell) if pts else 0
     return r, len(ctx.basis), len(pts)
 
 

@@ -4,7 +4,7 @@ Subcommands: rank, verify, oracle, points, structure, curtis.  Output is JSON
 (CSV for matrix payloads on request) with a version field and a source tag on
 every independently computed number.  Exit codes: 0 all checks pass, 2 a
 mathematical cross-check failed (the most important signal this tool emits),
-1 usage or configuration error.  A math failure raised mid-computation
+1 usage, argument or configuration error.  A math failure raised mid-computation
 (NonIntegral, NonTermination, ReductionUnsolvable, CrossCheckFailed) also
 exits 2 and prints {"error": {"type", "detail"}} on stdout.
 """
@@ -104,18 +104,13 @@ def _resolve_q(args):
     return p, r
 
 
-def _strategy_for(rd, args):
-    forced = getattr(args, "strategy", None)
-    if forced:
-        return {"generic": GENERIC_SC, "so": SO_EVEN}[forced]
-    if _looks_like_so_even(rd):
-        return SO_EVEN
-    return GENERIC_SC
+def _strategy_for(rd):
+    return SO_EVEN if _looks_like_so_even(rd) else GENERIC_SC
 
 
 def cmd_rank(args):
     rd, frob = _build_datum(args)
-    strategy = _strategy_for(rd, args)
+    strategy = _strategy_for(rd)
     ctx = build_context(rd, frob, strategy)
     cc = ctx.class_count()
     pts = ctx.points()
@@ -142,7 +137,7 @@ def cmd_rank(args):
 
 def cmd_verify(args):
     rd, frob = _build_datum(args)
-    strategy = _strategy_for(rd, args)
+    strategy = _strategy_for(rd)
     ctx = build_context(rd, frob, strategy)
     suite = run_suite(ctx, seed=args.seed, fast=args.fast)
     payload = {
@@ -194,7 +189,7 @@ def cmd_points(args):
 
 def cmd_structure(args):
     rd, frob = _build_datum(args)
-    strategy = _strategy_for(rd, args)
+    strategy = _strategy_for(rd)
     ctx = build_context(rd, frob, strategy)
     tensor = ctx.structure_constants(limit=args.limit)
     n = len(ctx.basis)
@@ -274,14 +269,22 @@ def cmd_curtis(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as DualalgError, so they exit 1 like every
+    other usage error; exit 2 stays reserved for mathematical failures."""
+
+    def error(self, message):
+        raise DualalgError(f"{self.prog}: {message}")
+
+
 def make_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dualalg",
         description="Exact computations in fixed-point rings of dual tori modulo Weyl groups",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_datum_opts(sp, need_group=True):
+    def add_datum_opts(sp):
         sp.add_argument("--group", choices=["Torus", "GL", "SL", "PGL", "Sp", "SO"],
                         required=False)
         sp.add_argument("--n", type=int, default=None,
@@ -290,7 +293,6 @@ def make_parser():
         sp.add_argument("--q", type=int, default=None)
         sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--r", type=int, default=None)
-        sp.add_argument("--strategy", choices=["generic", "so"], default=None)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("rank", help="basis size plus the two independent counts")
@@ -334,9 +336,8 @@ def make_parser():
 
 
 def main(argv=None):
-    ap = make_parser()
-    args = ap.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except MATH_ERRORS as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "detail": str(exc)}},

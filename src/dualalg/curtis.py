@@ -472,14 +472,13 @@ def eside_parity_holds(q, tables=None):
     return True
 
 
-def homomorphism_check(group, q, ctx=None):
+def homomorphism_check(group, q):
     """Transfer of every normal-formed basis product equals the convolution of
     transfers; returns True or raises CrossCheckFailed naming the offending pair."""
     rd = datum_for(group)
     p, r = prime_power_split(q)
     frob = FrobeniusData(rd, p, r)
-    if ctx is None:
-        ctx = build_context(rd, frob, GENERIC_SC)
+    ctx = build_context(rd, frob, GENERIC_SC)
     cache = ctx.cache
     ti = TorusIndexing(group, q)
     basis = table_basis(group, q)

@@ -136,18 +136,8 @@ class GF:
         """Smallest-encoded generator of the multiplicative group."""
         if self._generator is None:
             n = self.q - 1
-            fac = []
-            m = n
-            d = 2
-            while d * d <= m:
-                if m % d == 0:
-                    fac.append(d)
-                    while m % d == 0:
-                        m //= d
-                d += 1
-            if m > 1:
-                fac.append(m)
-            for g in range(1, self.q):
+            fac = _factorize(n)
+            for g in range(1, self.q):  # 1 only for q = 2, where F_2^x is trivial
                 if all(self.pow(g, n // f) != 1 for f in fac):
                     self._generator = g
                     break
@@ -158,6 +148,22 @@ class GF:
 
     def units(self):
         return range(1, self.q)
+
+
+def _factorize(n):
+    """{prime: exponent} of n by trial division; {} for n < 2.  The package's
+    one factorization routine: primality, prime-power splitting and field
+    generators all read it."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def _digits_fixed(a, p, length):

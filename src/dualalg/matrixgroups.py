@@ -86,7 +86,7 @@ def _mat_inv(field, m, n):
     return tuple(tuple(row[n:]) for row in a)
 
 
-def enumerate_group(spec: MatrixGroupSpec, field=None):
+def enumerate_group(spec: MatrixGroupSpec):
     """All elements of the group, as tuples of tuples of field codes."""
     order = spec.order()
     if order > spec.cap:
@@ -94,8 +94,7 @@ def enumerate_group(spec: MatrixGroupSpec, field=None):
     from .rootdata import prime_power_split
 
     p, r = prime_power_split(spec.q)
-    if field is None:
-        field = GF(p, r)
+    field = GF(p, r)
     n, q = spec.n, spec.q
     want_det_one = spec.family == "SL"
     elems = []

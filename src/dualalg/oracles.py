@@ -31,6 +31,7 @@ from __future__ import annotations
 from math import gcd, prod
 
 from .errors import BadPrime, CrossCheckFailed, NonIntegral, PrimeMismatch
+from .finitefield import GF
 from .intlinalg import IntMatrix, det, snf
 from .orbitring import OrbitCache
 from .rootdata import FrobeniusData, RootDatum, _is_prime, _reflect_rows, _sparse, weyl_group
@@ -84,27 +85,6 @@ class TorusPoint:
 
     def __repr__(self):
         return f"TorusPoint({self.values}, ell={self.ell})"
-
-
-def _factorize(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _primitive_root(ell):
-    fac = _factorize(ell - 1)
-    for g in range(1, ell):  # 1 only for ell = 2, where F_2^x is trivial
-        if all(pow(g, (ell - 1) // f, ell) != 1 for f in fac):
-            return g
-    raise RuntimeError(f"no primitive root mod {ell}")
 
 
 def _conjugate(m, root, coroot):
@@ -321,18 +301,14 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
         raise CrossCheckFailed(
             f"orbit fusion found {len(reps)} orbits, class_count = {expected_orbits}"
         )
-    zeta = pow(_primitive_root(ell), (ell - 1) // l, ell)
+    zeta = pow(GF(ell).generator(), (ell - 1) // l, ell)
     points = [TorusPoint(key, zeta, l, ell, w_index) for key, w_index in reps]
     points.sort(key=lambda pt: pt.values)
     return points
 
 
-def evaluate(cache, x, pt: TorusPoint, ell=None):
-    """Value of an invariant element at a torus point, in F_ell.
-
-    Accepts an OrbitCache or a bare RootDatum."""
-    if isinstance(cache, RootDatum):
-        cache = OrbitCache(cache)
+def evaluate(cache: OrbitCache, x, pt: TorusPoint, ell=None):
+    """Value of an invariant element at a torus point, in F_ell."""
     if ell is not None and pt.ell != ell:
         raise PrimeMismatch(f"point has ell={pt.ell}, expected {ell}")
     total = 0

@@ -22,6 +22,20 @@ from .errors import NonIntegral
 from .rootdata import RootDatum
 
 
+def combine(terms):
+    """The coefficient dict of sum c*x over the (x, c) in ``terms``, each x a
+    coefficient dict {key -> int}; keys whose sum is zero are dropped.
+
+    The one linear-combination routine of the ring layer: orbit-sum and
+    basis-vector sums, differences, scalings and normal forms go through it.
+    """
+    out = {}
+    for coeffs, c in terms:
+        for k, v in coeffs.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
 class InvariantElement:
     """Sparse map {dominant weight -> nonzero integer coefficient of r(weight)}."""
 
@@ -47,22 +61,13 @@ class InvariantElement:
         return InvariantElement({(0,) * rank: 1})
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return InvariantElement(out)
+        return InvariantElement(combine(((self.coeffs, 1), (other.coeffs, 1))))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return InvariantElement(combine(((self.coeffs, 1), (other.coeffs, -1))))
 
     def scale(self, c):
-        if c == 0:
-            return InvariantElement()
-        return InvariantElement({k: c * v for k, v in self.coeffs.items()})
+        return InvariantElement(combine(((self.coeffs, c),)))
 
     def __eq__(self, other):
         return isinstance(other, InvariantElement) and self.coeffs == other.coeffs
@@ -172,34 +177,18 @@ class OrbitCache:
             den = lcm(*(x.denominator for x in v))
             self._height_form = ([x.numerator * (den // x.denominator) for x in v], den)
         nums, den = self._height_form
-        num = 0
-        for (_, coroot), x in zip(self.rd.simple, nums):
-            for k, c in coroot:
-                num += x * c * lam[k]
-        h = Fraction(num, den)
+        h = Fraction(sum(x * b for x, b in zip(nums, self.rd.pairings(lam))), den)
         self._heights[lam] = h
         return h
 
 
-def orbit(rd: RootDatum, lam):
-    return OrbitCache(rd).orbit(lam)
-
-
-def height(rd: RootDatum, lam):
-    return OrbitCache(rd).height(lam)
-
-
-def multiply(cache, a: InvariantElement, b: InvariantElement):
+def multiply(cache: OrbitCache, a: InvariantElement, b: InvariantElement):
     """Exact product re-expressed in the r-basis, one orbit sweep per term pair.
 
     For dominant kappa the coefficient of r(kappa) in r(lam) r(mu) is
     |W lam| * #{nu in W mu : dom(lam + nu) = kappa} / |W kappa|; the smaller
     of the two orbits is the one swept.  Raises NonIntegral if a division is
-    not exact.
-
-    Accepts an OrbitCache or a bare RootDatum (a throwaway cache is built)."""
-    if isinstance(cache, RootDatum):
-        cache = OrbitCache(cache)
+    not exact."""
     orbit = cache.orbit
     dominant = cache.dominant
     out = {}

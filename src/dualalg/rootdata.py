@@ -25,6 +25,7 @@ from .errors import (
     InvalidCartan,
     NotDominant,
 )
+from .finitefield import _factorize
 from .intlinalg import IntMatrix, det, in_image, kernel_basis, reduce_mod_lattice, snf
 
 DEFAULT_WEYL_CAP = 10 ** 6
@@ -44,20 +45,18 @@ class RootDatum:
             if len(a) != rank:
                 raise DimensionMismatch("root/coroot length != rank")
         self.nroots = len(self.simple_roots)
-        self.cartan = tuple(
-            tuple(pairing(a, bv) for bv in self.simple_coroots) for a in self.simple_roots
-        )
         # (alpha, alpha^vee) as (coordinate, entry) pairs: the simple
         # reflection is the rank-one update s(lam) = lam - <lam, alpha^vee> alpha
         self.simple = tuple(
             (_sparse(a), _sparse(av)) for a, av in zip(self.simple_roots, self.simple_coroots)
         )
+        self.cartan = tuple(self.pairings(a) for a in self.simple_roots)
         self.validate()
         self.all_roots = self._root_closure()
 
     # -- structure -----------------------------------------------------
 
-    def _root_closure(self, cap=100000):
+    def _root_closure(self):
         roots = set(self.simple_roots)
         frontier = list(self.simple_roots)
         while frontier:
@@ -71,7 +70,7 @@ class RootDatum:
                 if img not in roots:
                     roots.add(img)
                     frontier.append(img)
-                    if len(roots) > cap:
+                    if len(roots) > 100000:
                         raise InvalidCartan("root closure does not terminate")
         return tuple(sorted(roots))
 
@@ -92,12 +91,25 @@ class RootDatum:
             if det(IntMatrix([row[:k] for row in c[:k]])) <= 0:
                 raise InvalidCartan("not of finite type (nonpositive principal minor)")
 
+    def pairings(self, lam):
+        """(<lam, alpha_1^vee>, ..., <lam, alpha_n^vee>) in one pass over the
+        sparse coroots; DimensionMismatch unless lam has length rank."""
+        if len(lam) != self.rank:
+            raise DimensionMismatch("pairing length")
+        out = []
+        for _, coroot in self.simple:
+            p = 0
+            for k, c in coroot:
+                p += lam[k] * c
+            out.append(p)
+        return tuple(out)
+
     def pair(self, lam, i):
         """<lam, alpha_i^vee>."""
-        return pairing(lam, self.simple_coroots[i])
+        return self.pairings(lam)[i]
 
     def is_dominant(self, lam):
-        return all(self.pair(lam, i) >= 0 for i in range(self.nroots))
+        return all(x >= 0 for x in self.pairings(lam))
 
     # -- derived data ----------------------------------------------------
 
@@ -321,9 +333,10 @@ def dominant_representative(rd: RootDatum, lam):
 
 
 def is_q_restricted(rd: RootDatum, frob, lam):
-    if not rd.is_dominant(lam):
+    b = rd.pairings(lam)
+    if any(x < 0 for x in b):
         raise NotDominant(str(lam))
-    return all(rd.pair(lam, i) < frob.q for i in range(rd.nroots))
+    return all(x < frob.q for x in b)
 
 
 class FrobeniusData:
@@ -386,36 +399,15 @@ class FrobeniusData:
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return _factorize(n) == {n: 1}
 
 
 def prime_power_split(q):
     """Return (p, r) with q = p^r, or raise ValueError."""
-    if q < 2:
+    fac = _factorize(q)
+    if len(fac) != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    p = None
-    n = q
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            p = i
-            break
-        i += 1
-    if p is None:
-        p = q
-    r = 0
-    while n > 1:
-        if n % p != 0:
-            raise ValueError(f"q = {q} is not a prime power")
-        n //= p
-        r += 1
+    [(p, r)] = fac.items()
     return p, r
 
 

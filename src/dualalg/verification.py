@@ -55,12 +55,10 @@ def check_reducedness(ctx):
     }
 
 
-def check_f_invariance(ctx, rng, samples=100, bound=None):
+def check_f_invariance(ctx, rng, samples=100):
     frob = ctx.frob
-    if bound is None:
-        bound = 2 * frob.q
     for _ in range(samples):
-        lam = random_dominant_weight(ctx.cache, rng, bound)
+        lam = random_dominant_weight(ctx.cache, rng, 2 * frob.q)
         flam = frob.f_apply(lam)
         a = normal_form(ctx, InvariantElement.r(lam))
         b = normal_form(ctx, InvariantElement.r(flam))
@@ -73,11 +71,11 @@ def check_f_invariance(ctx, rng, samples=100, bound=None):
     return {"name": "f_invariance", "passed": True, "details": {"samples": samples}}
 
 
-def check_height_descent(cache, weyl, rng, samples=1000, bound=6):
+def check_height_descent(cache, weyl, rng, samples=1000):
     """ht(w*lam) < ht(lam) for dominant lam with nonzero derived part."""
     tested = 0
     for _ in range(samples):
-        lam = random_dominant_weight(cache, rng, bound)
+        lam = random_dominant_weight(cache, rng, 6)
         h = cache.height(lam)
         if h == 0:
             continue
@@ -115,9 +113,9 @@ def check_gram_p_power(ctx):
     }
 
 
-def check_evaluation_homomorphism(ctx, limit=64):
+def check_evaluation_homomorphism(ctx):
     """eval(x*y) = eval(x)*eval(y) at every point for all basis pairs."""
-    tensor = ctx.structure_constants(limit=limit)
+    tensor = ctx.structure_constants()
     pts = ctx.points()
     n = len(ctx.basis)
     evals = ctx.evaluations()

@@ -6,6 +6,7 @@ from dualalg.balgebra import (
     GENERIC_SC,
     SO_EVEN,
     BElement,
+    _reduce_generic,
     build_context,
     evaluation_rank,
     gram_discriminant,
@@ -42,6 +43,35 @@ def test_gl2_basis_matches_published_box():
     # basis weights are mutually inequivalent and reduce to themselves
     for i, lam in enumerate(ctx.basis):
         assert normal_form(ctx, R(lam)) == BElement({i: 1}, ctx.ctx_id)
+
+
+def test_each_normal_form_builds_one_element(monkeypatch):
+    """Sums go through orbitring.combine: a cold reduction builds one BElement
+    per new memo entry, and normal_form on a warm context one in all."""
+    ctx = make_ctx("GL", 3, 3)
+    x = InvariantElement({(7, 2, 0): 1, (4, 4, -3): -2, (6, 3, 0): 3})
+    built = []
+    init = BElement.__init__
+
+    def counting_init(self, coeffs, ctx_id):
+        built.append(ctx_id)
+        init(self, coeffs, ctx_id)
+
+    monkeypatch.setattr(BElement, "__init__", counting_init)
+    for lam in x.coeffs:
+        before = len(ctx.memo)
+        built.clear()
+        _reduce_generic(ctx, lam)
+        assert len(ctx.memo) > before
+        assert len(built) == len(ctx.memo) - before
+    built.clear()
+    got = normal_form(ctx, x)
+    assert len(built) == 1
+    monkeypatch.undo()
+    want = BElement({}, ctx.ctx_id)
+    for lam, c in x.coeffs.items():
+        want = want + ctx.memo[lam].scale(c)
+    assert got == want
 
 
 def test_sl2_basis_and_normal_forms():

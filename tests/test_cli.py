@@ -188,6 +188,28 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--group", "Foo", "--q", "2"],
+    ["rank", "--group", "GL", "--n", "x", "--q", "2"],
+    ["bogus"],
+    [],
+])
+def test_argument_errors_exit_1(argv, capsys):
+    # exit 2 is reserved for mathematical failures, so argparse's own exit 2
+    # must not leak out of main
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dualalg")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--help"])
+    assert exc.value.code == 0
+    assert "--datum-file" in capsys.readouterr().out
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dualalg.cli", "rank", "--group", "SL", "--n", "2", "--q", "7"],

@@ -61,6 +61,15 @@ GOLDEN = [
      "8a459048e72dd038645e2f21227bfc2df93fe1d635ec40728e93404a7178abea"),
     (["points", "--group", "GL", "--n", "3", "--q", "5"], 0,
      "73a4ebb3038e38438beda735c03af8c171396ca90a4370cbd93ba1505d8e94a7"),
+    # the GenericSC reduction: a central part and deep reductions, tau != 1
+    # in the replacement, and every basis product (taken before the ring
+    # layer's sums went through orbitring.combine)
+    (["verify", "--group", "GL", "--n", "3", "--q", "3", "--seed", "5", "--fast"], 0,
+     "d1826e4d915861c9e2b6a2f5aac762db4a20388af075ebf24072cd01e60020c4"),
+    (["verify", "--datum-file", "data/unitary_gl2.json", "--q", "3", "--fast"], 0,
+     "173d16155c0dcf797f7cce1726563b0257d98e0d75b14a16bce6f3f872d1f65c"),
+    (["structure", "--group", "GL", "--n", "3", "--q", "3"], 0,
+     "91d94b7b68855defbf673a752317833a3c45623b59684f145ddd58f998726acc"),
 ]
 
 

@@ -1,14 +1,14 @@
 import itertools
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from dualalg.errors import BadPrime, CapExceeded, CrossCheckFailed
+from dualalg.finitefield import GF, _factorize
 from dualalg.intlinalg import IntMatrix, snf
 from dualalg.matrixgroups import MatrixGroupSpec, brute_force_ss_classes
 from dualalg.oracles import (
     _pick_ell,
-    _primitive_root,
     class_count,
     enumerate_points,
     evaluate,
@@ -20,10 +20,47 @@ from dualalg.orbitring import InvariantElement, OrbitCache
 from dualalg.rootdata import (
     FrobeniusData,
     RootDatum,
+    _is_prime,
     build_standard,
     prime_power_split,
     weyl_group,
 )
+
+
+# -- number-theory references ---------------------------------------------------
+
+# the primes up to 2000, each tested against every d up to its square root
+PRIMES = [n for n in range(2, 2001) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+
+
+def reference_primitive_root(ell):
+    """The library's former search: the least g with g^((ell-1)/f) != 1 mod
+    ell for every prime f dividing ell - 1 (1 for ell = 2)."""
+    primes = [f for f in range(2, ell) if (ell - 1) % f == 0
+              and all(f % d for d in range(2, f))]
+    return next(g for g in range(1, ell) if all(pow(g, (ell - 1) // f, ell) != 1 for f in primes))
+
+
+def test_factorization_helpers_match_brute_force():
+    """_is_prime, prime_power_split and GF.generator all read one
+    trial-division routine, _factorize; on 1..2000 each agrees with a
+    brute-force reference."""
+    powers = {p ** r: (p, r) for p in PRIMES for r in range(1, 12) if p ** r <= 2000}
+    for n in range(1, 2001):
+        fac = _factorize(n)
+        assert set(fac) <= set(PRIMES) and prod(p ** e for p, e in fac.items()) == n, n
+        assert _is_prime(n) == (n in PRIMES), n
+        if n in powers:
+            assert prime_power_split(n) == powers[n], n
+        else:
+            with pytest.raises(ValueError, match=f"q = {n} is not a prime power"):
+                prime_power_split(n)
+    for ell in PRIMES:
+        assert GF(ell).generator() == reference_primitive_root(ell), ell
+    for bad in (0, -1, -8):
+        assert not _is_prime(bad)
+        with pytest.raises(ValueError, match="is not a prime power"):
+            prime_power_split(bad)
 
 
 # -- all-sector references ----------------------------------------------------
@@ -90,7 +127,7 @@ def reference_points(rd, frob, ell, weyl, expected_orbits):
     l, per_sector = reference_sector_table(rd, frob, weyl)
     ell = _pick_ell(l, frob.p, ell)
     n = rd.rank
-    gen = _primitive_root(ell)
+    gen = reference_primitive_root(ell)
     reps = []
     seen = set()
     refl = [reflection_matrix(rd, i) for i in range(rd.nroots)]

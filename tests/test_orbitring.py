@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dualalg.errors import NonIntegral
-from dualalg.orbitring import InvariantElement, OrbitCache, multiply
+from dualalg.orbitring import InvariantElement, OrbitCache, combine, multiply
 from dualalg.rootdata import FrobeniusData, build_standard, dominant_representative, weyl_group
 
 
@@ -133,6 +133,23 @@ def test_multiply_raises_on_inexact_division():
     r = InvariantElement.r
     with pytest.raises(NonIntegral, match=r"r\(\[2\]\) in r\(\[1\]\) \* r\(\[1\]\)"):
         multiply(CorruptCache(build_standard("SL", 2)), r((1,)), r((1,)))
+
+
+def test_combine_cancels_scales_and_drops_zeros():
+    x = {(1, 0): 2, (0, 0): -1}
+    y = {(1, 0): -1, (2, 0): 5}
+    # 1*x + 2*y: the (1, 0) entries cancel and the key is gone
+    assert combine([(x, 1), (y, 2)]) == {(0, 0): -1, (2, 0): 10}
+    assert combine([(x, -3)]) == {(1, 0): -6, (0, 0): 3}
+    assert combine([(x, 0)]) == {}
+    assert combine([]) == {}
+    assert combine(iter([(y, 1), (y, -1)])) == {}
+    r = InvariantElement.r
+    a, b = InvariantElement(x), InvariantElement(y)
+    assert a + b == InvariantElement({(1, 0): 1, (0, 0): -1, (2, 0): 5})
+    assert a - a == InvariantElement.zero() and (a - a).is_zero()
+    assert a.scale(0).coeffs == {}
+    assert (r((1, 0)) + r((1, 0), -1)).coeffs == {}
 
 
 def test_multiply_sl2_hand_expansions():

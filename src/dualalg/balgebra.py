@@ -28,6 +28,7 @@ project README for the full analysis.
 from __future__ import annotations
 
 import itertools
+from operator import index
 
 from .errors import (
     ContextMismatch,
@@ -39,16 +40,10 @@ from .errors import (
     ReductionUnsolvable,
     StrategyInapplicable,
 )
-from .intlinalg import IntMatrix, det, in_image, kernel_basis, reduce_mod_lattice, snf
+from .intlinalg import IntMatrix, SmithForm, det, snf
 from .oracles import enumerate_points, evaluate, sector_average, sector_divisors
 from .orbitring import InvariantElement, OrbitCache, combine, multiply
-from .rootdata import (
-    UNAVAILABLE,
-    FrobeniusData,
-    RootDatum,
-    _unimodular_inverse,
-    weyl_group,
-)
+from .rootdata import UNAVAILABLE, FrobeniusData, RootDatum, weyl_group
 
 GENERIC_SC = "GenericSC"
 SO_EVEN = "SOEven"
@@ -60,7 +55,7 @@ class BElement:
     __slots__ = ("coeffs", "ctx_id")
 
     def __init__(self, coeffs, ctx_id):
-        self.coeffs = {int(k): int(v) for k, v in coeffs.items() if v}
+        self.coeffs = {index(k): index(v) for k, v in coeffs.items() if v}
         self.ctx_id = ctx_id
 
     def __add__(self, other):
@@ -185,12 +180,13 @@ class BContext:
         self.central_basis = central
         k = len(central)
         if k:
-            b0 = IntMatrix([[central[i][j] for i in range(k)] for j in range(rd.rank)])
-            self._central_mat = b0
+            # one factorization of the central matrix b0 for every solve
+            b0 = SmithForm(IntMatrix([[central[i][j] for i in range(k)] for j in range(rd.rank)]))
+            self._central_form = b0
             fb = [frob.f_apply(v) for v in central]
             f0_cols = []
             for v in fb:
-                ok, x = in_image(b0, v)
+                ok, x = b0.solve(v)
                 if not ok:
                     raise NonIntegral("F does not preserve the central lattice")
                 f0_cols.append(x)
@@ -200,16 +196,18 @@ class BContext:
             diag = [d[i, i] for i in range(k)]
             if any(x == 0 for x in diag):
                 raise NonIntegral("(F - id) singular on the central lattice")
-            uinv = _unimodular_inverse(u)
+            # u is unimodular: each box vector has exactly one preimage
+            u_form = SmithForm(u)
             reps = []
             for box in itertools.product(*[range(x) for x in diag]):
-                y = uinv.apply(box)
-                reps.append(b0.apply(y))
+                ok, y = u_form.solve(box)
+                if not ok:
+                    raise CrossCheckFailed(f"SNF transform u is not unimodular at {box}")
+                reps.append(b0.m.apply(y))
             self.central_reps = reps
             self._central_diag = diag
             self._central_u = u
         else:
-            self._central_mat = None
             self.central_reps = [(0,) * rd.rank]
             self._central_diag = []
         q = frob.q
@@ -232,7 +230,7 @@ class BContext:
             if any(mu):
                 raise NonIntegral(f"{mu} is not in the central lattice")
             return 0
-        ok, y = in_image(self._central_mat, mu)
+        ok, y = self._central_form.solve(mu)
         if not ok:
             raise NonIntegral(f"{mu} is not in the central lattice")
         u = self._central_u
@@ -342,8 +340,9 @@ class _SOCover:
             nf = normal_form(self.cover_ctx, InvariantElement.r(self.embed(lam)))
             cols.append(_dense(nf, len(self.cover_ctx.basis)))
         m = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(len(self.cover_ctx.basis))])
-        self.matrix = m
-        self.kernel = kernel_basis(m)
+        # one factorization for the kernel and every solve in reduce()
+        self._form = SmithForm(m)
+        self.kernel = self._form.kernel
 
     def embed(self, lam):
         return tuple(lam) + (0,)
@@ -351,19 +350,20 @@ class _SOCover:
     def reduce(self, x: InvariantElement):
         """Canonical coordinates of x w.r.t. the SOEven box, via the cover.
 
-        Solves matrix * c = cover-coordinates(x) over Z and reduces the
-        solution modulo the kernel lattice for determinism.  Raises
+        Solves m * c = cover-coordinates(x) over Z, m the change-of-basis
+        matrix, against its one held factorization and reduces the solution
+        modulo the kernel lattice for determinism.  Raises
         ReductionUnsolvable if the box does not span the image of x.
         """
         lifted = InvariantElement({self.embed(k): v for k, v in x.coeffs.items()})
         target = _dense(normal_form(self.cover_ctx, lifted), len(self.cover_ctx.basis))
-        ok, c = in_image(self.matrix, target)
+        ok, c = self._form.solve(target)
         if not ok:
             raise ReductionUnsolvable(
                 "SOEven box does not span this element in the cover; "
                 "the published basis cannot express it"
             )
-        c = reduce_mod_lattice(c, self.kernel)
+        c = self._form.reduce(c)
         return BElement({i: v for i, v in enumerate(c) if v}, self.ctx.ctx_id)
 
 

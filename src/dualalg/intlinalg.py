@@ -87,13 +87,6 @@ class IntMatrix:
             )
         return NotImplemented
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix sum shape")
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
     def __sub__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix difference shape")
@@ -328,52 +321,56 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def in_image(m: IntMatrix, b):
-    """Decide whether ``b`` lies in the integer column span of ``m``.
+class SmithForm:
+    """One Smith normal form ``u*m*v = d`` of a fixed matrix ``m``, taken once
+    and read by every solve against ``m``, by its kernel and by the reduction
+    modulo that kernel.  ``kernel`` is a Z-basis of {x : m*x = 0}, the nonzero
+    rows of its canonical HNF, so equal kernels give equal output."""
 
-    Returns ``(True, x)`` with ``m.apply(x) == b``, or ``(False, None)``.
-    """
-    if len(b) != m.rows:
-        raise DimensionMismatch("b length != rows")
-    d, u, v = snf(m)
-    y = u.apply(tuple(b))
-    r = min(m.rows, m.cols)
-    x0 = []
-    for i in range(m.rows):
-        di = d[i, i] if i < r else 0
-        if di == 0:
-            if y[i] != 0:
+    def __init__(self, m: IntMatrix):
+        d, u, v = snf(m)
+        self.m, self.u, self.v = m, u, v
+        r = min(m.rows, m.cols)
+        self.diag = tuple(d[i, i] for i in range(r))
+        cols = [v.col(j) for j in range(m.cols) if j >= r or self.diag[j] == 0]
+        self.kernel = list(lattice_hnf(cols, m.cols).entries)
+
+    def solve(self, b):
+        """Decide whether ``b`` lies in the integer column span of ``m``.
+
+        Returns ``(True, x)`` with ``m.apply(x) == b``, or ``(False, None)``;
+        CrossCheckFailed if back-substitution does not give ``b``.
+        """
+        m = self.m
+        if len(b) != m.rows:
+            raise DimensionMismatch("b length != rows")
+        y = self.u.apply(tuple(b))
+        r = len(self.diag)
+        x0 = [0] * m.cols
+        for i, yi in enumerate(y):
+            di = self.diag[i] if i < r else 0
+            if (yi % di if di else yi) != 0:
                 return False, None
-            if i < m.cols:
-                x0.append(0)
-        else:
-            if y[i] % di != 0:
-                return False, None
-            x0.append(y[i] // di)
-    while len(x0) < m.cols:
-        x0.append(0)
-    x = v.apply(tuple(x0))
-    if m.apply(x) != tuple(b):
-        raise CrossCheckFailed(f"back-substitution gives {m.apply(x)}, expected {tuple(b)}")
-    return True, x
+            if di:
+                x0[i] = yi // di
+        x = self.v.apply(tuple(x0))
+        if m.apply(x) != tuple(b):
+            raise CrossCheckFailed(f"back-substitution gives {m.apply(x)}, expected {tuple(b)}")
+        return True, x
+
+    def reduce(self, vec):
+        """Canonical representative of ``vec`` modulo the kernel lattice."""
+        return _reduce_hnf(vec, self.kernel)
+
+
+def in_image(m: IntMatrix, b):
+    """``SmithForm(m).solve(b)``, for a matrix solved against once."""
+    return SmithForm(m).solve(b)
 
 
 def kernel_basis(m: IntMatrix):
-    """Z-basis of the integer kernel {x : m*x = 0}, as a list of column vectors.
-
-    The basis is canonicalized by row-HNF so equal kernels give equal output.
-    """
-    d, u, v = snf(m)
-    r = min(m.rows, m.cols)
-    cols = []
-    for j in range(m.cols):
-        dj = d[j, j] if j < r else 0
-        if dj == 0:
-            cols.append(v.col(j))
-    if not cols:
-        return []
-    h, _ = hnf(IntMatrix(cols))
-    return [row for row in h.entries if any(row)]
+    """``SmithForm(m).kernel``, for a matrix whose kernel is taken once."""
+    return SmithForm(m).kernel
 
 
 def lattice_hnf(generators, ncols):
@@ -401,9 +398,12 @@ def reduce_mod_lattice(vec, lattice_rows):
     """
     if not lattice_rows:
         return tuple(vec)
-    h = lattice_hnf(lattice_rows, len(vec))
+    return _reduce_hnf(vec, lattice_hnf(lattice_rows, len(vec)).entries)
+
+
+def _reduce_hnf(vec, h_rows):
     x = list(vec)
-    for row in h.entries:
+    for row in h_rows:
         pcol = next(j for j, e in enumerate(row) if e)
         q = x[pcol] // row[pcol]
         if q:

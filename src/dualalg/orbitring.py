@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 from .errors import NonIntegral
 from .rootdata import RootDatum
@@ -46,7 +47,7 @@ class InvariantElement:
         if coeffs:
             for k, v in coeffs.items():
                 if v:
-                    self.coeffs[tuple(k)] = int(v)
+                    self.coeffs[tuple(k)] = index(v)
 
     @staticmethod
     def r(lam, coeff=1):

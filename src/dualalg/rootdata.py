@@ -26,7 +26,7 @@ from .errors import (
     NotDominant,
 )
 from .finitefield import _factorize
-from .intlinalg import IntMatrix, det, in_image, kernel_basis, reduce_mod_lattice, snf
+from .intlinalg import IntMatrix, SmithForm, det
 
 DEFAULT_WEYL_CAP = 10 ** 6
 
@@ -53,6 +53,9 @@ class RootDatum:
         self.cartan = tuple(self.pairings(a) for a in self.simple_roots)
         self.validate()
         self.all_roots = self._root_closure()
+        # the one factorization of the coroot rows: its kernel is the central
+        # lattice, and it solves for the fundamental-weight lifts
+        self.coroot_form = SmithForm(IntMatrix(self.simple_coroots)) if self.nroots else None
 
     # -- structure -----------------------------------------------------
 
@@ -117,8 +120,7 @@ class RootDatum:
         """Z-basis (rows) of {lam : <lam, alpha^vee> = 0 for all simple alpha}."""
         if self.nroots == 0:
             return [tuple(r) for r in IntMatrix.identity(self.rank).entries]
-        p = IntMatrix(self.simple_coroots)
-        return [tuple(v) for v in kernel_basis(p)]
+        return list(self.coroot_form.kernel)
 
     def highest_roots(self):
         """(theta, theta^vee) for each irreducible component, sorted: each
@@ -152,27 +154,26 @@ class RootDatum:
 
         ``central`` pairs each basis functional phi_k of central_lattice()
         with a y_k in Y such that phi_j . y_k = delta_jk (Phi is saturated,
-        so in_image finds them).  ``cosets`` represent Y_ss/Q^vee, Y_ss = Y cap
-        ker Phi and Q^vee the coroot lattice, from one SNF u*C*v = diag(d) of
-        the coroot rows C: row i of u*C is d_i*b_i with b_1, ... a basis of
-        Y_ss, and the cosets are the sums of c_i*b_i with 0 <= c_i < d_i.
+        so one SmithForm of Phi solves for all).  ``cosets`` represent Y_ss/Q^vee,
+        Y_ss = Y cap ker Phi and Q^vee the coroot lattice, from coroot_form,
+        u*C*v = diag(d) of the coroot rows C: row i of u*C is d_i*b_i with b_1,
+        ... a basis of Y_ss, and the cosets are the sums of c_i*b_i with 0 <= c_i < d_i.
         CrossCheckFailed when a central functional cannot be lifted, when a
         row of u*C is no multiple of its d_i, or when some b_i leaves ker Phi.
         """
         phi = self.central_lattice()
-        phi_m = IntMatrix(phi)
         central = []
-        for k, row in enumerate(phi):
-            ok, y = in_image(phi_m, tuple(int(j == k) for j in range(len(phi))))
-            if not ok:
-                raise CrossCheckFailed(f"central functional {list(row)} cannot be lifted to Y")
-            central.append((row, y))
+        if phi:
+            phi_form = SmithForm(IntMatrix(phi))
+            for k, row in enumerate(phi):
+                ok, y = phi_form.solve(tuple(int(j == k) for j in range(len(phi))))
+                if not ok:
+                    raise CrossCheckFailed(f"central functional {list(row)} cannot be lifted to Y")
+                central.append((row, y))
         cosets = [(0,) * self.rank]
         if self.nroots:
-            c = IntMatrix(self.simple_coroots)
-            d, u, _ = snf(c)
-            for i, row in enumerate((u * c).entries):
-                di = d[i, i]
+            form = self.coroot_form
+            for row, di in zip((form.u * form.m).entries, form.diag):
                 if di == 0 or any(x % di for x in row):
                     raise CrossCheckFailed(
                         f"coroot SNF row {list(row)} is not {di} times a vector of Y"
@@ -193,19 +194,18 @@ class RootDatum:
         Exists exactly when the derived datum is simply-connected.  The choice
         is pinned to the representative reduced against the HNF of the central
         lattice, so output is deterministic; only the defining pairings are
-        contractual.
+        contractual.  Every solve and the reduction read coroot_form.
         """
         if self.nroots == 0:
             return []
-        p = IntMatrix(self.simple_coroots)
-        central = self.central_lattice()
+        form = self.coroot_form
         lifts = []
         for i in range(self.nroots):
             target = tuple(1 if j == i else 0 for j in range(self.nroots))
-            ok, x = in_image(p, target)
+            ok, x = form.solve(target)
             if not ok:
                 return UNAVAILABLE
-            lifts.append(reduce_mod_lattice(x, central))
+            lifts.append(form.reduce(x))
         return lifts
 
     def cartan_solve(self, pairings):
@@ -357,15 +357,25 @@ class FrobeniusData:
             tau = IntMatrix(tau)
         if (tau.rows, tau.cols) != (rd.rank, rd.rank):
             raise ValueError(f"tau must be {rd.rank}x{rd.rank}, got {tau.rows}x{tau.cols}")
+        if det(tau) not in (1, -1):
+            raise ValueError("tau is not unimodular")
         self.tau = tau
-        tau_inv = _unimodular_inverse(tau)
-        self.tau_inv = tau_inv
-        self.f_matrix = tau_inv.scale(self.q)
         self._validate()
 
     def _validate(self):
+        """tau^-1 = tau^(k-1) from the order k of tau; F = q * tau^-1."""
         rd = self.rd
-        q_id = IntMatrix.identity(rd.rank).scale(self.q)
+        ident = IntMatrix.identity(rd.rank)
+        acc, prev = self.tau, ident
+        for _ in range(1000):
+            if acc == ident:
+                break
+            acc, prev = acc * self.tau, acc
+        else:
+            raise ValueError("tau does not have small finite order")
+        self.tau_inv = prev
+        self.f_matrix = prev.scale(self.q)
+        q_id = ident.scale(self.q)
         if self.tau * self.f_matrix != q_id or self.f_matrix * self.tau != q_id:
             raise ValueError("tau*F = F*tau = q fails")
         simple = {a: i for i, a in enumerate(rd.simple_roots)}
@@ -380,15 +390,6 @@ class FrobeniusData:
         for i, av in enumerate(rd.simple_coroots):
             if tau_ct.apply(av) != rd.simple_coroots[perm[i]]:
                 raise ValueError("tau is not compatible with the coroot set")
-        # finite order
-        acc = self.tau
-        ident = IntMatrix.identity(rd.rank)
-        for _ in range(1000):
-            if acc == ident:
-                break
-            acc = acc * self.tau
-        else:
-            raise ValueError("tau does not have small finite order")
         self.simple_permutation = perm
 
     def f_apply(self, lam):
@@ -409,14 +410,6 @@ def prime_power_split(q):
         raise ValueError(f"q = {q} is not a prime power")
     [(p, r)] = fac.items()
     return p, r
-
-
-def _unimodular_inverse(m: IntMatrix):
-    """Exact inverse of a determinant +-1 matrix: u*m*v = 1 gives m^-1 = v*u."""
-    if det(m) not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    _, u, v = snf(m)
-    return v * u
 
 
 # -- standard constructions ------------------------------------------------

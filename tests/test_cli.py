@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -8,10 +9,13 @@ from math import prod
 import pytest
 
 import dualalg
-from dualalg import balgebra, matrixgroups, oracles
+from dualalg import balgebra, intlinalg, matrixgroups, oracles
 from dualalg.cli import main
+from dualalg.errors import NonIntegral
 from dualalg.intlinalg import IntMatrix
+from dualalg.orbitring import InvariantElement
 from dualalg.rootdata import FrobeniusData, RootDatum, _reflect_rows, build_standard, weyl_group
+from dualalg.verification import random_dominant_weight
 
 
 def run_cli(args, capsys):
@@ -273,6 +277,45 @@ def test_oracle_pipeline_runs_once_per_command(argv, monkeypatch, capsys):
     main(argv)
     capsys.readouterr()
     assert calls == {"sector_divisors": 1}
+
+
+def count_normal_form_calls(monkeypatch):
+    """Counter of snf and hnf calls made after this point."""
+    calls = Counter()
+    for fn in (intlinalg.snf, intlinalg.hnf):
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__] += 1
+            return _fn(*args)
+
+        patch_everywhere(monkeypatch, fn, counted)
+    return calls
+
+
+def test_cover_reductions_reuse_one_factorization(monkeypatch):
+    # SO(4) q=3: once the cover is built, each normal form solves against the
+    # cover matrix's one SmithForm and reduces by the kernel HNF it holds; the
+    # cover context's central lookups read the factorization of b0
+    rd = build_standard("SO", 4)
+    ctx = balgebra.build_context(rd, FrobeniusData(rd, 3, 1), balgebra.SO_EVEN)
+    ctx.cover()
+    calls = count_normal_form_calls(monkeypatch)
+    rng = random.Random(11)
+    for _ in range(20):
+        lam = random_dominant_weight(ctx.cache, rng, 8)
+        balgebra.normal_form(ctx, InvariantElement.r(lam))
+    assert calls == {}
+
+
+def test_central_rep_index_reuses_one_factorization(monkeypatch):
+    # GL(3) q=3: the central lattice is spanned by (1, 1, 1), with two
+    # representatives modulo (F - id) = 2
+    rd = build_standard("GL", 3)
+    ctx = balgebra.build_context(rd, FrobeniusData(rd, 3, 1), balgebra.GENERIC_SC)
+    calls = count_normal_form_calls(monkeypatch)
+    assert [ctx._central_rep_index((k, k, k)) for k in range(-3, 4)] == [1, 0, 1, 0, 1, 0, 1]
+    with pytest.raises(NonIntegral):
+        ctx._central_rep_index((1, 0, 0))
+    assert calls == {}
 
 
 def test_each_sector_matrix_built_once(monkeypatch, capsys):

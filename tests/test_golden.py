@@ -70,6 +70,10 @@ GOLDEN = [
      "173d16155c0dcf797f7cce1726563b0257d98e0d75b14a16bce6f3f872d1f65c"),
     (["structure", "--group", "GL", "--n", "3", "--q", "3"], 0,
      "91d94b7b68855defbf673a752317833a3c45623b59684f145ddd58f998726acc"),
+    # negative central representatives (-1, -1), (-2, -2): the unimodular
+    # u = -1 of the central lattice's SNF, with tau != 1
+    (["structure", "--datum-file", "data/unitary_gl2.json", "--q", "3"], 0,
+     "fd1bc4d91b737bb09c8f41a4c37348304f6e029161fa8a4df2c09d8e6f4f6c3f"),
 ]
 
 

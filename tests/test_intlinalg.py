@@ -8,6 +8,7 @@ from dualalg import intlinalg
 from dualalg.errors import CrossCheckFailed, DimensionMismatch, NonSquare
 from dualalg.intlinalg import (
     IntMatrix,
+    SmithForm,
     det,
     hnf,
     in_image,
@@ -147,18 +148,28 @@ def brute_force_in_image(m: IntMatrix, b, box=10):
     return False
 
 
-def test_in_image_matches_brute_force():
+def test_in_image_matches_brute_force(monkeypatch):
     rng = random.Random(20240802)
+    cases = []
     for _ in range(60):
         m = IntMatrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-        b = tuple(rng.randint(-4, 4) for _ in range(3))
-        ok, x = in_image(m, b)
-        if ok:
-            assert m.apply(x) == b
-        else:
-            # brute force with a generous box; a solution inside the box would
-            # contradict the SNF verdict
-            assert not brute_force_in_image(m, b, box=10)
+        rhs = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(4)]
+        cases.append((m, rhs, [in_image(m, b) for b in rhs]))
+        for b, (ok, x) in zip(rhs, cases[-1][2]):
+            if ok:
+                assert m.apply(x) == b
+            else:
+                # brute force with a generous box; a solution inside the box
+                # would contradict the SNF verdict
+                assert not brute_force_in_image(m, b, box=10)
+    # one factorization per matrix solves every right-hand side as in_image does
+    calls = []
+    real = intlinalg.snf
+    monkeypatch.setattr(intlinalg, "snf", lambda m: calls.append(m) or real(m))
+    for m, rhs, expected in cases:
+        form = SmithForm(m)
+        assert [form.solve(b) for b in rhs] == expected
+    assert calls == [m for m, _, _ in cases]
 
 
 small_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -224,6 +235,19 @@ def test_kernel_basis_solves():
     assert len(ker) == 2
     for v in ker:
         assert m.apply(v) == (0, 0)
+
+
+def test_smith_form_kernel_and_reduction():
+    # the kernel is read once from the factorization and reduces like
+    # reduce_mod_lattice against the same rows
+    m = IntMatrix([[1, 2, 3], [2, 4, 6]])
+    form = SmithForm(m)
+    assert form.kernel == kernel_basis(m)
+    rng = random.Random(7)
+    for _ in range(20):
+        x = tuple(rng.randint(-20, 20) for _ in range(3))
+        assert form.reduce(x) == reduce_mod_lattice(x, form.kernel)
+    assert SmithForm(IntMatrix.identity(2)).kernel == []
 
 
 def test_lattice_equality_and_reduction():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualalg.balgebra import BElement
 from dualalg.errors import NonIntegral
 from dualalg.orbitring import InvariantElement, OrbitCache, combine, multiply
 from dualalg.rootdata import FrobeniusData, build_standard, dominant_representative, weyl_group
@@ -133,6 +134,19 @@ def test_multiply_raises_on_inexact_division():
     r = InvariantElement.r
     with pytest.raises(NonIntegral, match=r"r\(\[2\]\) in r\(\[1\]\) \* r\(\[1\]\)"):
         multiply(CorruptCache(build_standard("SL", 2)), r((1,)), r((1,)))
+
+
+def test_constructors_reject_non_integral_coefficients():
+    # a coefficient truncated to a stored zero would break is_zero and equality
+    with pytest.raises(TypeError):
+        InvariantElement({(1,): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        InvariantElement({(1,): 2.0})
+    with pytest.raises(TypeError):
+        BElement({0: Fraction(3, 2)}, 0)
+    with pytest.raises(TypeError):
+        BElement({Fraction(1, 2): 1}, 0)
+    assert InvariantElement({(1,): True}).coeffs == {(1,): 1}
 
 
 def test_combine_cancels_scales_and_drops_zeros():

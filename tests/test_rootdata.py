@@ -7,7 +7,6 @@ from dualalg.intlinalg import IntMatrix
 from dualalg.rootdata import (
     UNAVAILABLE,
     FrobeniusData,
-    _unimodular_inverse,
     build_standard,
     datum_from_json,
     dominant_representative,
@@ -219,16 +218,26 @@ def test_frobenius_properties():
 
 
 def test_unimodular_inverse():
-    for m in ([[0, -1], [-1, 0]], [[2, 1], [1, 1]], [[1, 2, 3], [0, 1, 4], [0, 0, -1]],
-              [[3, 5, 2], [1, 2, 1], [2, 3, 2]]):
-        m = IntMatrix(m)
-        inv = _unimodular_inverse(m)
-        ident = IntMatrix.identity(m.rows)
-        assert m * inv == ident and inv * m == ident
-    with pytest.raises(ValueError, match="not unimodular"):
-        _unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
+    # FrobeniusData takes tau^-1 = tau^(k-1) from the order k of tau
+    for rd, tau in [
+        (build_standard("GL", 2), [[0, -1], [-1, 0]]),
+        (build_standard("SL", 3), [[0, 1], [1, 0]]),
+        (build_standard("Torus", 2), [[0, -1], [1, 0]]),
+        (build_standard("Torus", 2), [[1, 1], [-1, 0]]),
+        (build_standard("Torus", 3), [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+        (build_standard("Sp", 4), None),
+    ]:
+        frob = FrobeniusData(rd, 3, 1, tau)
+        ident = IntMatrix.identity(rd.rank)
+        assert frob.tau * frob.tau_inv == ident and frob.tau_inv * frob.tau == ident
+        assert frob.f_matrix == frob.tau_inv.scale(3)
     with pytest.raises(ValueError, match="not unimodular"):
         FrobeniusData(build_standard("GL", 2), 3, 1, [[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="not unimodular"):
+        FrobeniusData(build_standard("Torus", 3), 2, 1, [[1, 2, 3], [0, 1, 4], [0, 0, 2]])
+    # unimodular but of infinite order
+    with pytest.raises(ValueError, match="finite order"):
+        FrobeniusData(build_standard("Torus", 2), 3, 1, [[2, 1], [1, 1]])
 
 
 def test_prime_power_split():

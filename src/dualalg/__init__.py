@@ -22,7 +22,6 @@ from .orbitring import InvariantElement, OrbitCache, multiply
 from .rootdata import (
     FrobeniusData,
     RootDatum,
-    WeylElement,
     build_standard,
     dominant_representative,
     is_q_restricted,
@@ -40,7 +39,6 @@ __all__ = [
     "OrbitCache",
     "RootDatum",
     "TorusPoint",
-    "WeylElement",
     "build_context",
     "build_standard",
     "class_count",

@@ -143,12 +143,6 @@ class GF:
                     break
         return self._generator
 
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        return range(1, self.q)
-
 
 def _factorize(n):
     """{prime: exponent} of n by trial division; {} for n < 2.  The package's

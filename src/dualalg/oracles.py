@@ -9,10 +9,10 @@ of the union of all sectors, which is the point count of the fixed-point
 scheme and the target of every rank cross-check in this package.  Each
 sector matrix is built once, in sector_divisors, and its Bareiss determinant
 taken; the class count averages those over all of W.  Up to the W-action a
-sector depends only on the F-conjugacy class of w, so the Smith normal form
-is taken, and the point walk and the trace form run, once per class, on its
-first sector in Weyl order.  Every sector's determinant is compared with the
-SNF diagonal of its class.
+sector depends only on the F-conjugacy class of w, read off the reflection
+tables of weyl_group, so the Smith normal form is taken, and the point walk
+and the trace form run, once per class, on its first sector in Weyl order.
+Every sector's determinant is compared with the SNF diagonal of its class.
 
 Points are realized concretely: a prime ell with ell = 1 mod every elementary
 divisor makes all required roots of unity live in F_ell.  A point is held as
@@ -34,7 +34,7 @@ from .errors import BadPrime, CrossCheckFailed, NonIntegral, PrimeMismatch
 from .finitefield import GF
 from .intlinalg import IntMatrix, det, snf
 from .orbitring import OrbitCache
-from .rootdata import FrobeniusData, RootDatum, _is_prime, _reflect_rows, _sparse, weyl_group
+from .rootdata import FrobeniusData, RootDatum, _is_prime, _sparse, weyl_group
 
 
 def class_count(rd: RootDatum, frob: FrobeniusData, weyl=None):
@@ -87,60 +87,40 @@ class TorusPoint:
         return f"TorusPoint({self.values}, ell={self.ell})"
 
 
-def _conjugate(m, root, coroot):
-    """s * M * s for the simple reflection s = 1 - alpha alpha^vee^T, on a
-    tuple of row tuples: the row step of _reflect_rows, then each row r goes
-    to r - <r, alpha> alpha^vee."""
-    out = []
-    for row in _reflect_rows(m, root, coroot):
-        c = 0
-        for k, a in root:
-            c += row[k] * a
-        if c:
-            row = list(row)
-            for k, a in coroot:
-                row[k] -= c * a
-            row = tuple(row)
-        out.append(row)
-    return tuple(out)
-
-
 def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
     """The sector table: each A_w = F*w - id is built once, its order |det A_w|
     is taken by Bareiss for every w, and the SNF u*A*v = diag(d) once per
     F-conjugacy class.
 
-    s*A_w*s = A_w' with w' = (tau s tau^-1)*w*s for every simple reflection s,
-    as tau permutes the simple roots; so the sectors split into classes under
-    A -> s*A*s, and conjugate sectors have the same SNF diagonal and W-images
-    of each other's fixed points.  The representative of a class is its first
-    sector in Weyl order.
+    s_a*A_w*s_a = A_w' with w' = s_sigma(a)*w*s_a for every simple reflection
+    s_a, as tau s_a tau^-1 = s_sigma(a) with sigma = frob.simple_permutation;
+    so the sectors split into the F-conjugacy classes w -> s_sigma(a)*w*s_a,
+    read off the tables of weyl_group, and conjugate sectors have the same
+    SNF diagonal and W-images of each other's fixed points.  The
+    representative of a class is its first sector in Weyl order.
 
     Returns (divisors_lcm, per_sector) with per_sector[i] = (u, diag, |det A_i|,
     class size) on a representative and (None, diag, |det A_i|, 0) elsewhere.
     Every sector's |det| is compared with the product of its class's SNF
     diagonal: CrossCheckFailed naming the sector on a mismatch, or when a
-    conjugate of a sector matrix is not a sector matrix or lies in an
-    earlier class.
+    conjugate of a sector lies in an earlier class.
     """
     if weyl is None:
         weyl = weyl_group(rd)
     f = frob.f_matrix
-    mats = [tuple(tuple(x - (i == j) for j, x in enumerate(row))
-                  for i, row in enumerate((f * w.matrix).entries))
-            for w in weyl]
-    index = {a: i for i, a in enumerate(mats)}
-    rep_of = [None] * len(mats)
+    rep_of = [None] * len(weyl)
     per_sector = []
     l = 1
-    for i, a in enumerate(mats):
-        order = abs(det(IntMatrix.of_rows(a)))
+    for i, w in enumerate(weyl):
+        a = IntMatrix.of_rows(tuple(tuple(x - (r == c) for c, x in enumerate(row))
+                                    for r, row in enumerate((f * w).entries)))
+        order = abs(det(a))
         if order == 0:
             raise NonIntegral("sector matrix is singular; q >= 2 should prevent this")
         if rep_of[i] is None:
-            d, u, _ = snf(IntMatrix.of_rows(a))
+            d, u, _ = snf(a)
             diag = tuple(d[k, k] for k in range(rd.rank))
-            size = _close_class(i, mats, index, rd.simple, rep_of)
+            size = _close_class(i, weyl, frob.simple_permutation, rep_of)
             per_sector.append((u, diag, order, size))
             for x in diag:
                 l = l * x // gcd(l, x)
@@ -155,22 +135,18 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
     return l, per_sector
 
 
-def _close_class(i, mats, index, simple, rep_of):
-    """Mark each sector conjugate to sector i under A -> s*A*s with i in
-    ``rep_of`` and return the class size.  Classes are disjoint, so meeting
-    a sector of an earlier class is a CrossCheckFailed, as is a conjugate
-    that is no sector matrix."""
+def _close_class(i, weyl, sigma, rep_of):
+    """Mark each sector F-conjugate to sector i with i in ``rep_of``, closing
+    under w_j -> s_sigma(a)*w_j*s_a, the index left[sigma(a)][right[a][j]],
+    and return the class size.  Classes are disjoint, so meeting a sector of
+    an earlier class is a CrossCheckFailed."""
     rep_of[i] = i
     size = 1
     frontier = [i]
     while frontier:
         j = frontier.pop()
-        for root, coroot in simple:
-            k = index.get(_conjugate(mats[j], root, coroot))
-            if k is None:
-                raise CrossCheckFailed(
-                    f"sector {j}: its conjugate by a simple reflection is not a sector matrix"
-                )
+        for a, right in enumerate(weyl.right):
+            k = weyl.left[sigma[a]][right[j]]
             if rep_of[k] is None:
                 rep_of[k] = i
                 size += 1

@@ -232,31 +232,6 @@ class RootDatum:
         return tuple(b)
 
 
-class WeylElement:
-    """A Weyl group element as its matrix action on the character lattice."""
-
-    __slots__ = ("matrix", "_length")
-
-    def __init__(self, matrix: IntMatrix):
-        self.matrix = matrix
-        self._length = None
-
-    def apply(self, lam):
-        return self.matrix.apply(lam)
-
-    def __mul__(self, other):
-        return WeylElement(self.matrix * other.matrix)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"WeylElement({self.matrix.entries})"
-
-
 def _sparse(vec):
     return tuple((k, x) for k, x in enumerate(vec) if x)
 
@@ -280,8 +255,25 @@ def _reflect_rows(m, root, coroot):
     return tuple(out)
 
 
+class WeylGroup(tuple):
+    """The elements of W as IntMatrix, in closure order with the identity
+    first, and the multiplication tables of the simple reflections:
+    ``left[a][j]`` is the index of s_a * w_j, ``right[a][j]`` that of
+    w_j * s_a."""
+
+    def __new__(cls, elems, left, right):
+        self = super().__new__(cls, elems)
+        self.left = left
+        self.right = right
+        return self
+
+
 def weyl_group(rd: RootDatum, cap=None):
-    """Full Weyl group by closure of the simple reflections; identity first.
+    """Full Weyl group by closure of the simple reflections, as a WeylGroup.
+
+    The closure looks up every s_a * w_j, which gives the left table.  Each
+    w_j after the identity was first reached as s_b * w_p with p < j, so
+    w_j * s_a = s_b * (w_p * s_a) gives the right table by lookups alone.
 
     Raises CapExceeded before materializing more than ``cap`` elements
     (default DUALALG_WEYL_CAP env var or 10^6).
@@ -294,26 +286,31 @@ def weyl_group(rd: RootDatum, cap=None):
             raise DualalgError(f"DUALALG_WEYL_CAP must be an integer, got {raw!r}") from None
     ident = IntMatrix.identity(rd.rank).entries
     elems = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for root, coroot in rd.simple:
-                nxt = _reflect_rows(m, root, coroot)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    elems.append(nxt)
-                    new_frontier.append(nxt)
-                    if len(elems) > cap:
-                        raise CapExceeded(f"Weyl group exceeds cap {cap}")
-        frontier = new_frontier
-    return [WeylElement(IntMatrix.of_rows(m)) for m in elems]
+    index = {ident: 0}
+    first = [None]
+    left = [[] for _ in rd.simple]
+    # elems grows while it is walked, so the walk is breadth-first
+    for p, m in enumerate(elems):
+        for b, (root, coroot) in enumerate(rd.simple):
+            nxt = _reflect_rows(m, root, coroot)
+            k = index.get(nxt)
+            if k is None:
+                k = index[nxt] = len(elems)
+                elems.append(nxt)
+                first.append((b, p))
+                if len(elems) > cap:
+                    raise CapExceeded(f"Weyl group exceeds cap {cap}")
+            left[b].append(k)
+    right = [[row[0]] for row in left]
+    for b, p in first[1:]:
+        for row in right:
+            row.append(left[b][row[p]])
+    return WeylGroup((IntMatrix.of_rows(m) for m in elems), left, right)
 
 
 def dominant_representative(rd: RootDatum, lam):
-    """The dominant weight in the W-orbit of ``lam`` and a witness w with
-    w(lam) dominant."""
+    """The dominant weight in the W-orbit of ``lam`` and a witness w, an
+    IntMatrix with w(lam) dominant."""
     cur = list(lam)
     w = IntMatrix.identity(rd.rank).entries
     guard = 0
@@ -326,7 +323,7 @@ def dominant_representative(rd: RootDatum, lam):
                 w = _reflect_rows(w, root, coroot)
                 break
         else:
-            return tuple(cur), WeylElement(IntMatrix(w))
+            return tuple(cur), IntMatrix.of_rows(w)
         guard += 1
         if guard > 10 ** 7:
             raise CapExceeded("dominant reduction did not terminate")
@@ -375,9 +372,6 @@ class FrobeniusData:
             raise ValueError("tau does not have small finite order")
         self.tau_inv = prev
         self.f_matrix = prev.scale(self.q)
-        q_id = ident.scale(self.q)
-        if self.tau * self.f_matrix != q_id or self.f_matrix * self.tau != q_id:
-            raise ValueError("tau*F = F*tau = q fails")
         simple = {a: i for i, a in enumerate(rd.simple_roots)}
         perm = {}
         for i, a in enumerate(rd.simple_roots):

@@ -253,7 +253,7 @@ def test_trace_form_matches_all_sector_definition(fam, n, q, tau):
     one = IntMatrix.identity(ctx.rd.rank)
     sectors = []
     for w in ctx.weyl:
-        d, u, _ = snf(ctx.frob.f_matrix * w.matrix - one)
+        d, u, _ = snf(ctx.frob.f_matrix * w - one)
         sectors.append((u, [d[k, k] for k in range(ctx.rd.rank)]))
     for i in range(len(ctx.basis)):
         x = BElement({i: 1}, ctx.ctx_id)

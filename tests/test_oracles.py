@@ -82,7 +82,7 @@ def reference_sector_table(rd, frob, weyl):
     l = 1
     table = []
     for w in weyl:
-        d, u, _ = snf(frob.f_matrix * w.matrix - one)
+        d, u, _ = snf(frob.f_matrix * w - one)
         diag = tuple(d[k, k] for k in range(rd.rank))
         table.append((u, diag))
         for x in diag:
@@ -93,7 +93,7 @@ def reference_sector_table(rd, frob, weyl):
 def reference_classes(rd, frob, weyl):
     """The F-conjugacy classes of W as sorted index lists, closed under
     w -> (tau s tau^-1) * w * s over the simple reflections s."""
-    index = {w.matrix: i for i, w in enumerate(weyl)}
+    index = {w: i for i, w in enumerate(weyl)}
     moves = [(frob.tau * s * frob.tau_inv, s)
              for s in (reflection_matrix(rd, i) for i in range(rd.nroots))]
     cls = [None] * len(weyl)
@@ -105,7 +105,7 @@ def reference_classes(rd, frob, weyl):
         cls[i] = len(classes)
         for j in members:
             for left, right in moves:
-                k = index[left * weyl[j].matrix * right]
+                k = index[left * weyl[j] * right]
                 if cls[k] is None:
                     cls[k] = len(classes)
                     members.append(k)
@@ -464,3 +464,20 @@ def test_sector_classes(label, fam, n, tau, classes):
     for c in want:
         for i in c:
             assert ref_table[i][1] == table[i][1] == table[c[0]][1]
+
+
+# the Weyl groups of CLASS_CASES; the tables do not depend on tau
+TABLE_CASES = [c for c in CLASS_CASES if c[3] is None]
+
+
+@pytest.mark.parametrize("label,fam,n,tau,classes", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_weyl_reflection_tables(label, fam, n, tau, classes):
+    # the closure's lookup tables against IntMatrix products with the
+    # reference reflection matrices
+    rd = build_standard(fam, n, cartan=G2, label=label)
+    weyl = weyl_group(rd)
+    for a in range(rd.nroots):
+        s = reflection_matrix(rd, a)
+        for j, w in enumerate(weyl):
+            assert weyl[weyl.left[a][j]] == s * w
+            assert weyl[weyl.right[a][j]] == w * s

@@ -89,3 +89,59 @@ def test_benchmark_hooks_resolve():
                         resolved += 1
     # 17 traced functions, 7 checks and the patched class attributes
     assert resolved > 30
+
+
+# definitions that only code outside the repository calls
+UNNAMED_OK = {
+    "cli._Parser.error",  # argparse.ArgumentParser calls it on a usage error
+}
+
+
+def _references(tree):
+    """(kind, name, line) for each attribute, loaded name and string
+    constant in tree, leaving out the strings of __all__: an export is not a
+    use.  Strings count as names, as the trace harness reaches functions by
+    their names."""
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(id(n) for n in ast.walk(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield "attr", node.attr, node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield "name", node.id, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exported):
+            yield "name", node.value, node.lineno
+
+
+def test_every_definition_is_named_elsewhere():
+    # nothing stays in the package that neither the package, the tests nor
+    # the benchmark reach: every module-level function and class, and every
+    # non-dunder method, is named somewhere outside its own definition (a
+    # method only as an attribute, so that a local variable of the same name
+    # does not count)
+    src = pathlib.Path(dualalg.__file__).parent
+    files = [f for d in (src, src.parent.parent / "tests", PERFBENCH) for f in sorted(d.glob("*.py"))]
+    trees = {f: ast.parse(f.read_text(), filename=str(f)) for f in files}
+    refs = {f: list(_references(tree)) for f, tree in trees.items()}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unnamed = []
+    for path in sorted(src.glob("*.py")):
+        found = []
+        for node in trees[path].body:
+            if isinstance(node, defs):
+                found.append((node.name, node, ("attr", "name")))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{item.name}", item, ("attr",)) for item in node.body
+                          if isinstance(item, defs[:2])
+                          and not (item.name.startswith("__") and item.name.endswith("__"))]
+        for qual, node, kinds in found:
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(n == node.name and k in kinds and (f != path or line not in inside)
+                       for f, rows in refs.items() for k, n, line in rows):
+                unnamed.append(f"{path.stem}.{qual}")
+    assert sorted(set(unnamed) - UNNAMED_OK) == []
+    assert UNNAMED_OK <= set(unnamed)

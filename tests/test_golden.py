@@ -74,6 +74,18 @@ GOLDEN = [
     # u = -1 of the central lattice's SNF, with tau != 1
     (["structure", "--datum-file", "data/unitary_gl2.json", "--q", "3"], 0,
      "fd1bc4d91b737bb09c8f41a4c37348304f6e029161fa8a4df2c09d8e6f4f6c3f"),
+    # the exact eliminations outside intlinalg (taken before they were
+    # routed through finitefield._poly_rem, kernel_basis and powers): the
+    # GF(4) modulus search and generator inverses, the F_2 parity lattice of
+    # the saturation check, and the GF(81) modulus search of the E-side tables
+    (["oracle", "--group", "GL", "--n", "2", "--q", "4"], 0,
+     "d2ce9d224263802fa7ebd7ae2b8e84d049a5a320dc8a661e7ae0ea8afd0585dc"),
+    (["curtis", "--group", "GL2", "--q", "5", "--check", "saturation"], 0,
+     "9ebcf21d4886a86bd58107e642e681f3390972ee3f785d009c87595c6ded246c"),
+    (["curtis", "--group", "PGL2", "--q", "4", "--check", "saturation"], 0,
+     "8b94401e27324ff4e884d8e9a4e8ad355fc77f629bbf96176e661f0ece367c36"),
+    (["curtis", "--group", "GL2", "--q", "9", "--check", "eside"], 0,
+     "6081a4ec413a798bc7fbe33401a18e5aa4d6051c1a501b8933f7ce3af5d4e588"),
 ]
 
 

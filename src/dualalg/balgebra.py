@@ -282,23 +282,14 @@ def so_even_basis_weights(n, q):
             for i in range(n - 2, -1, -1):
                 coords[i] = coords[i + 1] + diffs[i]
             basis.append(tuple(coords))
-    # S2: two-sided, differences in [0,q) down to position n-2, 0 < a_n <= a_{n-1} < q
-    for diffs in itertools.product(range(q), repeat=n - 2):
-        for a_nm1 in range(1, q):
-            for an in range(1, a_nm1 + 1):
-                coords = [0] * n
-                coords[n - 1] = -an
-                coords[n - 2] = a_nm1
-                for i in range(n - 3, -1, -1):
-                    coords[i] = coords[i + 1] + diffs[i]
-                basis.append(tuple(coords))
-    # S2': same but q < a_{n-1} < 2q and 0 < a_n < a_{n-1} - q
-    for diffs in itertools.product(range(q), repeat=n - 2):
-        for a_nm1 in range(q + 1, 2 * q):
-            for an in range(1, a_nm1 - q):
-                coords = [0] * n
-                coords[n - 1] = -an
-                coords[n - 2] = a_nm1
+    # S2 | S2': two-sided, differences in [0,q) down to position n-2, and
+    # 0 < a_n <= a_{n-1} < q (S2) or q < a_{n-1} < 2q, 0 < a_n < a_{n-1} - q (S2')
+    s2 = [(a, b) for a in range(1, q) for b in range(1, a + 1)]
+    s2_prime = [(a, b) for a in range(q + 1, 2 * q) for b in range(1, a - q)]
+    for tails in (s2, s2_prime):
+        for diffs in itertools.product(range(q), repeat=n - 2):
+            for a_nm1, an in tails:
+                coords = [0] * (n - 2) + [a_nm1, -an]
                 for i in range(n - 3, -1, -1):
                     coords[i] = coords[i + 1] + diffs[i]
                 basis.append(tuple(coords))

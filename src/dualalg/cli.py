@@ -26,6 +26,7 @@ from .balgebra import (
 from .curtis import (
     GL2,
     PGL2,
+    datum_for,
     eside_parity_holds,
     homomorphism_check,
     nonsaturation_witness,
@@ -33,6 +34,7 @@ from .curtis import (
     phi_matrix,
     phi_of_invariant,
     saturation_check,
+    table_basis,
 )
 from .errors import (
     CrossCheckFailed,
@@ -43,6 +45,7 @@ from .errors import (
 )
 from .matrixgroups import MatrixGroupSpec, brute_force_ss_classes
 from .oracles import class_count, enumerate_points
+from .orbitring import InvariantElement, OrbitCache
 from .rootdata import FrobeniusData, build_standard, datum_from_json, prime_power_split
 from .verification import run_suite
 
@@ -249,9 +252,6 @@ def cmd_curtis(args):
         _emit_csv(rows, args)
     else:
         parity_ok = True
-        from .orbitring import InvariantElement, OrbitCache
-        from .curtis import datum_for, table_basis
-
         rd = datum_for(group)
         cache = OrbitCache(rd)
         for lam, _ in table_basis(group, q):

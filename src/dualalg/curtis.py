@@ -22,8 +22,8 @@ from fractions import Fraction
 from .balgebra import GENERIC_SC, build_context, normal_form
 from .errors import CrossCheckFailed, DimensionMismatch, PrimeMismatch, QEven
 from .finitefield import GF
-from .intlinalg import IntMatrix, lattice_hnf, lattices_equal, saturation_rows
-from .orbitring import InvariantElement, OrbitCache
+from .intlinalg import IntMatrix, kernel_basis, lattice_hnf, lattices_equal, saturation_rows
+from .orbitring import InvariantElement, OrbitCache, multiply
 from .rootdata import FrobeniusData, build_standard, prime_power_split
 
 GL2 = "GL2"
@@ -316,76 +316,35 @@ def saturation_check(group, q):
 
 
 def _even_solution_lattice(cmat_mod2, ncols):
-    """Basis of {y in Z^ncols : cmat * y = 0 mod 2}, as integer rows."""
-    rows = [row[:] for row in cmat_mod2]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] % 2), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] % 2:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            if rows[ri][fc] % 2:
-                v[pc] = 1
-        basis.append(v)
-    for c in range(ncols):
-        v = [0] * ncols
-        v[c] = 2
-        basis.append(v)
-    return [list(r) for r in lattice_hnf(basis, ncols).entries]
+    """Basis of {y in Z^ncols : cmat * y = 0 mod 2}, as integer rows: the
+    first ncols coordinates of the kernel of [cmat | 2*I], in canonical HNF."""
+    n = len(cmat_mod2)
+    stacked = [list(row) + [2 * (i == j) for j in range(n)] for i, row in enumerate(cmat_mod2)]
+    kernel = kernel_basis(IntMatrix(stacked))
+    return [list(r) for r in lattice_hnf([v[:ncols] for v in kernel], ncols).entries]
 
 
 def nonsaturation_witness(q):
     """Half-integral element of the rank-two quotient whose transfer image is
     integral; exists for odd q only.
 
-    Returns (coeff map over the published basis, certificate dict).
+    The image of f is half the image of the integral element 2f.  Returns
+    (coeff map over the published basis, certificate dict).
     """
     p, _ = prime_power_split(q)
     if q % 2 == 0:
         raise QEven("the witness requires odd q")
     cols = table_basis(GL2, q)
-    f = {}
-    for lam, (i, j) in cols:
-        if i >= 2 and i % 2 == 0:
-            f[(i, j)] = Fraction(1, 2)
-    rd = datum_for(GL2)
-    cache = OrbitCache(rd)
-    ti = TorusIndexing(GL2, q)
-    img1 = {}
-    imgs = {}
+    f = {ij: Fraction(1, 2) for _, ij in cols if ij[0] >= 2 and ij[0] % 2 == 0}
     weight_of = {ij: lam for lam, ij in cols}
-    for ij, c in f.items():
-        for mu in cache.orbit(weight_of[ij]):
-            k1 = ti.split_of_weight(mu)
-            ks = ti.twisted_of_weight(mu)
-            img1[k1] = img1.get(k1, Fraction(0)) + c
-            imgs[ks] = imgs.get(ks, Fraction(0)) + c
-    half_integral = any(c.denominator == 2 for c in f.values())
-    denom_coprime_p = all(c.denominator % p != 0 for c in f.values())
-    image_integral = all(v.denominator == 1 for v in img1.values()) and all(
-        v.denominator == 1 for v in imgs.values()
-    )
+    twice = InvariantElement({weight_of[ij]: int(2 * c) for ij, c in f.items()})
+    img1, imgs = phi_of_invariant(GL2, q, twice, OrbitCache(datum_for(GL2)))
     certificate = {
-        "half_integral_coeffs": half_integral,
-        "denominator_coprime_to_p": denom_coprime_p,
-        "image_integral": image_integral,
-        "split_image": {str(k): int(v) for k, v in sorted(img1.items()) if v},
-        "twisted_image": {str(k): int(v) for k, v in sorted(imgs.items()) if v},
+        "half_integral_coeffs": any(c.denominator == 2 for c in f.values()),
+        "denominator_coprime_to_p": all(c.denominator % p != 0 for c in f.values()),
+        "image_integral": all(v % 2 == 0 for v in (*img1.coeffs.values(), *imgs.coeffs.values())),
+        "split_image": {str(k): v // 2 for k, v in sorted(img1.coeffs.items())},
+        "twisted_image": {str(k): v // 2 for k, v in sorted(imgs.coeffs.items())},
     }
     return f, certificate
 
@@ -485,8 +444,6 @@ def homomorphism_check(group, q):
     images = {}
     for lam, ij in basis:
         images[ij] = phi_of_invariant(group, q, InvariantElement.r(lam), cache)
-    from .orbitring import multiply
-
     for (lam1, ij1), (lam2, ij2) in itertools.combinations_with_replacement(basis, 2):
         prod = multiply(cache, InvariantElement.r(lam1), InvariantElement.r(lam2))
         nf = normal_form(ctx, prod)

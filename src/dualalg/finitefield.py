@@ -16,18 +16,13 @@ class GF:
         self.p = p
         self.r = r
         self.q = p ** r
+        # F_p[x] arithmetic for the modulus search and products runs over F_p
+        self._prime = GF(p) if r > 1 else self
         self.modulus = self._find_irreducible() if r > 1 else (0, 1)
         self._mul_table = None
         self._generator = None
 
     # encoding helpers ----------------------------------------------------
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.r):
-            out.append(a % self.p)
-            a //= self.p
-        return out
 
     def _encode(self, digits):
         v = 0
@@ -51,36 +46,18 @@ class GF:
         for d in range(1, deg // 2 + 1):
             for k in range(p ** d):
                 dv = _digits_fixed(k, p, d) + [1]
-                if not self._poly_mod(coeffs, dv):
+                if not _poly_rem(self._prime, coeffs, dv):
                     return False
         return True
-
-    def _poly_mod(self, a, b):
-        p = self.p
-        a = list(a)
-        db = len(b) - 1
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(a) - 1 >= db and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            f = a[-1] * inv_lead % p
-            shift = len(a) - 1 - db
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % p
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        return a
 
     # field operations -----------------------------------------------------
 
     def add(self, a, b):
-        da, db = self._digits(a), self._digits(b)
+        da, db = _digits_fixed(a, self.p, self.r), _digits_fixed(b, self.p, self.r)
         return self._encode([(x + y) % self.p for x, y in zip(da, db)])
 
     def sub(self, a, b):
-        da, db = self._digits(a), self._digits(b)
+        da, db = _digits_fixed(a, self.p, self.r), _digits_fixed(b, self.p, self.r)
         return self._encode([(x - y) % self.p for x, y in zip(da, db)])
 
     def mul(self, a, b):
@@ -94,13 +71,13 @@ class GF:
 
     def _mul_raw(self, a, b):
         p = self.p
-        da, db = self._digits(a), self._digits(b)
+        da, db = _digits_fixed(a, p, self.r), _digits_fixed(b, p, self.r)
         prod = [0] * (2 * self.r - 1)
         for i, x in enumerate(da):
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        rem = self._poly_mod(prod, list(self.modulus))
+        rem = _poly_rem(self._prime, prod, self.modulus)
         rem += [0] * (self.r - len(rem))
         return self._encode(rem[: self.r])
 

@@ -68,9 +68,6 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.entries)
 

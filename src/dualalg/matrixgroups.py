@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .errors import CapExceeded, CrossCheckFailed
 from .finitefield import GF, poly_derivative, poly_gcd
+from .rootdata import prime_power_split
 
 DEFAULT_GROUP_CAP = 10 ** 6
 
@@ -72,18 +73,12 @@ def _identity(n):
 
 
 def _mat_inv(field, m, n):
-    """Inverse by Gauss-Jordan over the field."""
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = field.inv(a[col][col])
-        a[col] = [field.mul(x, inv) for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    """m^-1 = m^(k-1) from the order k of m, as FrobeniusData takes tau^-1."""
+    ident = _identity(n)
+    acc, prev = m, ident
+    while acc != ident:
+        acc, prev = _mat_mul(field, acc, m, n), acc
+    return prev
 
 
 def enumerate_group(spec: MatrixGroupSpec):
@@ -91,8 +86,6 @@ def enumerate_group(spec: MatrixGroupSpec):
     order = spec.order()
     if order > spec.cap:
         raise CapExceeded(f"group order {order} exceeds cap {spec.cap}")
-    from .rootdata import prime_power_split
-
     p, r = prime_power_split(spec.q)
     field = GF(p, r)
     n, q = spec.n, spec.q

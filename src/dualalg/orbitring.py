@@ -8,18 +8,18 @@ walked into the dominant chamber, and the hits per dominant weight kappa,
 scaled by the larger orbit size over |W kappa|, give the coefficient of
 r(kappa) (Stembridge 2001; Humphreys 1990).  No e-basis expansion is formed.
 
-The height of a weight is the coefficient sum when its projection to the
-derived part is written in the simple-root basis; it is the strictly
-decreasing measure behind every reduction in the quotient-ring layer.
+The height of a weight lam is the integer <lam, 2 rho^vee>, twice the
+coefficient sum of its derived-part projection in the simple-root basis
+(<alpha_i, 2 rho^vee> = 2); it is the strictly decreasing measure behind every
+reduction in the quotient-ring layer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from operator import index
 
 from .errors import NonIntegral
+from .intlinalg import IntMatrix, SmithForm
 from .rootdata import RootDatum
 
 
@@ -162,23 +162,22 @@ class OrbitCache:
         return orb
 
     def height(self, lam):
-        """Coefficient sum of the derived-part projection over simple roots.
-
-        Linear in the pairings: sum_i v_i <lam, alpha_i^vee>, v_i the sum of
-        ``cartan_solve(e_i)``.  Central weights have height 0; exact Fraction.
-        """
+        """The integer <lam, 2 rho^vee> = sum_i c_i <lam, alpha_i^vee>, where
+        2 rho^vee = sum_i c_i alpha_i^vee is the sum of the positive coroots,
+        the one integer solution of C c = (2, ..., 2) for the Cartan matrix C.
+        Central weights have height 0; NonIntegral if C c = 2 has no integer
+        solution."""
         lam = tuple(lam)
         got = self._heights.get(lam)
         if got is not None:
             return got
         if self._height_form is None:
             rd = self.rd
-            v = [sum(rd.cartan_solve([int(i == j) for j in range(rd.nroots)]), Fraction(0))
-                 for i in range(rd.nroots)]
-            den = lcm(*(x.denominator for x in v))
-            self._height_form = ([x.numerator * (den // x.denominator) for x in v], den)
-        nums, den = self._height_form
-        h = Fraction(sum(x * b for x, b in zip(nums, self.rd.pairings(lam))), den)
+            ok, c = SmithForm(IntMatrix(rd.cartan)).solve((2,) * rd.nroots)
+            if not ok:
+                raise NonIntegral(f"2 rho^vee of {rd.label} is no integer sum of simple coroots")
+            self._height_form = c
+        h = sum(x * b for x, b in zip(self._height_form, self.rd.pairings(lam)))
         self._heights[lam] = h
         return h
 

@@ -15,7 +15,6 @@ endomorphism on X is ``F = q * tau^{-1}``, so tau*F = F*tau = q.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from .errors import (
     CapExceeded,
@@ -106,10 +105,6 @@ class RootDatum:
                 p += lam[k] * c
             out.append(p)
         return tuple(out)
-
-    def pair(self, lam, i):
-        """<lam, alpha_i^vee>."""
-        return self.pairings(lam)[i]
 
     def is_dominant(self, lam):
         return all(x >= 0 for x in self.pairings(lam))
@@ -207,29 +202,6 @@ class RootDatum:
                 return UNAVAILABLE
             lifts.append(form.reduce(x))
         return lifts
-
-    def cartan_solve(self, pairings):
-        """Rational coefficients m with sum m_i * C_i = given pairing vector.
-
-        Solves ``C^T m = pairings`` where C is the Cartan matrix, used by the
-        height function.  Returns a tuple of Fractions.
-        """
-        n = self.nroots
-        a = [[Fraction(self.cartan[j][i]) for j in range(n)] for i in range(n)]
-        b = [Fraction(x) for x in pairings]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col] != 0)
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            b[col] *= inv
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] -= f * b[col]
-        return tuple(b)
 
 
 def _sparse(vec):

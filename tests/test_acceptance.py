@@ -221,7 +221,7 @@ def test_criterion_5_curtis():
             ok = ok and m1[sidx[(a, a)], cols[(q - 1, a)]] == 2
         for u in range(q - 1):
             c = (q + 1) * u
-            ok = ok and ms[c, cols[(0, u)]] == 1 and sum(ms.row(c)) == 1
+            ok = ok and ms[c, cols[(0, u)]] == 1 and sum(ms.entries[c]) == 1
     # (b) homomorphism property on all basis pairs, both groups
     for q in (2, 3, 4, 5):
         ok = ok and homomorphism_check(GL2, q)

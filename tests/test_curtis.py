@@ -1,5 +1,7 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from dualalg.curtis import (
     GL2,
@@ -7,6 +9,7 @@ from dualalg.curtis import (
     CyclotomicInt,
     FiniteTorusAlgebraElement,
     TorusIndexing,
+    _even_solution_lattice,
     datum_for,
     eside_curtis_tables,
     eside_parity_holds,
@@ -19,7 +22,9 @@ from dualalg.curtis import (
     saturation_check,
 )
 from dualalg.errors import QEven
+from dualalg.intlinalg import lattice_hnf
 from dualalg.orbitring import InvariantElement, OrbitCache
+from dualalg.rootdata import prime_power_split
 
 
 def column_index(q):
@@ -34,7 +39,7 @@ def test_split_table_rows():
         sidx = {k: i for i, k in enumerate(ti.split_keys())}
         for a in range(q - 1):
             for b in range(q - 1):
-                row = m1.row(sidx[(a, b)])
+                row = m1.entries[sidx[(a, b)]]
                 hits = {j: row[j] for j in range(len(row)) if row[j]}
                 if a == b:
                     expected = {cidx[(0, a)]: 1, cidx[(q - 1, a)]: 2}
@@ -55,7 +60,7 @@ def test_twisted_table_rows():
         cidx = column_index(q)
         for c in range(q * q - 1):
             u, v = c // (q + 1), c % (q + 1)
-            row = ms.row(c)
+            row = ms.entries[c]
             hits = {j: row[j] for j in range(len(row)) if row[j]}
             if v == 0:
                 expected = {cidx[(0, u)]: 1}
@@ -121,6 +126,84 @@ def test_nonsaturation_witness():
         assert {ij[0] for ij in f} == {i for i in range(2, q) if i % 2 == 0}
     with pytest.raises(QEven):
         nonsaturation_witness(4)
+
+
+def reference_witness_certificate(q):
+    """The witness certificate with Fraction image coefficients: the half
+    coefficients pushed through the transfer map one orbit weight at a time."""
+    p, _ = prime_power_split(q)
+    cols = table_basis(GL2, q)
+    f = {ij: Fraction(1, 2) for lam, ij in cols if ij[0] >= 2 and ij[0] % 2 == 0}
+    cache = OrbitCache(datum_for(GL2))
+    ti = TorusIndexing(GL2, q)
+    weight_of = {ij: lam for lam, ij in cols}
+    img1, imgs = {}, {}
+    for ij, c in f.items():
+        for mu in cache.orbit(weight_of[ij]):
+            k1, ks = ti.split_of_weight(mu), ti.twisted_of_weight(mu)
+            img1[k1] = img1.get(k1, Fraction(0)) + c
+            imgs[ks] = imgs.get(ks, Fraction(0)) + c
+    return f, {
+        "half_integral_coeffs": any(c.denominator == 2 for c in f.values()),
+        "denominator_coprime_to_p": all(c.denominator % p != 0 for c in f.values()),
+        "image_integral": all(v.denominator == 1 for v in (*img1.values(), *imgs.values())),
+        "split_image": {str(k): int(v) for k, v in sorted(img1.items()) if v},
+        "twisted_image": {str(k): int(v) for k, v in sorted(imgs.items()) if v},
+    }
+
+
+def test_nonsaturation_witness_matches_fraction_reference():
+    for q in (3, 5, 7, 9):
+        f, cert = nonsaturation_witness(q)
+        want_f, want_cert = reference_witness_certificate(q)
+        assert f == want_f
+        assert cert == want_cert
+        assert list(cert["split_image"]) == list(want_cert["split_image"])
+        assert list(cert["twisted_image"]) == list(want_cert["twisted_image"])
+
+
+def reference_even_solution_lattice(cmat_mod2, ncols):
+    """Basis of {y in Z^ncols : cmat * y = 0 mod 2} by Gauss-Jordan over F_2:
+    the library's former routine, kept as the reference."""
+    rows = [row[:] for row in cmat_mod2]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c] % 2), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c] % 2:
+                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            if rows[ri][fc] % 2:
+                v[pc] = 1
+        basis.append(v)
+    for c in range(ncols):
+        v = [0] * ncols
+        v[c] = 2
+        basis.append(v)
+    return [list(r) for r in lattice_hnf(basis, ncols).entries]
+
+
+def test_even_solution_lattice_matches_f2_reference():
+    rng = random.Random(2)
+    for trial in range(240):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
+        cmat = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
+        got = _even_solution_lattice(cmat, ncols)
+        assert got == reference_even_solution_lattice(cmat, ncols), cmat
+        assert len(got) == ncols
 
 
 def test_nonsat_witness_q3_explicit():

@@ -24,12 +24,12 @@ def is_hnf_shape(h: IntMatrix):
     """Upper echelon, positive pivots, entries above pivots reduced."""
     last_col = -1
     for i in range(h.rows):
-        row = h.row(i)
+        row = h.entries[i]
         nz = [j for j, x in enumerate(row) if x]
         if not nz:
             # all later rows must be zero as well
             for k in range(i, h.rows):
-                if any(h.row(k)):
+                if any(h.entries[k]):
                     return False
             return True
         p = nz[0]

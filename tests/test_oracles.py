@@ -6,7 +6,14 @@ import pytest
 from dualalg.errors import BadPrime, CapExceeded, CrossCheckFailed
 from dualalg.finitefield import GF, _factorize
 from dualalg.intlinalg import IntMatrix, snf
-from dualalg.matrixgroups import MatrixGroupSpec, brute_force_ss_classes
+from dualalg.matrixgroups import (
+    MatrixGroupSpec,
+    _generators,
+    _identity,
+    _mat_inv,
+    _mat_mul,
+    brute_force_ss_classes,
+)
 from dualalg.oracles import (
     _pick_ell,
     class_count,
@@ -281,6 +288,64 @@ def test_brute_force_sl2_f3_orders():
 def test_group_cap():
     with pytest.raises(CapExceeded):
         brute_force_ss_classes(MatrixGroupSpec("GL", 3, 5, cap=1000))
+
+
+def test_generator_inverses():
+    # the orbit refinement conjugates by g^-1 = g^(k-1), k the order of g
+    for fam in ("GL", "SL"):
+        for n in (1, 2, 3):
+            ident = _identity(n)
+            for q in (2, 3, 4):
+                field = GF(*prime_power_split(q))
+                for g in _generators(MatrixGroupSpec(fam, n, q), field):
+                    gi = _mat_inv(field, g, n)
+                    assert _mat_mul(field, g, gi, n) == ident, (fam, n, q, g)
+                    assert _mat_mul(field, gi, g, n) == ident, (fam, n, q, g)
+
+
+def reference_poly_mod(p, a, b):
+    """Remainder of a by b over F_p, coefficient lists low degree first: the
+    field's former private copy of polynomial division."""
+    a = list(a)
+    db = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(a) - 1 >= db and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        f = a[-1] * inv_lead % p
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - f * c) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def test_extension_fields_match_reference_division():
+    # modulus search and products over F_p[x] against the old division routine
+    for p, r in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
+        field = GF(p, r)
+        q = p ** r
+
+        def digits(a):
+            return [a // p ** k % p for k in range(r)]
+
+        def irreducible(coeffs):
+            return all(reference_poly_mod(p, coeffs, digits(k)[:d] + [1])
+                       for d in range(1, r // 2 + 1) for k in range(p ** d))
+
+        want = next(tuple(digits(low) + [1]) for low in range(q) if irreducible(digits(low) + [1]))
+        assert field.modulus == want, (p, r)
+        for a in range(q):
+            for b in range(q):
+                prod = [0] * (2 * r - 1)
+                for i, x in enumerate(digits(a)):
+                    for j, y in enumerate(digits(b)):
+                        prod[i + j] += x * y
+                rem = reference_poly_mod(p, [c % p for c in prod], list(want)) + [0] * r
+                assert field.mul(a, b) == sum(c * p ** k for k, c in enumerate(rem[:r])), (p, r, a, b)
 
 
 def test_prime_mismatch():

@@ -203,18 +203,50 @@ def test_e_r_round_trip():
 def test_height_examples():
     sl2 = build_standard("SL", 2)
     c = OrbitCache(sl2)
-    assert c.height((1,)) == Fraction(1, 2)
-    assert c.height((2,)) == 1
+    assert c.height((1,)) == 1
+    assert c.height((2,)) == 2
     gl2 = build_standard("GL", 2)
     c = OrbitCache(gl2)
     assert c.height((1, 1)) == 0  # central weights are killed by the projection
-    assert c.height((1, -1)) == 1
+    assert c.height((1, -1)) == 2
 
 
-@pytest.mark.parametrize("fam,n", [("SL", 3), ("Sp", 4), ("GL", 3), ("SO", 8), ("SO", 10)])
+def cartan_solve(rd, pairings):
+    """Rational m with sum_i m_i <alpha_i, alpha_j^vee> = pairings[j], by
+    Gauss-Jordan elimination over Q: the coefficients of the derived-part
+    projection in the simple roots.  The library's former height routine,
+    kept as the independent reference for the integer height."""
+    n = rd.nroots
+    a = [[Fraction(rd.cartan[j][i]) for j in range(n)] for i in range(n)]
+    b = [Fraction(x) for x in pairings]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        b[col] *= inv
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                b[r] -= f * b[col]
+    return tuple(b)
+
+
+HEIGHT_DATA = [("SL", 3), ("Sp", 4), ("GL", 3), ("SO", 8), ("SO", 10), ("G2", None), ("Torus", 3)]
+
+
+@pytest.mark.parametrize("fam,n", HEIGHT_DATA)
 def test_height_matches_cartan_solve(fam, n):
-    rd = build_standard(fam, n)
+    # the integer <lam, 2 rho^vee> is twice the coefficient sum over Q
+    if fam == "G2":
+        rd = build_standard("FromCartan", cartan=((2, -1), (-3, 2)), label="G2")
+    else:
+        rd = build_standard(fam, n)
     cache = OrbitCache(rd)
+    for a in rd.simple_roots:
+        assert cache.height(a) == 2, a
     central = rd.central_lattice()
     rng = random.Random(f"height{fam}{n}")
     for trial in range(60):
@@ -225,10 +257,11 @@ def test_height_matches_cartan_solve(fam, n):
             k = rng.randint(-3, 3)
             lam = [x + k * y for x, y in zip(lam, z)]
         lam = tuple(lam)
-        pairings = [rd.pair(lam, i) for i in range(rd.nroots)]
-        assert cache.height(lam) == sum(rd.cartan_solve(pairings), Fraction(0)), lam
+        h = cache.height(lam)
+        assert type(h) is int
+        assert h == 2 * sum(cartan_solve(rd, rd.pairings(lam)), Fraction(0)), lam
         if trial % 3 == 0:
-            assert cache.height(lam) == 0
+            assert h == 0
 
 
 def test_height_descent_property():

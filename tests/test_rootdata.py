@@ -178,7 +178,7 @@ def test_central_lattice():
 def test_fundamental_weight_lifts():
     rd = build_standard("GL", 2)
     (omega,) = rd.fundamental_weight_lifts()
-    assert rd.pair(omega, 0) == 1
+    assert rd.pairings(omega)[0] == 1
     rd = build_standard("SL", 2)
     assert rd.fundamental_weight_lifts() == [(1,)]
     assert build_standard("SO", 8).fundamental_weight_lifts() == UNAVAILABLE
@@ -186,7 +186,7 @@ def test_fundamental_weight_lifts():
     lifts = sp.fundamental_weight_lifts()
     assert lifts != UNAVAILABLE
     for i, w in enumerate(lifts):
-        assert [sp.pair(w, j) for j in range(sp.nroots)] == [int(i == j) for j in range(sp.nroots)]
+        assert list(sp.pairings(w)) == [int(i == j) for j in range(sp.nroots)]
 
 
 def test_is_q_restricted():

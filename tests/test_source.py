@@ -19,6 +19,19 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_imports_at_module_level():
+    # a module's dependencies are read off its head: no import hides in a
+    # function, class or conditional body
+    files = sorted(pathlib.Path(dualalg.__file__).parent.glob("*.py"))
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert found == []
+
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 

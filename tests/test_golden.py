@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from dualalg.cli import main
+from dualalg.cli import main, make_parser
 
 GOLDEN = [
     (["rank", "--group", "GL", "--n", "2", "--q", "5"], 0,
@@ -86,6 +86,21 @@ GOLDEN = [
      "8b94401e27324ff4e884d8e9a4e8ad355fc77f629bbf96176e661f0ece367c36"),
     (["curtis", "--group", "GL2", "--q", "9", "--check", "eside"], 0,
      "6081a4ec413a798bc7fbe33401a18e5aa4d6051c1a501b8933f7ce3af5d4e588"),
+    # the default curtis tables with their parity flag, both CSV payloads,
+    # the E-side at p = 2 (one coefficient per cyclotomic value) and the
+    # PGL2 homomorphism check (taken before torus functions became dicts)
+    (["curtis", "--group", "PGL2", "--q", "4"], 0,
+     "8c00d939face8c86479f0ee1e03d8461df8d637e6c07bf9bb2d315fd1f7eba44"),
+    (["curtis", "--group", "GL2", "--q", "4"], 0,
+     "4065762901c1b4a08c168df93f8897a25e301395c2e47e486548ca558550bcc5"),
+    (["curtis", "--group", "GL2", "--q", "3", "--format", "csv"], 0,
+     "cde469051b74cbdeb0d487eda3d6abba853851f1bb9cb76832bb9647b583d723"),
+    (["structure", "--group", "SL", "--n", "2", "--q", "3", "--format", "csv"], 0,
+     "e6128507cbaadfc2743d21f064f10b8813953f522d83ad8319b58b5f429fad05"),
+    (["curtis", "--group", "GL2", "--q", "4", "--check", "eside"], 0,
+     "a31d85e6384776c361acca11bdeb5573a3fee65136b8e4e1db9087968730a99e"),
+    (["curtis", "--group", "PGL2", "--q", "5", "--check", "homomorphism"], 0,
+     "b01b9e77fee45bd698a3aca4cd2f96d3b35872c4e12153fafd9c6002f58ab8fe"),
 ]
 
 
@@ -98,3 +113,27 @@ def test_golden_output(argv, code, digest, capsys):
     out = capsys.readouterr().out
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _option_value(argv, flag, default):
+    return argv[argv.index(flag) + 1] if flag in argv else default
+
+
+def test_golden_covers_every_subcommand_check_and_format():
+    """Every subcommand, every curtis --check value (none included) and every
+    --format of each subcommand that takes one has at least one golden row."""
+    parser = make_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(subparsers) <= {argv[0] for argv, _, _ in GOLDEN}
+    checked = []
+    for name, sp in subparsers.items():
+        for action in sp._actions:
+            if action.dest == "format" or (name == "curtis" and action.dest == "check"):
+                flag, default = action.option_strings[0], action.default
+                values = set(action.choices) | {default}
+                have = {_option_value(argv, flag, default) for argv, _, _ in GOLDEN
+                        if argv[0] == name}
+                missing = values - have
+                assert not missing, f"{name} {flag}: no golden row for {sorted(map(str, missing))}"
+                checked.append((name, flag))
+    assert {("curtis", "--check"), ("curtis", "--format"), ("structure", "--format")} <= set(checked)

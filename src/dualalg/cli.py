@@ -26,15 +26,12 @@ from .balgebra import (
 from .curtis import (
     GL2,
     PGL2,
-    datum_for,
+    columns_in_parity_lattice,
     eside_parity_holds,
     homomorphism_check,
     nonsaturation_witness,
-    parity_lattice_member,
     phi_matrix,
-    phi_of_invariant,
     saturation_check,
-    table_basis,
 )
 from .errors import (
     CrossCheckFailed,
@@ -45,7 +42,6 @@ from .errors import (
 )
 from .matrixgroups import MatrixGroupSpec, brute_force_ss_classes
 from .oracles import class_count, enumerate_points
-from .orbitring import InvariantElement, OrbitCache
 from .rootdata import FrobeniusData, build_standard, datum_from_json, prime_power_split
 from .verification import run_suite
 
@@ -221,14 +217,10 @@ def cmd_structure(args):
 def cmd_curtis(args):
     group = {"GL2": GL2, "PGL2": PGL2}[args.group]
     q = args.q
+    head = {"version": VERSION, "group": args.group, "q": q}
     if args.check == "saturation":
         sat = saturation_check(group, q)
-        payload = {
-            "version": VERSION,
-            "group": args.group,
-            "q": q,
-            "saturated_over_Z": sat,
-        }
+        payload = {**head, "saturated_over_Z": sat}
         if q % 2 == 1 and group == GL2:
             _, cert = nonsaturation_witness(q)
             payload["nonsat_witness_over_Z_1_over_p"] = (
@@ -240,32 +232,23 @@ def cmd_curtis(args):
         return EXIT_OK if sat else EXIT_MISMATCH
     if args.check == "homomorphism":
         ok = homomorphism_check(group, q)
-        _emit({"version": VERSION, "group": args.group, "q": q, "homomorphism": ok}, args)
+        _emit({**head, "homomorphism": ok}, args)
         return EXIT_OK if ok else EXIT_MISMATCH
     if args.check == "eside":
         ok = eside_parity_holds(q)
-        _emit({"version": VERSION, "group": args.group, "q": q, "eside_parity": ok}, args)
+        _emit({**head, "eside_parity": ok}, args)
         return EXIT_OK if ok else EXIT_MISMATCH
     m1, ms = phi_matrix(group, q)
     if args.format == "csv":
         rows = [list(r) for r in m1.entries] + [[]] + [list(r) for r in ms.entries]
         _emit_csv(rows, args)
     else:
-        parity_ok = True
-        rd = datum_for(group)
-        cache = OrbitCache(rd)
-        for lam, _ in table_basis(group, q):
-            f1, fs = phi_of_invariant(group, q, InvariantElement.r(lam), cache)
-            parity_ok = parity_ok and parity_lattice_member(group, q, f1, fs)
-        payload = {
-            "version": VERSION,
-            "group": args.group,
-            "q": q,
+        _emit({
+            **head,
             "split_matrix": [list(r) for r in m1.entries],
             "twisted_matrix": [list(r) for r in ms.entries],
-            "columns_in_parity_lattice": parity_ok,
-        }
-        _emit(payload, args)
+            "columns_in_parity_lattice": columns_in_parity_lattice(group, q, m1, ms),
+        }, args)
     return EXIT_OK
 
 

@@ -74,9 +74,6 @@ class CyclotomicInt:
     def __neg__(self):
         return CyclotomicInt(self.p, tuple(-a for a in self.coeffs))
 
-    def scale(self, c):
-        return CyclotomicInt(self.p, tuple(c * a for a in self.coeffs))
-
     def __mul__(self, other):
         self._same_p(other)
         p = self.p
@@ -98,45 +95,13 @@ class CyclotomicInt:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def divisible_by(self, n):
-        return all(c % n == 0 for c in self.coeffs)
+    def __mod__(self, n):
+        """Coefficientwise residue mod n: zero iff n divides the element, the
+        power basis being a Z-basis of Z[zeta_p]."""
+        return CyclotomicInt(self.p, tuple(c % n for c in self.coeffs))
 
     def __repr__(self):
         return f"CyclotomicInt(p={self.p}, {self.coeffs})"
-
-
-class FiniteTorusAlgebraElement:
-    """Group-algebra element of one twist sector of the finite torus.
-
-    ``which`` is "split" or "twisted"; keys are (a, b) pairs mod q-1 for the
-    split sector of the rank-two case, plain residues for cyclic sectors.
-    """
-
-    __slots__ = ("which", "coeffs")
-
-    def __init__(self, which, coeffs=None):
-        self.which = which
-        self.coeffs = dict(coeffs or {})
-
-    def get(self, key, default=0):
-        return self.coeffs.get(key, default)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteTorusAlgebraElement)
-            and self.which == other.which
-            and {k: v for k, v in self.coeffs.items() if _nonzero(v)}
-            == {k: v for k, v in other.coeffs.items() if _nonzero(v)}
-        )
-
-    def __repr__(self):
-        return f"FiniteTorusAlgebraElement({self.which}, {self.coeffs})"
-
-
-def _nonzero(v):
-    if isinstance(v, CyclotomicInt):
-        return not v.is_zero()
-    return v != 0
 
 
 # -- torus combinatorics -----------------------------------------------------
@@ -217,7 +182,8 @@ def table_basis(group, q):
 
 
 def phi_of_invariant(group, q, x: InvariantElement, cache: OrbitCache):
-    """Image (f_split, f_twisted) of an invariant element under the transfer map."""
+    """Image (split, twisted) of an invariant element under the transfer map:
+    two torus functions as dicts {torus key -> nonzero integer}."""
     ti = TorusIndexing(group, q)
     f1 = {}
     fs = {}
@@ -227,10 +193,7 @@ def phi_of_invariant(group, q, x: InvariantElement, cache: OrbitCache):
             ks = ti.twisted_of_weight(mu)
             f1[k1] = f1.get(k1, 0) + c
             fs[ks] = fs.get(ks, 0) + c
-    return (
-        FiniteTorusAlgebraElement("split", {k: v for k, v in f1.items() if v}),
-        FiniteTorusAlgebraElement("twisted", {k: v for k, v in fs.items() if v}),
-    )
+    return {k: v for k, v in f1.items() if v}, {k: v for k, v in fs.items() if v}
 
 
 def phi_matrix(group, q):
@@ -247,9 +210,9 @@ def phi_matrix(group, q):
     ms = [[0] * len(cols) for _ in tkeys]
     for cidx, (lam, _) in enumerate(cols):
         f1, fs = phi_of_invariant(group, q, InvariantElement.r(lam), cache)
-        for k, v in f1.coeffs.items():
+        for k, v in f1.items():
             m1[sindex[k]][cidx] = v
-        for k, v in fs.coeffs.items():
+        for k, v in fs.items():
             ms[k][cidx] = v
     return IntMatrix(m1), IntMatrix(ms)
 
@@ -265,24 +228,21 @@ def convolve(ti: TorusIndexing, which, f, g):
     return {k: v for k, v in out.items() if v}
 
 
-def parity_lattice_member(group, q, f1: FiniteTorusAlgebraElement, fs: FiniteTorusAlgebraElement):
-    """True iff the two restrictions to the central subgroup differ by twice
-    an integral element."""
-    ti = TorusIndexing(group, q)
-    for ks, kt in ti.central_pairs():
-        if (f1.get(ks, 0) - fs.get(kt, 0)) % 2 != 0:
-            return False
-    return True
+def _central_parity(ti: TorusIndexing, f1, fs, zero=0):
+    """True iff the restrictions of the torus functions f1 (split) and fs
+    (twisted) to the central subgroup differ by twice an element of the value
+    ring whose zero is ``zero``."""
+    return all((f1.get(ks, zero) - fs.get(kt, zero)) % 2 == zero for ks, kt in ti.central_pairs())
 
 
-def _stacked_columns(group, q):
+def parity_lattice_member(group, q, f1, fs):
+    """True iff the integer torus functions (f1, fs) lie in the parity lattice."""
+    return _central_parity(TorusIndexing(group, q), f1, fs)
+
+
+def _stacked_columns(m1, ms):
     """Columns of the full transfer matrix as vectors in Z^(split + twisted)."""
-    m1, ms = phi_matrix(group, q)
-    ncols = m1.cols
-    cols = []
-    for j in range(ncols):
-        cols.append(tuple(m1.col(j)) + tuple(ms.col(j)))
-    return cols, m1.rows, ms.rows
+    return [tuple(m1.col(j)) + tuple(ms.col(j)) for j in range(m1.cols)]
 
 
 def _parity_condition_rows(group, q, nsplit, ntwisted):
@@ -297,13 +257,21 @@ def _parity_condition_rows(group, q, nsplit, ntwisted):
     return rows
 
 
+def columns_in_parity_lattice(group, q, m1, ms):
+    """True iff every column of the transfer matrices (m1 over ms, as built
+    by phi_matrix) pairs evenly with every central-pair row."""
+    rows = _parity_condition_rows(group, q, m1.rows, ms.rows)
+    return all(sum(a * b for a, b in zip(row, col)) % 2 == 0
+               for col in _stacked_columns(m1, ms) for row in rows)
+
+
 def saturation_check(group, q):
     """Image lattice == (rational span intersect parity lattice), over Z."""
-    cols, nsplit, ntwisted = _stacked_columns(group, q)
-    n = nsplit + ntwisted
-    image = lattice_hnf(cols, n)
+    m1, ms = phi_matrix(group, q)
+    n = m1.rows + ms.rows
+    image = lattice_hnf(_stacked_columns(m1, ms), n)
     sat = saturation_rows([list(r) for r in image.entries], n)
-    parity = _parity_condition_rows(group, q, nsplit, ntwisted)
+    parity = _parity_condition_rows(group, q, m1.rows, ms.rows)
     # sublattice of sat where all parity forms are even
     satm = [list(r) for r in sat]
     cmat = [[sum(p[k] * row[k] for k in range(n)) % 2 for row in satm] for p in parity]
@@ -342,9 +310,9 @@ def nonsaturation_witness(q):
     certificate = {
         "half_integral_coeffs": any(c.denominator == 2 for c in f.values()),
         "denominator_coprime_to_p": all(c.denominator % p != 0 for c in f.values()),
-        "image_integral": all(v % 2 == 0 for v in (*img1.coeffs.values(), *imgs.coeffs.values())),
-        "split_image": {str(k): v // 2 for k, v in sorted(img1.coeffs.items())},
-        "twisted_image": {str(k): v // 2 for k, v in sorted(imgs.coeffs.items())},
+        "image_integral": all(v % 2 == 0 for v in (*img1.values(), *imgs.values())),
+        "split_image": {str(k): v // 2 for k, v in sorted(img1.items())},
+        "twisted_image": {str(k): v // 2 for k, v in sorted(imgs.items())},
     }
     return f, certificate
 
@@ -353,8 +321,9 @@ def nonsaturation_witness(q):
 
 
 def eside_curtis_tables(q):
-    """Closed-form transfer values of the standard generator family, as pairs
-    of torus functions with cyclotomic-integer values.
+    """Closed-form transfer values of the standard generator family: each
+    label maps to a (split, twisted) pair of torus functions as dicts with
+    nonzero cyclotomic-integer values.
 
     Labels: ("c", a) for scalar generators, ("c'", a, b) for the antidiagonal
     family, with a, b unit discrete logs base the canonical generator.  The
@@ -365,7 +334,7 @@ def eside_curtis_tables(q):
     xi = k2.generator()
     zeta = k2.pow(xi, q + 1)  # generates the subfield units
     units = [k2.pow(zeta, k) for k in range(q - 1)]
-    dlog_unit = {u: k for k, u in enumerate(units)}
+    one = CyclotomicInt.one(p)
 
     def psi0(u):
         tr = 0
@@ -377,41 +346,28 @@ def eside_curtis_tables(q):
             raise CrossCheckFailed(f"trace {tr} of {u} does not land in the prime subfield F_{p}")
         return CyclotomicInt.root_power(p, tr)
 
+    # (key, trace) of every split pair and twisted element, grouped by
+    # determinant once: the same for every label
+    split_by_det, twisted_by_det = {}, {}
+    for x in range(q - 1):
+        for y in range(q - 1):
+            det = k2.mul(units[x], units[y])
+            split_by_det.setdefault(det, []).append(((x, y), k2.add(units[x], units[y])))
+    for c in range(q * q - 1):
+        t1 = k2.pow(xi, c)
+        t2 = k2.pow(xi, q * c)
+        twisted_by_det.setdefault(k2.mul(t1, t2), []).append((c, k2.add(t1, t2)))
+
     tables = {}
     for ka in range(q - 1):
-        a = units[ka]
-        split = {}
-        twisted = {}
-        split[(ka, ka)] = CyclotomicInt.one(p)
-        twisted[(q + 1) * ka % (q * q - 1)] = CyclotomicInt.one(p)
-        tables[("c", ka)] = (
-            FiniteTorusAlgebraElement("split", split),
-            FiniteTorusAlgebraElement("twisted", twisted),
-        )
-    for ka in range(q - 1):
-        a = units[ka]
+        tables[("c", ka)] = ({(ka, ka): one}, {(q + 1) * ka % (q * q - 1): one})
+    for ka, a in enumerate(units):
         a_inv = k2.inv(a)
-        for kb in range(q - 1):
-            b = units[kb]
-            target_det = k2.mul(b, a_inv)
-            split = {}
-            for x in range(q - 1):
-                for y in range(q - 1):
-                    det = k2.mul(units[x], units[y])
-                    if det == target_det:
-                        tr = k2.add(units[x], units[y])
-                        split[(x, y)] = psi0(k2.mul(a, tr))
-            twisted = {}
-            for c in range(q * q - 1):
-                t1 = k2.pow(xi, c)
-                t2 = k2.pow(xi, q * c)
-                det = k2.mul(t1, t2)
-                if det == target_det:
-                    tr = k2.add(t1, t2)
-                    twisted[c] = -psi0(k2.mul(a, tr))
+        for kb, b in enumerate(units):
+            det = k2.mul(b, a_inv)
             tables[("c'", ka, kb)] = (
-                FiniteTorusAlgebraElement("split", split),
-                FiniteTorusAlgebraElement("twisted", twisted),
+                {k: psi0(k2.mul(a, tr)) for k, tr in split_by_det.get(det, ())},
+                {k: -psi0(k2.mul(a, tr)) for k, tr in twisted_by_det.get(det, ())},
             )
     return tables
 
@@ -423,12 +379,7 @@ def eside_parity_holds(q, tables=None):
         tables = eside_curtis_tables(q)
     ti = TorusIndexing(GL2, q)
     zero = CyclotomicInt.zero(p)
-    for label, (f1, fs) in tables.items():
-        for ks, kt in ti.central_pairs():
-            diff = f1.get(ks, zero) - fs.get(kt, zero)
-            if not diff.divisible_by(2):
-                return False
-    return True
+    return all(_central_parity(ti, f1, fs, zero) for f1, fs in tables.values())
 
 
 def homomorphism_check(group, q):
@@ -448,9 +399,9 @@ def homomorphism_check(group, q):
         prod = multiply(cache, InvariantElement.r(lam1), InvariantElement.r(lam2))
         nf = normal_form(ctx, prod)
         f1, fs = phi_of_invariant(group, q, ctx.lift(nf), cache)
-        g1 = convolve(ti, "split", images[ij1][0].coeffs, images[ij2][0].coeffs)
-        gs = convolve(ti, "twisted", images[ij1][1].coeffs, images[ij2][1].coeffs)
-        for side, got, want in (("split", f1.coeffs, g1), ("twisted", fs.coeffs, gs)):
+        g1 = convolve(ti, "split", images[ij1][0], images[ij2][0])
+        gs = convolve(ti, "twisted", images[ij1][1], images[ij2][1])
+        for side, got, want in (("split", f1, g1), ("twisted", fs, gs)):
             if got != want:
                 raise CrossCheckFailed(
                     f"{side} transfer of basis product {ij1} * {ij2} is {got}, "

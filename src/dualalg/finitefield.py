@@ -53,10 +53,14 @@ class GF:
     # field operations -----------------------------------------------------
 
     def add(self, a, b):
+        if self.r == 1:
+            return (a + b) % self.p
         da, db = _digits_fixed(a, self.p, self.r), _digits_fixed(b, self.p, self.r)
         return self._encode([(x + y) % self.p for x, y in zip(da, db)])
 
     def sub(self, a, b):
+        if self.r == 1:
+            return (a - b) % self.p
         da, db = _digits_fixed(a, self.p, self.r), _digits_fixed(b, self.p, self.r)
         return self._encode([(x - y) % self.p for x, y in zip(da, db)])
 

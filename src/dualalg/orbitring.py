@@ -128,7 +128,8 @@ class OrbitCache:
         return tuple(cur)
 
     def orbit(self, lam):
-        """The W-orbit of ``lam`` as a frozenset, shared by all its elements.
+        """The W-orbit of ``lam`` as a frozenset, cached under ``lam`` alone:
+        every caller passes a dominant weight, one key per orbit.
 
         Walks down from the dominant representative, reflecting only in
         simple roots with a positive pairing.  Each such step lengthens the
@@ -157,8 +158,7 @@ class OrbitCache:
             seen |= nxt
             level = nxt
         orb = frozenset(seen)
-        for mu in orb:
-            self._orbits.setdefault(mu, orb)
+        self._orbits[lam] = orb
         return orb
 
     def height(self, lam):

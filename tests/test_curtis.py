@@ -7,9 +7,9 @@ from dualalg.curtis import (
     GL2,
     PGL2,
     CyclotomicInt,
-    FiniteTorusAlgebraElement,
     TorusIndexing,
     _even_solution_lattice,
+    columns_in_parity_lattice,
     datum_for,
     eside_curtis_tables,
     eside_parity_holds,
@@ -22,7 +22,7 @@ from dualalg.curtis import (
     saturation_check,
 )
 from dualalg.errors import QEven
-from dualalg.intlinalg import lattice_hnf
+from dualalg.intlinalg import IntMatrix, lattice_hnf
 from dualalg.orbitring import InvariantElement, OrbitCache
 from dualalg.rootdata import prime_power_split
 
@@ -95,13 +95,26 @@ def test_phi_columns_in_parity_lattice():
                 assert parity_lattice_member(group, q, f1, fs)
 
 
+def test_matrix_column_parity_matches_phi_columns():
+    for group in (GL2, PGL2):
+        for q in (2, 3, 4, 5):
+            m1, ms = phi_matrix(group, q)
+            assert columns_in_parity_lattice(group, q, m1, ms)
+
+
+def test_matrix_column_parity_fails_on_raised_central_entry():
+    for q in (3, 4):
+        m1, ms = phi_matrix(GL2, q)
+        sidx = {k: i for i, k in enumerate(TorusIndexing(GL2, q).split_keys())}
+        entries = [list(r) for r in m1.entries]
+        entries[sidx[(1, 1)]][0] += 1
+        assert not columns_in_parity_lattice(GL2, q, IntMatrix(entries), ms)
+
+
 def test_parity_counterexamples():
     q = 3
-    one = FiniteTorusAlgebraElement("split", {(0, 0): 1})
-    zero = FiniteTorusAlgebraElement("twisted", {})
-    assert not parity_lattice_member(GL2, q, one, zero)
-    two = FiniteTorusAlgebraElement("split", {(0, 0): 2})
-    assert parity_lattice_member(GL2, q, two, zero)
+    assert not parity_lattice_member(GL2, q, {(0, 0): 1}, {})
+    assert parity_lattice_member(GL2, q, {(0, 0): 2}, {})
 
 
 def test_homomorphism_property():
@@ -237,8 +250,8 @@ def test_eside_tables():
         # the scalar labels are plain indicators at the matching scalar element
         for ka in range(q - 1):
             f1, fs = tables[("c", ka)]
-            assert f1.coeffs == {(ka, ka): one}
-            assert fs.coeffs == {(q + 1) * ka % (q * q - 1): one}
+            assert f1 == {(ka, ka): one}
+            assert fs == {(q + 1) * ka % (q * q - 1): one}
 
 
 def test_trace_form_matches_identity_coefficient():
@@ -259,11 +272,25 @@ def test_trace_form_matches_identity_coefficient():
                 assert f1.get(ident_split, 0) + fs.get(0, 0) == 2 * trace_form(ctx, x)
 
 
+def test_eside_parity_fails_on_changed_twisted_value():
+    # negating a twisted value v moves the central difference by 2v, so the
+    # parity survives it; dropping v moves the difference by a root of unity,
+    # which is odd, so the parity fails (p = 2: one coefficient; p = 3, 5: several)
+    for q in (4, 3, 5):
+        label = ("c'", 0, 0)  # det 1: the identity, a central element, is in the support
+        tables = eside_curtis_tables(q)
+        f1, fs = tables[label]
+        tables[label] = (f1, {**fs, 0: -fs[0]})
+        assert eside_parity_holds(q, tables)
+        tables[label] = (f1, {k: v for k, v in fs.items() if k != 0})
+        assert not eside_parity_holds(q, tables)
+
+
 def test_eside_antidiagonal_support():
     q = 3
     tables = eside_curtis_tables(q)
     f1, fs = tables[("c'", 0, 0)]  # a = b = 1, so det(t) must be 1
-    for (x, y) in f1.coeffs:
+    for (x, y) in f1:
         assert (x + y) % (q - 1) == 0
-    for c in fs.coeffs:
+    for c in fs:
         assert (q + 1) * c % (q * q - 1) == 0

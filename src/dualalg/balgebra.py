@@ -11,6 +11,9 @@ representatives of the central lattice modulo (F - id).  Normal forms follow
 the constructive reduction: a weight with some pairing >= q is rewritten
 through the product expansions against r(q*w_a) and r(tau(w_a)), which have
 the same image in the quotient, and every step strictly lowers the height.
+The reduction is memoized under the canonical weight sum_j b_j w_j of the
+pairings b alone: a weight lam0 + z with central z reads the entry of lam0
+with its central coordinate moved, as e(z) is an invariant unit.
 
 SOEven (the even special orthogonal datum): the published basis box
 S1 | S2 | S2' is materialized as stated.  The published reduction sketch
@@ -86,9 +89,10 @@ class BElement:
 class BContext:
     """Everything needed to compute in the quotient ring for one datum.
 
-    Immutable after construction except the memo cache, the lazily computed
-    oracle data (the sector table, points, evaluation matrices) and
-    the structure-constant tensor, each computed at most once per context.
+    Immutable after construction except the memo cache, the central-shift
+    offsets read with it, the lazily computed oracle data (the sector table,
+    points, evaluation matrices) and the structure-constant tensor, each
+    computed at most once per context.
     All are idempotent write-once-per-key caches (racing writers would all
     write the same value).
     """
@@ -107,6 +111,7 @@ class BContext:
         self._points = None
         self._evaluations = None
         self._structure = None
+        self._shifts = {}
         if strategy == GENERIC_SC:
             self._init_generic_sc()
         elif strategy == SO_EVEN:
@@ -377,38 +382,94 @@ def normal_form(ctx: BContext, x: InvariantElement) -> BElement:
     """Image of an invariant element in the quotient, in basis coordinates."""
     if ctx.strategy == SO_EVEN:
         return ctx.cover().reduce(x)
-    terms = [(_reduce_generic(ctx, lam).coeffs, c) for lam, c in x.coeffs.items()]
+    terms = [(_reduced(ctx, lam), c) for lam, c in x.coeffs.items()]
     return BElement(combine(terms), ctx.ctx_id)
 
 
 def _reduce_generic(ctx: BContext, lam) -> BElement:
-    """Memoized reduction of a single orbit sum, GenericSC strategy."""
+    """Normal form of a single orbit sum r(lam), GenericSC strategy: the memo
+    entry itself when lam is canonical."""
     lam = tuple(lam)
+    coeffs = _reduced(ctx, lam)
+    got = ctx.memo.get(lam)
+    return got if got is not None else BElement(coeffs, ctx.ctx_id)
+
+
+def _reduced(ctx: BContext, lam):
+    """Coefficients of the normal form of r(lam): the memo entry of its
+    canonical weight, reduced if new, shifted by its central part."""
     got = ctx.memo.get(lam)
     if got is not None:
-        return got
-    rd, frob = ctx.rd, ctx.frob
+        return got.coeffs
+    if not ctx.central_basis:
+        return _reduce_canonical(ctx, lam).coeffs
+    lam0, z = _canonical(ctx, lam)
+    entry = _reduce_canonical(ctx, lam0)
+    return entry.coeffs if z is None else _shifted(ctx, entry, z)
+
+
+def _canonical(ctx: BContext, lam):
+    """(lam0, z) with lam0 = sum_j b_j * lifts[j] for the pairings b of lam
+    and z = lam - lam0, which pairs to zero with every coroot and so lies in
+    the central lattice; z is None when it is zero."""
+    b = ctx.rd.pairings(lam)
+    if any(x < 0 for x in b):
+        raise NotDominant(str(lam))
+    lam0 = [0] * len(lam)
+    for coeff, w in zip(b, ctx.lifts):
+        if coeff:
+            for j, y in enumerate(w):
+                lam0[j] += coeff * y
+    lam0 = tuple(lam0)
+    z = tuple(x - y for x, y in zip(lam, lam0))
+    return lam0, (z if any(z) else None)
+
+
+def _shifted(ctx: BContext, entry: BElement, z):
+    """Coefficients of the normal form of r(lam + z) from the memo entry of
+    r(lam), for central z: e(z) is an invariant unit, so each basis index
+    (box, ci) moves to (box, index of central_reps[ci] + z).  The offsets
+    per ci are computed once per z (NonIntegral unless z is central)."""
+    delta = ctx._shifts.get(z)
+    if delta is None:
+        delta = [
+            ctx._central_rep_index(tuple(a + b for a, b in zip(rep, z))) - ci
+            for ci, rep in enumerate(ctx.central_reps)
+        ]
+        ctx._shifts[z] = delta
+    nc = len(delta)
+    return {i + delta[i % nc]: v for i, v in entry.coeffs.items()}
+
+
+def _reduce_canonical(ctx: BContext, lam) -> BElement:
+    """Memoized reduction of the orbit sum of a canonical weight.
+
+    The memo holds canonical weights only.  Each rewrite of a canonical
+    lam0(b) goes through lam0(b) - q*w_a = lam0(b - q*e_a), again canonical,
+    and each term of the replacement is read as its canonical weight shifted
+    by its central part.  Dominance, the leading coefficient and the height
+    descent read the same on lam + z as on lam (z has pairings and height 0,
+    and dom(lam + z + nu) = dom(lam + nu) + z with |W(kappa + z)| = |W kappa|),
+    so every check of the weight-keyed reduction runs unchanged.
+    """
+    rd, frob, memo = ctx.rd, ctx.frob, ctx.memo
+    central = bool(ctx.central_basis)
     replacements = {}
     stack = [lam]
     while stack:
         cur = stack.pop()
-        if cur in ctx.memo:
+        if cur in memo:
             continue
         b = rd.pairings(cur)
         if any(x < 0 for x in b):
             raise NotDominant(str(cur))
         alpha = next((i for i, x in enumerate(b) if x >= frob.q), None)
         if alpha is None:
-            mu = list(cur)
-            for coeff, w in zip(b, ctx.lifts):
-                for j in range(rd.rank):
-                    mu[j] -= coeff * w[j]
-            ci = ctx._central_rep_index(tuple(mu))
-            idx = ctx._basis_index[(b, ci)]
-            ctx.memo[cur] = BElement({idx: 1}, ctx.ctx_id)
+            ci = ctx._central_rep_index((0,) * rd.rank)
+            memo[cur] = BElement({ctx._basis_index[(b, ci)]: 1}, ctx.ctx_id)
             continue
-        replacement = replacements.get(cur)
-        if replacement is None:
+        split = replacements.get(cur)
+        if split is None:
             w_a = ctx.lifts[alpha]
             lam_p = tuple(x - frob.q * y for x, y in zip(cur, w_a))
             if not rd.is_dominant(lam_p):
@@ -429,15 +490,22 @@ def _reduce_generic(ctx: BContext, lam) -> BElement:
                         f"height failed to decrease: {term} vs {cur} "
                         f"({ctx.cache.height(term)} >= {h_cur})"
                     )
-            replacements[cur] = replacement
-        pending = [t for t in replacement if t not in ctx.memo]
+            split = []
+            for t, c in replacement.items():
+                t0, z = _canonical(ctx, t) if central else (t, None)
+                split.append((t0, z, c))
+            replacements[cur] = split
+        pending = [t for t, _, _ in split if t not in memo]
         if pending:
             stack.append(cur)
             stack.extend(pending)
             continue
-        terms = [(ctx.memo[t].coeffs, c) for t, c in replacement.items()]
-        ctx.memo[cur] = BElement(combine(terms), ctx.ctx_id)
-    return ctx.memo[lam]
+        terms = [
+            (memo[t].coeffs if z is None else _shifted(ctx, memo[t], z), c)
+            for t, z, c in split
+        ]
+        memo[cur] = BElement(combine(terms), ctx.ctx_id)
+    return memo[lam]
 
 
 def multiply_b(ctx: BContext, x: BElement, y: BElement) -> BElement:

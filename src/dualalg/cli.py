@@ -235,6 +235,8 @@ def cmd_curtis(args):
         _emit({**head, "homomorphism": ok}, args)
         return EXIT_OK if ok else EXIT_MISMATCH
     if args.check == "eside":
+        if group != GL2:
+            raise DualalgError(f"--check eside: the E-side tables are GL2 only, not {args.group}")
         ok = eside_parity_holds(q)
         _emit({**head, "eside_parity": ok}, args)
         return EXIT_OK if ok else EXIT_MISMATCH

@@ -169,17 +169,25 @@ def _trim(a):
 
 
 def _poly_rem(field: GF, a, b):
+    """Remainder of a by b over the field, coefficient lists low degree
+    first; over a prime field the coefficients are plain ints mod p."""
     a = list(a)
     db = len(b) - 1
     inv_lead = field.inv(b[-1])
-    while len(a) - 1 >= db and _trim(a):
+    p = field.p if field.r == 1 else None
+    while len(a) - 1 >= db and any(a):
         if a[-1] == 0:
             a.pop()
             continue
-        f = field.mul(a[-1], inv_lead)
         shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(f, c))
+        if p:
+            f = a[-1] * inv_lead % p
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % p
+        else:
+            f = field.mul(a[-1], inv_lead)
+            for i, c in enumerate(b):
+                a[shift + i] = field.sub(a[shift + i], field.mul(f, c))
         a.pop()
     return _trim(a)
 

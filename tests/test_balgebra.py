@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,13 +23,27 @@ from dualalg.balgebra import (
     structure_constants,
     trace_form,
 )
-from dualalg.errors import ContextMismatch, LimitExceeded, StrategyInapplicable
+from dualalg.errors import (
+    ContextMismatch,
+    CrossCheckFailed,
+    LimitExceeded,
+    NonTermination,
+    NotDominant,
+    StrategyInapplicable,
+)
 from dualalg.intlinalg import IntMatrix, snf
 from dualalg.oracles import class_count, evaluate
-from dualalg.orbitring import InvariantElement
-from dualalg.rootdata import FrobeniusData, build_standard, dominant_representative, prime_power_split
+from dualalg.orbitring import InvariantElement, combine, multiply
+from dualalg.rootdata import (
+    FrobeniusData,
+    build_standard,
+    datum_from_json,
+    dominant_representative,
+    prime_power_split,
+)
 
 R = InvariantElement.r
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def make_ctx(fam, n, q, strategy=GENERIC_SC, tau=None):
@@ -47,7 +63,9 @@ def test_gl2_basis_matches_published_box():
 
 def test_each_normal_form_builds_one_element(monkeypatch):
     """Sums go through orbitring.combine: a cold reduction builds one BElement
-    per new memo entry, and normal_form on a warm context one in all."""
+    per new memo entry, plus the shifted result when the weight is not
+    canonical (not itself a memo key), and normal_form on a warm context
+    builds one in all, non-canonical weights included."""
     ctx = make_ctx("GL", 3, 3)
     x = InvariantElement({(7, 2, 0): 1, (4, 4, -3): -2, (6, 3, 0): 3})
     built = []
@@ -58,19 +76,23 @@ def test_each_normal_form_builds_one_element(monkeypatch):
         init(self, coeffs, ctx_id)
 
     monkeypatch.setattr(BElement, "__init__", counting_init)
+    shifted = 0
     for lam in x.coeffs:
         before = len(ctx.memo)
         built.clear()
         _reduce_generic(ctx, lam)
         assert len(ctx.memo) > before
-        assert len(built) == len(ctx.memo) - before
+        extra = lam not in ctx.memo
+        shifted += extra
+        assert len(built) == len(ctx.memo) - before + extra
+    assert shifted > 0
     built.clear()
     got = normal_form(ctx, x)
     assert len(built) == 1
     monkeypatch.undo()
     want = BElement({}, ctx.ctx_id)
     for lam, c in x.coeffs.items():
-        want = want + ctx.memo[lam].scale(c)
+        want = want + _reduce_generic(ctx, lam).scale(c)
     assert got == want
 
 
@@ -321,3 +343,97 @@ def test_so8_normal_form_via_cover():
     for pt in ctx.points():
         lhs = evaluate(ctx.cache, ctx.lift(x), pt) * evaluate(ctx.cache, ctx.lift(y), pt) % pt.ell
         assert lhs == evaluate(ctx.cache, ctx.lift(prod), pt)
+
+
+# -- weight-keyed reference reduction ------------------------------------------
+# The library memoizes each GenericSC reduction under the canonical weight
+# sum_j b_j w_j of its pairings and moves the central part as an index shift.
+# The reference is its former routine, unchanged apart from its own memo of
+# coefficient dicts and shorter error messages: every weight, central
+# translates included, is reduced from scratch.
+
+
+def reference_reduce(ctx, lam, memo):
+    lam = tuple(lam)
+    if lam in memo:
+        return memo[lam]
+    rd, frob = ctx.rd, ctx.frob
+    replacements = {}
+    stack = [lam]
+    while stack:
+        cur = stack.pop()
+        if cur in memo:
+            continue
+        b = rd.pairings(cur)
+        if any(x < 0 for x in b):
+            raise NotDominant(str(cur))
+        alpha = next((i for i, x in enumerate(b) if x >= frob.q), None)
+        if alpha is None:
+            mu = list(cur)
+            for coeff, w in zip(b, ctx.lifts):
+                for j in range(rd.rank):
+                    mu[j] -= coeff * w[j]
+            ci = ctx._central_rep_index(tuple(mu))
+            memo[cur] = {ctx._basis_index[(b, ci)]: 1}
+            continue
+        replacement = replacements.get(cur)
+        if replacement is None:
+            w_a = ctx.lifts[alpha]
+            lam_p = tuple(x - frob.q * y for x, y in zip(cur, w_a))
+            if not rd.is_dominant(lam_p):
+                raise CrossCheckFailed(f"{lam_p} = {cur} - q*w_{alpha} is not dominant")
+            q_w = tuple(frob.q * y for y in w_a)
+            tau_w = frob.tau_apply(w_a)
+            p1 = multiply(ctx.cache, R(lam_p), R(q_w))
+            if p1.coeffs.get(cur) != 1:
+                raise NonTermination(f"leading coefficient of r({cur}) is {p1.coeffs.get(cur)}")
+            p2 = multiply(ctx.cache, R(lam_p), R(tau_w))
+            replacement = combine(((p2.coeffs, 1), (p1.coeffs, -1), ({cur: 1}, 1)))
+            h_cur = ctx.cache.height(cur)
+            for term in replacement:
+                if not ctx.cache.height(term) < h_cur:
+                    raise NonTermination(f"height failed to decrease: {term} vs {cur}")
+            replacements[cur] = replacement
+        pending = [t for t in replacement if t not in memo]
+        if pending:
+            stack.append(cur)
+            stack.extend(pending)
+            continue
+        memo[cur] = combine((memo[t], c) for t, c in replacement.items())
+    return memo[lam]
+
+
+def differential_contexts():
+    for n in (2, 3, 4):
+        for q in (2, 3, 4):
+            yield f"GL{n}q{q}", make_ctx("GL", n, q)
+    with open(DATA / "unitary_gl2.json") as fh:
+        rd, tau = datum_from_json(json.load(fh))
+    yield "unitary-GL2q3", build_context(rd, FrobeniusData(rd, 3, 1, tau), GENERIC_SC)
+    yield "SO4q3-cover", make_ctx("SO", 4, 3, strategy=SO_EVEN).cover().cover_ctx
+    yield "SO8q2-cover", make_ctx("SO", 8, 2, strategy=SO_EVEN).cover().cover_ctx
+
+
+def test_reduction_matches_weight_keyed_reference():
+    rng = random.Random(7)
+    for label, ctx in differential_contexts():
+        q, rank_ = ctx.frob.q, ctx.rd.rank
+        central = ctx.central_basis
+        assert central, label
+        ref_memo = {}
+        shifted = 0
+        for _ in range(12):
+            lam = ctx.cache.dominant([rng.randint(-2 * q, 2 * q) for _ in range(rank_)])
+            z = [0] * rank_
+            for v in central:
+                c = rng.randint(-3, 3)
+                z = [a + c * b for a, b in zip(z, v)]
+            for mu in (lam, tuple(a + b for a, b in zip(lam, z))):
+                got = normal_form(ctx, R(mu))
+                assert got.coeffs == reference_reduce(ctx, mu, ref_memo), (label, mu)
+                shifted += mu not in ctx.memo
+        assert shifted, label
+        for key in ctx.memo:
+            b = ctx.rd.pairings(key)
+            canonical = tuple(sum(c * w[j] for c, w in zip(b, ctx.lifts)) for j in range(rank_))
+            assert key == canonical, (label, key)

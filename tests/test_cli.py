@@ -119,6 +119,18 @@ def test_curtis_matrix_json(capsys):
     assert doc["columns_in_parity_lattice"] is True
 
 
+def test_curtis_eside_rejects_pgl2(capsys):
+    # the E-side tables exist for GL2 alone; PGL2 is a usage error, not a
+    # GL2 result printed under "group": "PGL2"
+    assert main(["curtis", "--group", "PGL2", "--q", "5", "--check", "eside"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "GL2 only" in captured.err
+    code, out = run_cli(["curtis", "--group", "GL2", "--q", "5", "--check", "eside"], capsys)
+    assert code == 0
+    assert json.loads(out)["eside_parity"] is True
+
+
 def test_verify_sl2(capsys):
     code, out = run_cli(["verify", "--group", "SL", "--n", "2", "--q", "3", "--fast"], capsys)
     doc = json.loads(out)

@@ -23,7 +23,6 @@ from .rootdata import (
     FrobeniusData,
     RootDatum,
     build_standard,
-    dominant_representative,
     is_q_restricted,
     weyl_group,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "build_standard",
     "class_count",
     "det",
-    "dominant_representative",
     "enumerate_points",
     "evaluate",
     "gram_discriminant",

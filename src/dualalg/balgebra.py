@@ -386,15 +386,6 @@ def normal_form(ctx: BContext, x: InvariantElement) -> BElement:
     return BElement(combine(terms), ctx.ctx_id)
 
 
-def _reduce_generic(ctx: BContext, lam) -> BElement:
-    """Normal form of a single orbit sum r(lam), GenericSC strategy: the memo
-    entry itself when lam is canonical."""
-    lam = tuple(lam)
-    coeffs = _reduced(ctx, lam)
-    got = ctx.memo.get(lam)
-    return got if got is not None else BElement(coeffs, ctx.ctx_id)
-
-
 def _reduced(ctx: BContext, lam):
     """Coefficients of the normal form of r(lam): the memo entry of its
     canonical weight, reduced if new, shifted by its central part."""

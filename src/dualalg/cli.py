@@ -55,23 +55,21 @@ EXIT_MISMATCH = 2
 MATH_ERRORS = (NonIntegral, NonTermination, ReductionUnsolvable, CrossCheckFailed)
 
 
-def _emit(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text, args):
+    """``text`` and a newline to the --out file, or to stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(payload, args):
+    _write(json.dumps(payload, indent=2, sort_keys=True), args)
 
 
 def _emit_csv(rows, args):
-    lines = [",".join(str(x) for x in row) for row in rows]
-    text = "\n".join(lines)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(",".join(str(x) for x in row) for row in rows), args)
 
 
 def _build_datum(args):

@@ -235,11 +235,6 @@ def _central_parity(ti: TorusIndexing, f1, fs, zero=0):
     return all((f1.get(ks, zero) - fs.get(kt, zero)) % 2 == zero for ks, kt in ti.central_pairs())
 
 
-def parity_lattice_member(group, q, f1, fs):
-    """True iff the integer torus functions (f1, fs) lie in the parity lattice."""
-    return _central_parity(TorusIndexing(group, q), f1, fs)
-
-
 def _stacked_columns(m1, ms):
     """Columns of the full transfer matrix as vectors in Z^(split + twisted)."""
     return [tuple(m1.col(j)) + tuple(ms.col(j)) for j in range(m1.cols)]

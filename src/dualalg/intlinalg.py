@@ -414,11 +414,9 @@ def saturation_rows(gens, ncols):
     l = lattice_hnf(gens, ncols)
     if l.rows == 0:
         return []
-    # saturation = kernel of the kernel:  rows span sat(L) iff they span
-    # {x : k*x = 0 for all k in ker(L^T applied ...)}.  Compute via kernel twice.
-    k = kernel_basis(l)  # vectors orthogonal in the lattice-theoretic sense: l * x = 0
+    # sat(L) = {x : k . x = 0 for every k with L k = 0}, the kernel of the
+    # matrix whose rows are a basis of ker(L)
+    k = kernel_basis(l)
     if not k:
-        return [list(r) for r in IntMatrix.identity(ncols).entries][: ncols]
-    kt = IntMatrix(k)  # rows are kernel vectors of length ncols
-    sat = kernel_basis(kt)
-    return [list(r) for r in sat]
+        return [list(r) for r in IntMatrix.identity(ncols).entries]
+    return [list(r) for r in kernel_basis(IntMatrix(k))]

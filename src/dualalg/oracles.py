@@ -34,7 +34,7 @@ from .errors import BadPrime, CrossCheckFailed, NonIntegral, PrimeMismatch
 from .finitefield import GF
 from .intlinalg import IntMatrix, det, snf
 from .orbitring import OrbitCache
-from .rootdata import FrobeniusData, RootDatum, _is_prime, _sparse, weyl_group
+from .rootdata import FrobeniusData, RootDatum, _is_prime, _sparse, chamber, weyl_group
 
 
 def class_count(rd: RootDatum, frob: FrobeniusData, weyl=None):
@@ -178,15 +178,15 @@ def _pick_ell(l, p, ell=None):
 def key_lattice(rd: RootDatum, l):
     """The data of orbit_key at modulus l, from rd.alcove_data(): (l, central,
     shifts, walls) with ``central`` the pairs (phi_k, l*y_k), ``shifts`` the
-    l*z, and ``walls`` the (beta, beta^vee, offset) of the closed l-scaled
-    alcove {offset + <beta, L> >= 0}: the simple roots with offset 0, then
-    -theta, -theta^vee with offset l for each highest root theta."""
+    l*z, and ``walls`` the chamber walls (beta, beta^vee, offset) of the
+    closed l-scaled alcove {offset + <beta, L> >= 0}: rd.cowalls (the simple
+    roots with offset 0), then -theta, -theta^vee with offset l for each
+    highest root theta."""
     central, cosets, highest = rd.alcove_data()
     central = [(_sparse(phi), _sparse([l * x for x in y])) for phi, y in central]
     shifts = [tuple(l * x for x in z) for z in cosets]
-    walls = [(root, coroot, 0) for root, coroot in rd.simple]
-    walls += [(_sparse([-x for x in theta]), _sparse([-x for x in theta_v]), l)
-              for theta, theta_v in highest]
+    walls = rd.cowalls + tuple((_sparse([-x for x in theta]), _sparse([-x for x in theta_v]), l)
+                               for theta, theta_v in highest)
     return l, central, shifts, walls
 
 
@@ -197,10 +197,10 @@ def orbit_key(pt, lattice):
     and its orbits on Y/lY are orbits of W x lY on integer lifts.
     Translating by l*y_k brings each central pairing phi_k . L into [0, l);
     what is left of lY is lY_ss, the union of the cosets l*z + lQ^vee.  For
-    each z, L + l*z is reflected into the closed l-scaled alcove, a strict
-    fundamental domain for W x lQ^vee (each reflection in a wall the point
-    lies strictly beyond brings it nearer an interior point), and the key is
-    the least of these alcove points.
+    each z, rootdata.chamber reflects L + l*z into the closed l-scaled
+    alcove, a strict fundamental domain for W x lQ^vee (each reflection in a
+    wall the point lies strictly beyond brings it nearer an interior point),
+    and the key is the least of these alcove points.
     """
     l, central, shifts, walls = lattice
     base = list(pt)
@@ -214,19 +214,7 @@ def orbit_key(pt, lattice):
                 base[k] -= c * a
     best = None
     for shift in shifts:
-        v = [x + y for x, y in zip(base, shift)]
-        moved = True
-        while moved:
-            moved = False
-            for root, coroot, offset in walls:
-                c = offset
-                for k, a in root:
-                    c += a * v[k]
-                if c < 0:
-                    for k, a in coroot:
-                        v[k] -= c * a
-                    moved = True
-        v = tuple(v)
+        v = chamber([x + y for x, y in zip(base, shift)], walls)
         if best is None or v < best:
             best = v
     return best

@@ -20,7 +20,7 @@ from operator import index
 
 from .errors import NonIntegral
 from .intlinalg import IntMatrix, SmithForm
-from .rootdata import RootDatum
+from .rootdata import RootDatum, chamber
 
 
 def combine(terms):
@@ -87,11 +87,12 @@ class InvariantElement:
 
 
 class OrbitCache:
-    """Per-datum cache of W-orbits and heights, with a dominant-chamber walk.
+    """Per-datum cache of W-orbits and heights.
 
     Reflections act on plain tuples as rank-one updates
     s_i(lam) = lam - <lam, alpha_i^vee> alpha_i, read from the datum's table
-    ``rd.simple`` of sparse simple roots and coroots.
+    ``rd.simple`` of sparse simple roots and coroots; the dominant
+    representative of an orbit is rootdata.chamber on the walls ``rd.walls``.
     """
 
     def __init__(self, rd: RootDatum):
@@ -99,33 +100,6 @@ class OrbitCache:
         self._orbits = {}
         self._heights = {}
         self._height_form = None
-
-    def dominant(self, lam):
-        """The dominant weight in the W-orbit of ``lam``.
-
-        Reflects in any simple root with a negative pairing until none is
-        left; each step moves strictly up in the finite orbit.
-        """
-        cur = list(lam)
-        simple = self.rd.simple
-        n = len(simple)
-        clean = 0
-        i = 0
-        while clean < n:
-            root, coroot = simple[i]
-            p = 0
-            for k, c in coroot:
-                p += cur[k] * c
-            if p < 0:
-                for k, a in root:
-                    cur[k] -= p * a
-                clean = 1
-            else:
-                clean += 1
-            i += 1
-            if i == n:
-                i = 0
-        return tuple(cur)
 
     def orbit(self, lam):
         """The W-orbit of ``lam`` as a frozenset, cached under ``lam`` alone:
@@ -141,7 +115,7 @@ class OrbitCache:
         if got is not None:
             return got
         simple = self.rd.simple
-        level = [self.dominant(lam)]
+        level = [chamber(lam, self.rd.walls)]
         seen = set(level)
         while level:
             nxt = set()
@@ -190,7 +164,7 @@ def multiply(cache: OrbitCache, a: InvariantElement, b: InvariantElement):
     of the two orbits is the one swept.  Raises NonIntegral if a division is
     not exact."""
     orbit = cache.orbit
-    dominant = cache.dominant
+    walls = cache.rd.walls
     out = {}
     for lam, c1 in a.coeffs.items():
         orb_lam = orbit(lam)
@@ -202,7 +176,7 @@ def multiply(cache: OrbitCache, a: InvariantElement, b: InvariantElement):
                 fixed, swept, size = mu, orb_lam, len(orb_mu)
             hits = {}
             for nu in swept:
-                kappa = dominant([x + y for x, y in zip(fixed, nu)])
+                kappa = chamber([x + y for x, y in zip(fixed, nu)], walls)
                 hits[kappa] = hits.get(kappa, 0) + 1
             c = c1 * c2
             for kappa, h in hits.items():

@@ -49,6 +49,11 @@ class RootDatum:
         self.simple = tuple(
             (_sparse(a), _sparse(av)) for a, av in zip(self.simple_roots, self.simple_coroots)
         )
+        # the walls of the dominant chamber for chamber(): on X a weight is
+        # reflected in alpha when <lam, alpha^vee> < 0, on Y a coweight in
+        # alpha^vee when <alpha, y> < 0
+        self.walls = tuple((coroot, root, 0) for root, coroot in self.simple)
+        self.cowalls = tuple((root, coroot, 0) for root, coroot in self.simple)
         self.cartan = tuple(self.pairings(a) for a in self.simple_roots)
         self.validate()
         self.all_roots = self._root_closure()
@@ -118,29 +123,18 @@ class RootDatum:
         return list(self.coroot_form.kernel)
 
     def highest_roots(self):
-        """(theta, theta^vee) for each irreducible component, sorted: each
-        simple root walked up to the dominant chamber together with its
-        coroot, kept when no theta + alpha_j is a root, as only the highest
-        root of a component is maximal among its positive roots."""
+        """(theta, theta^vee) for each irreducible component, sorted.  Each
+        simple root alpha walks to the dominant root w*alpha of its W-orbit,
+        kept when no theta + alpha_j is a root, as only the highest root of a
+        component is maximal among its positive roots.  Then w*alpha^vee =
+        theta^vee pairs nonnegatively with every simple root, so it is the
+        one dominant coweight in the W-orbit of alpha^vee."""
         roots = set(self.all_roots)
         found = {}
-        for lam, lam_v in zip(self.simple_roots, self.simple_coroots):
-            lam, lam_v = list(lam), list(lam_v)
-            moved = True
-            while moved:
-                moved = False
-                for root, coroot in self.simple:
-                    c = sum(lam[k] * x for k, x in coroot)
-                    if c < 0:
-                        for k, a in root:
-                            lam[k] -= c * a
-                        c_v = sum(lam_v[k] * a for k, a in root)
-                        for k, x in coroot:
-                            lam_v[k] -= c_v * x
-                        moved = True
-            lam = tuple(lam)
-            if all(tuple(x + y for x, y in zip(lam, a)) not in roots for a in self.simple_roots):
-                found[lam] = tuple(lam_v)
+        for a, a_v in zip(self.simple_roots, self.simple_coroots):
+            theta = chamber(a, self.walls)
+            if all(tuple(x + y for x, y in zip(theta, b)) not in roots for b in self.simple_roots):
+                found[theta] = chamber(a_v, self.cowalls)
         return sorted(found.items())
 
     def alcove_data(self):
@@ -206,6 +200,39 @@ class RootDatum:
 
 def _sparse(vec):
     return tuple((k, x) for k, x in enumerate(vec) if x)
+
+
+def chamber(v, walls):
+    """The point of the closed chamber {offset + <f, v> >= 0 for every wall}
+    in the orbit of ``v`` under the reflections in those walls.
+
+    A wall is a triple (f, d, offset) of sparse vectors f, d with <f, d> = 2
+    and an integer offset: with c = offset + <f, v> < 0, v is reflected to
+    v - c*d, after which the wall reads -c > 0.  The walls are walked
+    cyclically until a full round moves nothing.  Where the closed chamber
+    is a strict fundamental domain for the group the reflections generate
+    (the dominant chamber for W, the l-scaled alcove for W x lQ^vee), the
+    end point is the one point of the orbit in it, whatever the walk order.
+    """
+    cur = list(v)
+    n = len(walls)
+    clean = 0
+    i = 0
+    while clean < n:
+        f, d, offset = walls[i]
+        c = offset
+        for k, a in f:
+            c += a * cur[k]
+        if c < 0:
+            for k, a in d:
+                cur[k] -= c * a
+            clean = 1
+        else:
+            clean += 1
+        i += 1
+        if i == n:
+            i = 0
+    return tuple(cur)
 
 
 def pairing(lam, covec):
@@ -278,27 +305,6 @@ def weyl_group(rd: RootDatum, cap=None):
         for row in right:
             row.append(left[b][row[p]])
     return WeylGroup((IntMatrix.of_rows(m) for m in elems), left, right)
-
-
-def dominant_representative(rd: RootDatum, lam):
-    """The dominant weight in the W-orbit of ``lam`` and a witness w, an
-    IntMatrix with w(lam) dominant."""
-    cur = list(lam)
-    w = IntMatrix.identity(rd.rank).entries
-    guard = 0
-    while True:
-        for root, coroot in rd.simple:
-            c = sum(cur[k] * x for k, x in coroot)
-            if c < 0:
-                for k, a in root:
-                    cur[k] -= c * a
-                w = _reflect_rows(w, root, coroot)
-                break
-        else:
-            return tuple(cur), IntMatrix.of_rows(w)
-        guard += 1
-        if guard > 10 ** 7:
-            raise CapExceeded("dominant reduction did not terminate")
 
 
 def is_q_restricted(rd: RootDatum, frob, lam):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from .balgebra import (
+    GENERIC_SC,
     BElement,
     evaluation_rank,
     gram_discriminant,
@@ -22,12 +23,13 @@ from .balgebra import (
 )
 from .oracles import evaluate
 from .orbitring import InvariantElement
+from .rootdata import chamber
 
 
 def random_dominant_weight(cache, rng, bound):
     """Dominant weight in the W-orbit of a random weight with coordinates
     bounded by ``bound``."""
-    return cache.dominant([rng.randint(-bound, bound) for _ in range(cache.rd.rank)])
+    return chamber([rng.randint(-bound, bound) for _ in range(cache.rd.rank)], cache.rd.walls)
 
 
 def check_rank_identities(ctx):
@@ -156,7 +158,7 @@ def run_suite(ctx, seed=20240801, fast=False):
     checks.append(check_height_descent(ctx.cache, ctx.weyl, rng, samples=n_h))
     checks.append(check_f_invariance(ctx, rng, samples=n_f))
     checks.append(check_trace_integrality(ctx))
-    if ctx.strategy == "GenericSC" and len(ctx.basis) <= 24:
+    if ctx.strategy == GENERIC_SC and len(ctx.basis) <= 24:
         checks.append(check_gram_p_power(ctx))
         checks.append(check_evaluation_homomorphism(ctx))
     if ctx.rd.label.startswith("SL(2)") and ctx.frob.q == 3:

@@ -45,7 +45,7 @@ from dualalg.orbitring import InvariantElement, OrbitCache
 from dualalg.rootdata import (
     FrobeniusData,
     build_standard,
-    dominant_representative,
+    chamber,
     prime_power_split,
     weyl_group,
 )
@@ -267,9 +267,7 @@ def test_criterion_7_property_suites():
         weyl = weyl_group(rd)
         tested = 0
         for _ in range(1000):
-            lam = dominant_representative(
-                rd, tuple(rng.randint(-6, 6) for _ in range(rd.rank))
-            )[0]
+            lam = chamber(tuple(rng.randint(-6, 6) for _ in range(rd.rank)), rd.walls)
             h = cache.height(lam)
             if h == 0:
                 continue
@@ -295,9 +293,9 @@ def test_criterion_7_property_suites():
         ctx = ctx_for(fam, n, q, strategy)
         bound = 4 if strategy == SO_EVEN else 2 * q
         for _ in range(100):
-            lam = dominant_representative(
-                ctx.rd, tuple(rng.randint(-bound, bound) for _ in range(ctx.rd.rank))
-            )[0]
+            lam = chamber(
+                tuple(rng.randint(-bound, bound) for _ in range(ctx.rd.rank)), ctx.rd.walls
+            )
             if normal_form(ctx, R(lam)) != normal_form(ctx, R(ctx.frob.f_apply(lam))):
                 ok = False
                 print(f"    F-invariance failed at {lam} in {fam}({n}) q={q}")

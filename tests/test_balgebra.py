@@ -8,7 +8,6 @@ from dualalg.balgebra import (
     GENERIC_SC,
     SO_EVEN,
     BElement,
-    _reduce_generic,
     build_context,
     evaluation_rank,
     gram_discriminant,
@@ -37,8 +36,8 @@ from dualalg.orbitring import InvariantElement, combine, multiply
 from dualalg.rootdata import (
     FrobeniusData,
     build_standard,
+    chamber,
     datum_from_json,
-    dominant_representative,
     prime_power_split,
 )
 
@@ -62,10 +61,10 @@ def test_gl2_basis_matches_published_box():
 
 
 def test_each_normal_form_builds_one_element(monkeypatch):
-    """Sums go through orbitring.combine: a cold reduction builds one BElement
-    per new memo entry, plus the shifted result when the weight is not
-    canonical (not itself a memo key), and normal_form on a warm context
-    builds one in all, non-canonical weights included."""
+    """Sums go through orbitring.combine: a cold normal form of one orbit sum
+    builds one BElement per new memo entry plus the one it returns, canonical
+    weights or not (not themselves memo keys), and normal_form on a warm
+    context builds one in all."""
     ctx = make_ctx("GL", 3, 3)
     x = InvariantElement({(7, 2, 0): 1, (4, 4, -3): -2, (6, 3, 0): 3})
     built = []
@@ -80,11 +79,10 @@ def test_each_normal_form_builds_one_element(monkeypatch):
     for lam in x.coeffs:
         before = len(ctx.memo)
         built.clear()
-        _reduce_generic(ctx, lam)
+        normal_form(ctx, R(lam))
         assert len(ctx.memo) > before
-        extra = lam not in ctx.memo
-        shifted += extra
-        assert len(built) == len(ctx.memo) - before + extra
+        shifted += lam not in ctx.memo
+        assert len(built) == len(ctx.memo) - before + 1
     assert shifted > 0
     built.clear()
     got = normal_form(ctx, x)
@@ -92,7 +90,7 @@ def test_each_normal_form_builds_one_element(monkeypatch):
     monkeypatch.undo()
     want = BElement({}, ctx.ctx_id)
     for lam, c in x.coeffs.items():
-        want = want + _reduce_generic(ctx, lam).scale(c)
+        want = want + normal_form(ctx, R(lam)).scale(c)
     assert got == want
 
 
@@ -132,9 +130,9 @@ def test_normal_form_idempotent_on_lifts():
     for fam, n, q in [("GL", 2, 3), ("Sp", 4, 2)]:
         ctx = make_ctx(fam, n, q)
         for _ in range(15):
-            lam = dominant_representative(
-                ctx.rd, tuple(rng.randint(-2 * q, 2 * q) for _ in range(ctx.rd.rank))
-            )[0]
+            lam = chamber(
+                tuple(rng.randint(-2 * q, 2 * q) for _ in range(ctx.rd.rank)), ctx.rd.walls
+            )
             nf = normal_form(ctx, R(lam))
             assert normal_form(ctx, ctx.lift(nf)) == nf
 
@@ -175,9 +173,9 @@ def test_f_invariance_random():
     for fam, n, q in [("SL", 2, 3), ("GL", 2, 3), ("Sp", 4, 2)]:
         ctx = make_ctx(fam, n, q)
         for _ in range(40):
-            lam = dominant_representative(
-                ctx.rd, tuple(rng.randint(-2 * q, 2 * q) for _ in range(ctx.rd.rank))
-            )[0]
+            lam = chamber(
+                tuple(rng.randint(-2 * q, 2 * q) for _ in range(ctx.rd.rank)), ctx.rd.walls
+            )
             flam = ctx.frob.f_apply(lam)
             assert normal_form(ctx, R(lam)) == normal_form(ctx, R(flam))
 
@@ -193,7 +191,7 @@ def test_twisted_gl2_unitary_form():
         trace_form(ctx, BElement({i: 1}, ctx.ctx_id))  # integrality asserted inside
     rng = random.Random(5)
     for _ in range(20):
-        lam = dominant_representative(ctx.rd, (rng.randint(-6, 6), rng.randint(-6, 6)))[0]
+        lam = chamber((rng.randint(-6, 6), rng.randint(-6, 6)), ctx.rd.walls)
         assert normal_form(ctx, R(lam)) == normal_form(ctx, R(ctx.frob.f_apply(lam)))
 
 
@@ -423,7 +421,7 @@ def test_reduction_matches_weight_keyed_reference():
         ref_memo = {}
         shifted = 0
         for _ in range(12):
-            lam = ctx.cache.dominant([rng.randint(-2 * q, 2 * q) for _ in range(rank_)])
+            lam = chamber([rng.randint(-2 * q, 2 * q) for _ in range(rank_)], ctx.rd.walls)
             z = [0] * rank_
             for v in central:
                 c = rng.randint(-3, 3)

@@ -181,6 +181,18 @@ def test_curtis_csv_and_out_file(tmp_path, capsys):
     assert len(lines) == 1 + 1 + 3
 
 
+def test_json_out_file(tmp_path, capsys):
+    # --out receives exactly what stdout would have, and stdout stays empty
+    args = ["rank", "--group", "GL", "--n", "2", "--q", "3"]
+    code, printed = run_cli(args, capsys)
+    assert code == 0
+    out = tmp_path / "rank.json"
+    code, rest = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 0 and rest == ""
+    assert out.read_text() == printed
+    assert json.loads(printed)["rank"]["value"] == 6
+
+
 def test_structure_so8_works(capsys):
     code, out = run_cli(["structure", "--group", "SO", "--n", "8", "--q", "2"], capsys)
     doc = json.loads(out)

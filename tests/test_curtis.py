@@ -8,6 +8,7 @@ from dualalg.curtis import (
     PGL2,
     CyclotomicInt,
     TorusIndexing,
+    _central_parity,
     _even_solution_lattice,
     columns_in_parity_lattice,
     datum_for,
@@ -16,7 +17,6 @@ from dualalg.curtis import (
     homomorphism_check,
     nonsaturation_witness,
     table_basis,
-    parity_lattice_member,
     phi_matrix,
     phi_of_invariant,
     saturation_check,
@@ -92,7 +92,7 @@ def test_phi_columns_in_parity_lattice():
             cache = OrbitCache(rd)
             for lam, _ in table_basis(group, q):
                 f1, fs = phi_of_invariant(group, q, InvariantElement.r(lam), cache)
-                assert parity_lattice_member(group, q, f1, fs)
+                assert _central_parity(TorusIndexing(group, q), f1, fs)
             assert columns_in_parity_lattice(group, q, *phi_matrix(group, q))
 
 
@@ -107,8 +107,9 @@ def test_matrix_column_parity_fails_on_raised_central_entry():
 
 def test_parity_counterexamples():
     q = 3
-    assert not parity_lattice_member(GL2, q, {(0, 0): 1}, {})
-    assert parity_lattice_member(GL2, q, {(0, 0): 2}, {})
+    ti = TorusIndexing(GL2, q)
+    assert not _central_parity(ti, {(0, 0): 1}, {})
+    assert _central_parity(ti, {(0, 0): 2}, {})
 
 
 def test_homomorphism_property():

@@ -6,7 +6,7 @@ import pytest
 from dualalg.balgebra import BElement
 from dualalg.errors import NonIntegral
 from dualalg.orbitring import InvariantElement, OrbitCache, combine, multiply
-from dualalg.rootdata import FrobeniusData, build_standard, dominant_representative, weyl_group
+from dualalg.rootdata import FrobeniusData, build_standard, chamber, weyl_group
 
 
 # -- e-basis reference product ------------------------------------------------
@@ -87,13 +87,19 @@ def test_orbit_matches_weyl_group_images(fam, n):
         assert OrbitCache(rd).orbit(lam) == frozenset(w.apply(lam) for w in weyl)
 
 
-def test_dominant_walk_matches_dominant_representative():
+def test_chamber_walk_is_orbit_invariant():
+    # the walk from any point of an orbit ends at the same dominant weight,
+    # the start of orbit() and the kappa of every product term
     rd = build_standard("SO", 10)
+    weyl = weyl_group(rd)
     cache = OrbitCache(rd)
     rng = random.Random(19)
     for _ in range(50):
         lam = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
-        assert cache.dominant(lam) == dominant_representative(rd, lam)[0]
+        dom = chamber(lam, rd.walls)
+        assert rd.is_dominant(dom)
+        assert chamber(rng.choice(weyl).apply(lam), rd.walls) == dom
+        assert dom in cache.orbit(lam)
 
 
 # (family, n, coordinate bound, pairs): bounds keep the reference convolution
@@ -117,7 +123,7 @@ def test_multiply_matches_e_basis_reference(fam, n, bound, pairs):
         coeffs = {}
         for _ in range(rng.randint(1, 2)):
             lam = tuple(rng.randint(-bound, bound) for _ in range(rd.rank))
-            coeffs[cache.dominant(lam)] = rng.choice([-3, -2, -1, 1, 2, 3])
+            coeffs[chamber(lam, rd.walls)] = rng.choice([-3, -2, -1, 1, 2, 3])
         return InvariantElement(coeffs)
 
     for _ in range(pairs):
@@ -184,7 +190,7 @@ def test_multiply_commutative_associative():
     for _ in range(12):
         xs = []
         for _ in range(3):
-            lam = dominant_representative(rd, (rng.randint(-3, 3), rng.randint(-3, 3)))[0]
+            lam = chamber((rng.randint(-3, 3), rng.randint(-3, 3)), rd.walls)
             xs.append(InvariantElement.r(lam, rng.randint(1, 2)))
         a, b, c = xs
         assert multiply(cache, a, b) == multiply(cache, b, a)
@@ -271,9 +277,7 @@ def test_height_descent_property():
         weyl = weyl_group(rd)
         rng = random.Random(5)
         for _ in range(100):
-            lam = dominant_representative(
-                rd, tuple(rng.randint(-4, 4) for _ in range(rd.rank))
-            )[0]
+            lam = chamber(tuple(rng.randint(-4, 4) for _ in range(rd.rank)), rd.walls)
             h = cache.height(lam)
             if h == 0:
                 continue
@@ -292,9 +296,7 @@ def test_leading_coefficient_one():
     lifts = rd.fundamental_weight_lifts()
     rng = random.Random(13)
     for _ in range(20):
-        lam_p = dominant_representative(
-            rd, tuple(rng.randint(-3, 3) for _ in range(rd.rank))
-        )[0]
+        lam_p = chamber(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), rd.walls)
         for w in lifts:
             for mu in (tuple(frob.q * y for y in w), w):
                 prod = multiply(cache, InvariantElement.r(lam_p), InvariantElement.r(mu))

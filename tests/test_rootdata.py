@@ -4,12 +4,13 @@ import pytest
 
 from dualalg.errors import CapExceeded, DualalgError, InvalidCartan, NotDominant
 from dualalg.intlinalg import IntMatrix
+from dualalg.orbitring import OrbitCache
 from dualalg.rootdata import (
     UNAVAILABLE,
     FrobeniusData,
     build_standard,
+    chamber,
     datum_from_json,
-    dominant_representative,
     is_q_restricted,
     prime_power_split,
     weyl_group,
@@ -138,35 +139,95 @@ def test_weyl_group_axioms_small():
             assert w.apply(beta) in rootset
 
 
-def test_dominant_representative_examples():
+def test_chamber_examples():
     rd = build_standard("GL", 2)
-    lam, w = dominant_representative(rd, (0, 3))
-    assert lam == (3, 0) and w.apply((0, 3)) == (3, 0)
-    lam, w = dominant_representative(rd, (0, 0))
-    assert lam == (0, 0) and w == IntMatrix.identity(2)
+    assert chamber((0, 3), rd.walls) == (3, 0)
+    assert chamber((0, 0), rd.walls) == (0, 0)
+    # on Y the GL(2) walls are the same pair of vectors
+    assert chamber((-1, 4), rd.cowalls) == (4, -1)
+    # a torus has no walls: every point is its own chamber point
+    assert chamber((5, -2), build_standard("Torus", 2).walls) == (5, -2)
 
 
-def test_dominant_representative_full_orbit_scan():
-    rd = build_standard("SO", 8)
+# irreducible data of types A3, C3, D4, D5, and the exceptional G2 and F4
+# built from their Cartan matrices
+G2 = ((2, -1), (-3, 2))
+F4 = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+CHAMBER_DATA = {
+    "A3": ("SL", 4, None),
+    "C3": ("Sp", 6, None),
+    "D4": ("SO", 8, None),
+    "D5": ("SO", 10, None),
+    "G2": ("FromCartan", None, G2),
+    "F4": ("FromCartan", None, F4),
+}
+
+
+def chamber_datum(name):
+    fam, n, cartan = CHAMBER_DATA[name]
+    return build_standard(fam, n, cartan=cartan, label=name)
+
+
+@pytest.mark.parametrize("name", sorted(CHAMBER_DATA))
+def test_chamber_matches_full_orbit_scan(name):
+    # the reference: every image of the point under W, scanned for the
+    # elements of the closed chamber.  W acts on X by its matrices and on Y
+    # by their inverse transposes; W is closed under inverses, so those are
+    # the transposes of its matrices.
+    rd = chamber_datum(name)
     weyl = weyl_group(rd)
-    lam = (1, -2, 0, 1)
-    dom, w = dominant_representative(rd, lam)
-    assert w.apply(lam) == dom
-    orbit_doms = {v for v in (x.apply(lam) for x in weyl) if rd.is_dominant(v)}
-    assert orbit_doms == {dom}
+    on_x = (rd.walls, weyl, rd.pairings)
+    on_y = (rd.cowalls, [w.transpose() for w in weyl],
+            lambda y: tuple(sum(a * x for a, x in zip(alpha, y)) for alpha in rd.simple_roots))
+    rng = random.Random(f"chamber{name}")
+    for walls, group, pairings in (on_x, on_y):
+        for _ in range(12):
+            v = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
+            dom = chamber(v, walls)
+            orbit = {w.apply(v) for w in group}
+            assert {u for u in orbit if min(pairings(u)) >= 0} == {dom}, (name, v)
+            assert chamber(dom, walls) == dom
+            assert chamber(rng.choice(group).apply(v), walls) == dom
 
 
-def test_dominant_representative_orbit_constant():
-    rd = build_standard("Sp", 4)
+def components(rd):
+    """The simple-root indices of each irreducible component: the connected
+    parts of the graph with an edge i - j where the Cartan entry is nonzero."""
+    out = []
+    for i in range(rd.nroots):
+        joined = [c for c in out if any(rd.cartan[i][j] for j in c)]
+        merged = {i}.union(*joined)
+        out = [c for c in out if c not in joined] + [merged]
+    return out
+
+
+HIGHEST_DATA = [("SO", 4), ("SL", 4), ("Sp", 6), ("SO", 8), ("SO", 10), ("PGL", 3), ("G2", None),
+                ("F4", None)]
+
+
+@pytest.mark.parametrize("fam,n", HIGHEST_DATA)
+def test_highest_roots_reference(fam, n):
+    # theta of a component: the root of greatest height among the roots that
+    # pair to zero with the coroots of every other component; theta^vee: the
+    # image of alpha^vee, under w acting on Y as its inverse transpose, for a
+    # Weyl element w with w*alpha = theta
+    if fam in ("G2", "F4"):
+        rd = chamber_datum(fam)
+    else:
+        rd = build_standard(fam, n)
+    cache = OrbitCache(rd)
     weyl = weyl_group(rd)
-    rng = random.Random(7)
-    for _ in range(50):
-        lam = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
-        dom, _ = dominant_representative(rd, lam)
-        w = rng.choice(weyl)
-        dom2, _ = dominant_representative(rd, w.apply(lam))
-        assert dom == dom2
-        assert dominant_representative(rd, dom)[0] == dom
+    ident = IntMatrix.identity(rd.rank)
+    want = []
+    for comp in components(rd):
+        inside = [b for b in rd.all_roots
+                  if all(p == 0 for j, p in enumerate(rd.pairings(b)) if j not in comp)]
+        theta = max(inside, key=cache.height)
+        w, i = next((w, i) for w in weyl for i in comp if w.apply(rd.simple_roots[i]) == theta)
+        w_inv = next(v for v in weyl if v * w == ident)
+        want.append((theta, w_inv.transpose().apply(rd.simple_coroots[i])))
+    assert len(want) == (2 if (fam, n) == ("SO", 4) else 1)
+    assert rd.highest_roots() == sorted(want)
 
 
 def test_central_lattice():

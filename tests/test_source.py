@@ -32,6 +32,16 @@ def test_imports_at_module_level():
     assert found == []
 
 
+def test_exports_resolve():
+    # a name dropped from a module but left in __all__ breaks the star import
+    missing = [name for name in dualalg.__all__ if not hasattr(dualalg, name)]
+    assert missing == []
+    assert len(set(dualalg.__all__)) == len(dualalg.__all__)
+    namespace = {}
+    exec("from dualalg import *", namespace)
+    assert set(dualalg.__all__) <= set(namespace)
+
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 

@@ -11,9 +11,11 @@ representatives of the central lattice modulo (F - id).  Normal forms follow
 the constructive reduction: a weight with some pairing >= q is rewritten
 through the product expansions against r(q*w_a) and r(tau(w_a)), which have
 the same image in the quotient, and every step strictly lowers the height.
-The reduction is memoized under the canonical weight sum_j b_j w_j of the
-pairings b alone: a weight lam0 + z with central z reads the entry of lam0
-with its central coordinate moved, as e(z) is an invariant unit.
+The reduction runs in the coordinates (b, c) of X = sum Z w_a + X0, where b
+holds the pairings and c the central part; weights enter them once, at
+normal_form.  It is memoized under the canonical weight (b, 0): a weight
+(b, c) reads that entry with its central coordinate moved, as e(0, c) is an
+invariant unit.
 
 SOEven (the even special orthogonal datum): the published basis box
 S1 | S2 | S2' is materialized as stated.  The published reduction sketch
@@ -150,17 +152,6 @@ class BContext:
             ]
         return self._evaluations
 
-    def structure_constants(self, limit=64):
-        """The structure-constant tensor, built once; callers only read it.
-
-        The rank limit is checked on every call, as by structure_constants."""
-        n = len(self.basis)
-        if n > limit:
-            raise LimitExceeded(f"rank {n} exceeds limit {limit}")
-        if self._structure is None:
-            self._structure = structure_constants(self, limit=n)
-        return self._structure
-
     def lift(self, x: BElement):
         """Representative invariant element using the stored basis weights."""
         return InvariantElement(combine(({self.basis[i]: 1}, c) for i, c in x.coeffs.items()))
@@ -174,76 +165,60 @@ class BContext:
     # -- GenericSC -------------------------------------------------------
 
     def _init_generic_sc(self):
+        """The change of basis to_x = (w_1 ... w_m | z_1 ... z_k) from the
+        coordinates (b, c) of X = sum Z w_i + X0 to those of X, its inverse
+        to_w, whose first m rows are the simple coroots, and a private copy
+        of the datum, the Frobenius data and the orbit cache in (b, c).
+
+        The reduction runs on that copy: b holds the pairings of a weight
+        and c its central part, so w_a is the unit vector e_a.  The basis is
+        the box [0, q)^m times representatives of X0 / (F - id) X0, and
+        ``basis`` holds it in X for everything else that reads it."""
         rd, frob = self.rd, self.frob
         lifts = rd.fundamental_weight_lifts()
         if lifts == UNAVAILABLE:
             raise StrategyInapplicable(
                 "GenericSC needs fundamental weight lifts (simply-connected derived datum)"
             )
-        self.lifts = [tuple(x) for x in lifts]
-        central = rd.central_lattice()
-        self.central_basis = central
-        k = len(central)
-        if k:
-            # one factorization of the central matrix b0 for every solve
-            b0 = SmithForm(IntMatrix([[central[i][j] for i in range(k)] for j in range(rd.rank)]))
-            self._central_form = b0
-            fb = [frob.f_apply(v) for v in central]
-            f0_cols = []
-            for v in fb:
-                ok, x = b0.solve(v)
-                if not ok:
-                    raise NonIntegral("F does not preserve the central lattice")
-                f0_cols.append(x)
-            f0 = IntMatrix([[f0_cols[j][i] for j in range(k)] for i in range(k)])
-            a0 = f0 - IntMatrix.identity(k)
-            d, u, v = snf(a0)
-            diag = [d[i, i] for i in range(k)]
-            if any(x == 0 for x in diag):
-                raise NonIntegral("(F - id) singular on the central lattice")
-            # u is unimodular: each box vector has exactly one preimage
-            u_form = SmithForm(u)
-            reps = []
-            for box in itertools.product(*[range(x) for x in diag]):
-                ok, y = u_form.solve(box)
-                if not ok:
-                    raise CrossCheckFailed(f"SNF transform u is not unimodular at {box}")
-                reps.append(b0.m.apply(y))
-            self.central_reps = reps
-            self._central_diag = diag
-            self._central_u = u
-        else:
-            self.central_reps = [(0,) * rd.rank]
-            self._central_diag = []
-        q = frob.q
-        basis = []
-        index = {}
-        for b in itertools.product(range(q), repeat=rd.nroots):
-            for ci, rep in enumerate(self.central_reps):
-                lam = tuple(rep)
-                for coeff, w in zip(b, self.lifts):
-                    lam = tuple(x + coeff * y for x, y in zip(lam, w))
-                basis.append(lam)
-                index[(b, ci)] = len(basis) - 1
-        self.basis = basis
-        self._basis_index = index
+        m = rd.nroots
+        to_x = IntMatrix(list(zip(*(list(lifts) + rd.central_lattice()))))
+        form = SmithForm(to_x)
+        if any(d != 1 for d in form.diag):
+            raise CrossCheckFailed("fundamental weights and central lattice do not span X")
+        self._to_w = to_w = form.v * form.u
+        ident = IntMatrix.identity(rd.rank).entries
+        w_rd = RootDatum(rd.rank, [to_w.apply(a) for a in rd.simple_roots], ident[:m], rd.label)
+        self._wfrob = FrobeniusData(w_rd, frob.p, frob.r, to_w * frob.tau * to_x)
+        self._wcache = OrbitCache(w_rd)
+        f = self._wfrob.f_matrix.entries
+        if any(any(row[m:]) for row in f[:m]):
+            raise NonIntegral("F does not preserve the central lattice")
+        a0 = IntMatrix([row[m:] for row in f[m:]]) - IntMatrix.identity(rd.rank - m)
+        d, u, _ = snf(a0)
+        diag = [d[i, i] for i in range(a0.rows)]
+        if any(x == 0 for x in diag):
+            raise NonIntegral("(F - id) singular on the central lattice")
+        # u is unimodular: each box vector has exactly one preimage
+        u_form = SmithForm(u)
+        reps = []
+        for box in itertools.product(*[range(x) for x in diag]):
+            ok, y = u_form.solve(box)
+            if not ok:
+                raise CrossCheckFailed(f"SNF transform u is not unimodular at {box}")
+            reps.append(y)
+        self._central_reps = reps
+        self._central_diag = diag
+        self._central_u = u
+        self._wbasis = [b + c for b in itertools.product(range(frob.q), repeat=m) for c in reps]
+        self.basis = [to_x.apply(w) for w in self._wbasis]
 
-    def _central_rep_index(self, mu):
-        """Index of the canonical representative of a central weight."""
-        k = len(self.central_basis)
-        if k == 0:
-            if any(mu):
-                raise NonIntegral(f"{mu} is not in the central lattice")
-            return 0
-        ok, y = self._central_form.solve(mu)
-        if not ok:
-            raise NonIntegral(f"{mu} is not in the central lattice")
-        u = self._central_u
-        box = tuple(a % d for a, d in zip(u.apply(y), self._central_diag))
-        # must match itertools.product enumeration order (last digit fastest)
+    def _central_rep_index(self, c):
+        """Index of the representative of the class of central coordinates c
+        modulo (F - id): u*c read modulo the SNF diagonal, in the order of
+        itertools.product (last digit fastest)."""
         idx = 0
-        for a, d in zip(box, self._central_diag):
-            idx = idx * d + a
+        for a, d in zip(self._central_u.apply(c), self._central_diag):
+            idx = idx * d + a % d
         return idx
 
     # -- SOEven ----------------------------------------------------------
@@ -382,147 +357,139 @@ def normal_form(ctx: BContext, x: InvariantElement) -> BElement:
     """Image of an invariant element in the quotient, in basis coordinates."""
     if ctx.strategy == SO_EVEN:
         return ctx.cover().reduce(x)
-    terms = [(_reduced(ctx, lam), c) for lam, c in x.coeffs.items()]
+    m = ctx.rd.nroots
+    coeffs = {}
+    for lam, c in x.coeffs.items():
+        w = ctx._to_w.apply(lam)
+        if any(b < 0 for b in w[:m]):
+            raise NotDominant(str(lam))
+        coeffs[w] = c
+    return _normal_form_w(ctx, coeffs)
+
+
+def _normal_form_w(ctx: BContext, coeffs):
+    """Normal form of the sum of c*r(w) over {w: c}, each w = (b, z) a
+    dominant weight in fundamental-weight coordinates: the memo entry of the
+    canonical weight (b, 0), reduced if new, shifted by z."""
+    m = ctx.rd.nroots
+    terms = []
+    for w, c in coeffs.items():
+        z = w[m:]
+        key = w[:m] + (0,) * len(z)
+        entry = ctx.memo.get(key)
+        if entry is None:
+            entry = _reduce_canonical(ctx, key)
+        terms.append((_shifted(ctx, entry, z) if any(z) else entry.coeffs, c))
     return BElement(combine(terms), ctx.ctx_id)
 
 
-def _reduced(ctx: BContext, lam):
-    """Coefficients of the normal form of r(lam): the memo entry of its
-    canonical weight, reduced if new, shifted by its central part."""
-    got = ctx.memo.get(lam)
-    if got is not None:
-        return got.coeffs
-    if not ctx.central_basis:
-        return _reduce_canonical(ctx, lam).coeffs
-    lam0, z = _canonical(ctx, lam)
-    entry = _reduce_canonical(ctx, lam0)
-    return entry.coeffs if z is None else _shifted(ctx, entry, z)
-
-
-def _canonical(ctx: BContext, lam):
-    """(lam0, z) with lam0 = sum_j b_j * lifts[j] for the pairings b of lam
-    and z = lam - lam0, which pairs to zero with every coroot and so lies in
-    the central lattice; z is None when it is zero."""
-    b = ctx.rd.pairings(lam)
-    if any(x < 0 for x in b):
-        raise NotDominant(str(lam))
-    lam0 = [0] * len(lam)
-    for coeff, w in zip(b, ctx.lifts):
-        if coeff:
-            for j, y in enumerate(w):
-                lam0[j] += coeff * y
-    lam0 = tuple(lam0)
-    z = tuple(x - y for x, y in zip(lam, lam0))
-    return lam0, (z if any(z) else None)
-
-
 def _shifted(ctx: BContext, entry: BElement, z):
-    """Coefficients of the normal form of r(lam + z) from the memo entry of
-    r(lam), for central z: e(z) is an invariant unit, so each basis index
-    (box, ci) moves to (box, index of central_reps[ci] + z).  The offsets
-    per ci are computed once per z (NonIntegral unless z is central)."""
+    """Coefficients of the normal form of r(w + (0, z)) from the memo entry
+    of r(w): e(0, z) is an invariant unit, so each basis index (box, ci)
+    moves to (box, index of the class of _central_reps[ci] + z).  The
+    offsets per ci are computed once per z."""
     delta = ctx._shifts.get(z)
     if delta is None:
         delta = [
             ctx._central_rep_index(tuple(a + b for a, b in zip(rep, z))) - ci
-            for ci, rep in enumerate(ctx.central_reps)
+            for ci, rep in enumerate(ctx._central_reps)
         ]
         ctx._shifts[z] = delta
     nc = len(delta)
     return {i + delta[i % nc]: v for i, v in entry.coeffs.items()}
 
 
-def _reduce_canonical(ctx: BContext, lam) -> BElement:
-    """Memoized reduction of the orbit sum of a canonical weight.
+def _reduce_canonical(ctx: BContext, key) -> BElement:
+    """Memoized reduction of the orbit sum of a canonical weight (b, 0).
 
-    The memo holds canonical weights only.  Each rewrite of a canonical
-    lam0(b) goes through lam0(b) - q*w_a = lam0(b - q*e_a), again canonical,
-    and each term of the replacement is read as its canonical weight shifted
-    by its central part.  Dominance, the leading coefficient and the height
-    descent read the same on lam + z as on lam (z has pairings and height 0,
-    and dom(lam + z + nu) = dom(lam + nu) + z with |W(kappa + z)| = |W kappa|),
-    so every check of the weight-keyed reduction runs unchanged.
+    A weight with some b_a >= q is rewritten through the products of
+    r(w - q*e_a) with r(q*e_a) and with r(tau(e_a)), which have the same
+    image in the quotient; each term of the replacement is read as its
+    canonical weight shifted by its central part.  The leading coefficient
+    and the height descent are checked on every rewrite.  A weight with b in
+    the box is basis vector (b, 0), the mixed-radix index of b times the
+    number of central classes.
     """
-    rd, frob, memo = ctx.rd, ctx.frob, ctx.memo
-    central = bool(ctx.central_basis)
+    frob, cache, memo = ctx._wfrob, ctx._wcache, ctx.memo
+    q, m, nc = frob.q, ctx.rd.nroots, len(ctx._central_reps)
+    zero = key[m:]
     replacements = {}
-    stack = [lam]
+    stack = [key]
     while stack:
         cur = stack.pop()
         if cur in memo:
             continue
-        b = rd.pairings(cur)
-        if any(x < 0 for x in b):
-            raise NotDominant(str(cur))
-        alpha = next((i for i, x in enumerate(b) if x >= frob.q), None)
+        alpha = next((i for i in range(m) if cur[i] >= q), None)
         if alpha is None:
-            ci = ctx._central_rep_index((0,) * rd.rank)
-            memo[cur] = BElement({ctx._basis_index[(b, ci)]: 1}, ctx.ctx_id)
+            idx = 0
+            for x in cur[:m]:
+                idx = idx * q + x
+            memo[cur] = BElement({idx * nc: 1}, ctx.ctx_id)
             continue
-        split = replacements.get(cur)
-        if split is None:
-            w_a = ctx.lifts[alpha]
-            lam_p = tuple(x - frob.q * y for x, y in zip(cur, w_a))
-            if not rd.is_dominant(lam_p):
-                raise CrossCheckFailed(f"{lam_p} = {cur} - q*w_{alpha} is not dominant")
-            q_w = tuple(frob.q * y for y in w_a)
-            tau_w = frob.tau_apply(w_a)
-            p1 = multiply(ctx.cache, InvariantElement.r(lam_p), InvariantElement.r(q_w))
+        replacement = replacements.get(cur)
+        if replacement is None:
+            lam_p = cur[:alpha] + (cur[alpha] - q,) + cur[alpha + 1:]
+            e_a = tuple(int(i == alpha) for i in range(len(cur)))
+            q_e = tuple(q * x for x in e_a)
+            p1 = multiply(cache, InvariantElement.r(lam_p), InvariantElement.r(q_e))
             if p1.coeffs.get(cur) != 1:
                 raise NonTermination(
                     f"leading coefficient of r({cur}) is {p1.coeffs.get(cur)}"
                 )
-            p2 = multiply(ctx.cache, InvariantElement.r(lam_p), InvariantElement.r(tau_w))
+            tau_e = frob.tau_apply(e_a)
+            p2 = multiply(cache, InvariantElement.r(lam_p), InvariantElement.r(tau_e))
             replacement = combine(((p2.coeffs, 1), (p1.coeffs, -1), ({cur: 1}, 1)))
-            h_cur = ctx.cache.height(cur)
+            h_cur = cache.height(cur)
             for term in replacement:
-                if not ctx.cache.height(term) < h_cur:
+                if not cache.height(term) < h_cur:
                     raise NonTermination(
                         f"height failed to decrease: {term} vs {cur} "
-                        f"({ctx.cache.height(term)} >= {h_cur})"
+                        f"({cache.height(term)} >= {h_cur})"
                     )
-            split = []
-            for t, c in replacement.items():
-                t0, z = _canonical(ctx, t) if central else (t, None)
-                split.append((t0, z, c))
-            replacements[cur] = split
-        pending = [t for t, _, _ in split if t not in memo]
+            replacements[cur] = replacement
+        pending = [k for k in (t[:m] + zero for t in replacement) if k not in memo]
         if pending:
             stack.append(cur)
             stack.extend(pending)
             continue
-        terms = [
-            (memo[t].coeffs if z is None else _shifted(ctx, memo[t], z), c)
-            for t, z, c in split
-        ]
-        memo[cur] = BElement(combine(terms), ctx.ctx_id)
-    return memo[lam]
+        memo[cur] = _normal_form_w(ctx, replacement)
+    return memo[key]
 
 
 def multiply_b(ctx: BContext, x: BElement, y: BElement) -> BElement:
     if x.ctx_id != ctx.ctx_id or y.ctx_id != ctx.ctx_id:
         raise ContextMismatch("operands belong to a different context")
-    prod = multiply(ctx.cache, ctx.lift(x), ctx.lift(y))
-    return normal_form(ctx, prod)
+    if ctx.strategy == SO_EVEN:
+        return normal_form(ctx, multiply(ctx.cache, ctx.lift(x), ctx.lift(y)))
+    # GenericSC: the product of the basis lifts in (b, c), reduced there
+    a, b = (
+        InvariantElement(combine(({ctx._wbasis[i]: 1}, c) for i, c in e.coeffs.items()))
+        for e in (x, y)
+    )
+    return _normal_form_w(ctx, multiply(ctx._wcache, a, b).coeffs)
 
 
 def structure_constants(ctx: BContext, limit=64):
-    """Dense tensor c[i][j][k] with basis_i * basis_j = sum_k c[i][j][k] basis_k."""
+    """Dense tensor c[i][j][k] with basis_i * basis_j = sum_k c[i][j][k] basis_k,
+    built once per context and kept in ctx._structure; callers only read it.
+    The rank limit is checked on every call."""
     n = len(ctx.basis)
     if n > limit:
         raise LimitExceeded(f"rank {n} exceeds limit {limit}")
-    tensor = [[None] * n for _ in range(n)]
-    for i in range(n):
-        bi = BElement({i: 1}, ctx.ctx_id)
-        for j in range(i, n):
-            bj = BElement({j: 1}, ctx.ctx_id)
-            prod = multiply_b(ctx, bi, bj)
-            row = [0] * n
-            for k, v in prod.coeffs.items():
-                row[k] = v
-            tensor[i][j] = row
-            tensor[j][i] = row
-    return tensor
+    if ctx._structure is None:
+        tensor = [[None] * n for _ in range(n)]
+        for i in range(n):
+            bi = BElement({i: 1}, ctx.ctx_id)
+            for j in range(i, n):
+                bj = BElement({j: 1}, ctx.ctx_id)
+                prod = multiply_b(ctx, bi, bj)
+                row = [0] * n
+                for k, v in prod.coeffs.items():
+                    row[k] = v
+                tensor[i][j] = row
+                tensor[j][i] = row
+        ctx._structure = tensor
+    return ctx._structure
 
 
 def trace_form(ctx: BContext, x: BElement):
@@ -556,7 +523,7 @@ def trace_form(ctx: BContext, x: BElement):
 def gram_matrix(ctx: BContext):
     """G[i][j] = tr(b_i * b_j) = sum_k c[i][j][k] * tr(b_k), by linearity."""
     n = len(ctx.basis)
-    tensor = ctx.structure_constants(limit=n)
+    tensor = structure_constants(ctx, limit=n)
     traces = [trace_form(ctx, BElement({k: 1}, ctx.ctx_id)) for k in range(n)]
     return IntMatrix(
         [[sum(c * t for c, t in zip(tensor[i][j], traces)) for j in range(n)] for i in range(n)]

@@ -22,6 +22,7 @@ from .balgebra import (
     build_context,
     rank,
     so_even_claimed_rank,
+    structure_constants,
 )
 from .curtis import (
     GL2,
@@ -188,7 +189,7 @@ def cmd_structure(args):
     rd, frob = _build_datum(args)
     strategy = _strategy_for(rd)
     ctx = build_context(rd, frob, strategy)
-    tensor = ctx.structure_constants(limit=args.limit)
+    tensor = structure_constants(ctx, limit=args.limit)
     n = len(ctx.basis)
     quads = []
     for i in range(n):

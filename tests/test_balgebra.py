@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -30,7 +32,7 @@ from dualalg.errors import (
     NotDominant,
     StrategyInapplicable,
 )
-from dualalg.intlinalg import IntMatrix, snf
+from dualalg.intlinalg import IntMatrix, in_image, snf
 from dualalg.oracles import class_count, evaluate
 from dualalg.orbitring import InvariantElement, combine, multiply
 from dualalg.rootdata import (
@@ -39,6 +41,7 @@ from dualalg.rootdata import (
     chamber,
     datum_from_json,
     prime_power_split,
+    weyl_group,
 )
 
 R = InvariantElement.r
@@ -344,11 +347,13 @@ def test_so8_normal_form_via_cover():
 
 
 # -- weight-keyed reference reduction ------------------------------------------
-# The library memoizes each GenericSC reduction under the canonical weight
-# sum_j b_j w_j of its pairings and moves the central part as an index shift.
-# The reference is its former routine, unchanged apart from its own memo of
-# coefficient dicts and shorter error messages: every weight, central
-# translates included, is reduced from scratch.
+# The library reduces in the coordinates (b, c) of X = sum Z w_i + X0, memoizes
+# each reduction under the canonical weight (b, 0) and moves the central part
+# c as an index shift.  The reference is the former routine in the
+# coordinates of X, with its own memo of coefficient dicts and shorter error
+# messages: every weight, central translates included, is reduced from
+# scratch.  A weight in the box is the basis weight with the same pairings
+# whose difference from it lies in (F - id) X0.
 
 
 def reference_reduce(ctx, lam, memo):
@@ -356,6 +361,10 @@ def reference_reduce(ctx, lam, memo):
     if lam in memo:
         return memo[lam]
     rd, frob = ctx.rd, ctx.frob
+    lifts = rd.fundamental_weight_lifts()
+    f0 = IntMatrix(list(zip(*[
+        tuple(x - y for x, y in zip(frob.f_apply(z), z)) for z in rd.central_lattice()
+    ])))
     replacements = {}
     stack = [lam]
     while stack:
@@ -367,16 +376,17 @@ def reference_reduce(ctx, lam, memo):
             raise NotDominant(str(cur))
         alpha = next((i for i, x in enumerate(b) if x >= frob.q), None)
         if alpha is None:
-            mu = list(cur)
-            for coeff, w in zip(b, ctx.lifts):
-                for j in range(rd.rank):
-                    mu[j] -= coeff * w[j]
-            ci = ctx._central_rep_index(tuple(mu))
-            memo[cur] = {ctx._basis_index[(b, ci)]: 1}
+            hits = [
+                i for i, mu in enumerate(ctx.basis)
+                if rd.pairings(mu) == b
+                and in_image(f0, tuple(x - y for x, y in zip(cur, mu)))[0]
+            ]
+            assert len(hits) == 1, (cur, hits)
+            memo[cur] = {hits[0]: 1}
             continue
         replacement = replacements.get(cur)
         if replacement is None:
-            w_a = ctx.lifts[alpha]
+            w_a = lifts[alpha]
             lam_p = tuple(x - frob.q * y for x, y in zip(cur, w_a))
             if not rd.is_dominant(lam_p):
                 raise CrossCheckFailed(f"{lam_p} = {cur} - q*w_{alpha} is not dominant")
@@ -415,13 +425,15 @@ def differential_contexts():
 def test_reduction_matches_weight_keyed_reference():
     rng = random.Random(7)
     for label, ctx in differential_contexts():
-        q, rank_ = ctx.frob.q, ctx.rd.rank
-        central = ctx.central_basis
+        rd = ctx.rd
+        q, rank_, m = ctx.frob.q, rd.rank, rd.nroots
+        lifts = rd.fundamental_weight_lifts()
+        central = rd.central_lattice()
         assert central, label
         ref_memo = {}
         shifted = 0
         for _ in range(12):
-            lam = chamber([rng.randint(-2 * q, 2 * q) for _ in range(rank_)], ctx.rd.walls)
+            lam = chamber([rng.randint(-2 * q, 2 * q) for _ in range(rank_)], rd.walls)
             z = [0] * rank_
             for v in central:
                 c = rng.randint(-3, 3)
@@ -429,9 +441,46 @@ def test_reduction_matches_weight_keyed_reference():
             for mu in (lam, tuple(a + b for a, b in zip(lam, z))):
                 got = normal_form(ctx, R(mu))
                 assert got.coeffs == reference_reduce(ctx, mu, ref_memo), (label, mu)
-                shifted += mu not in ctx.memo
+                b = rd.pairings(mu)
+                shifted += mu != tuple(sum(c * w[j] for c, w in zip(b, lifts)) for j in range(rank_))
         assert shifted, label
         for key in ctx.memo:
-            b = ctx.rd.pairings(key)
-            canonical = tuple(sum(c * w[j] for c, w in zip(b, ctx.lifts)) for j in range(rank_))
-            assert key == canonical, (label, key)
+            assert not any(key[m:]), (label, key)
+
+
+FUNDAMENTAL_COORDINATE_CASES = [
+    ("GL", 2, 3), ("GL", 3, 2), ("GL", 4, 2), ("Sp", 4, 3), ("Sp", 6, 2), ("SL", 3, 2),
+    ("Torus", 2, 3),
+]
+
+
+def fundamental_coordinate_contexts():
+    for fam, n, q in FUNDAMENTAL_COORDINATE_CASES:
+        yield f"{fam}{n}q{q}", make_ctx(fam, n, q)
+    with open(DATA / "unitary_gl2.json") as fh:
+        rd, tau = datum_from_json(json.load(fh))
+    yield "unitary-GL2q5", build_context(rd, FrobeniusData(rd, 5, 1, tau), GENERIC_SC)
+    yield "SO4q3-cover", make_ctx("SO", 4, 3, strategy=SO_EVEN).cover().cover_ctx
+    yield "SO8q2-cover", make_ctx("SO", 8, 2, strategy=SO_EVEN).cover().cover_ctx
+
+
+def test_fundamental_weight_coordinates():
+    # to_w reads a weight's pairings off its first m coordinates, the private
+    # datum is the same datum, and the basis is the box times the central
+    # representatives in those coordinates
+    for label, ctx in fundamental_coordinate_contexts():
+        rd, m, q = ctx.rd, ctx.rd.nroots, ctx.frob.q
+        to_w = ctx._to_w
+        assert to_w.entries[:m] == rd.simple_coroots, label
+        w_rd = ctx._wcache.rd
+        assert w_rd.cartan == rd.cartan, label
+        assert len(weyl_group(w_rd)) == len(ctx.weyl), label
+        box = [b + c for b in itertools.product(range(q), repeat=m) for c in ctx._central_reps]
+        assert [to_w.apply(lam) for lam in ctx.basis] == box, label
+        assert len(set(box)) == len(box) == len(ctx.basis), label
+
+
+def test_normal_form_names_the_non_dominant_weight():
+    ctx = make_ctx("GL", 2, 3)
+    with pytest.raises(NotDominant, match=re.escape("(0, 1)")):
+        normal_form(ctx, R((0, 1)))

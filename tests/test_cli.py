@@ -11,7 +11,6 @@ import pytest
 import dualalg
 from dualalg import balgebra, intlinalg, matrixgroups, oracles
 from dualalg.cli import main
-from dualalg.errors import NonIntegral
 from dualalg.intlinalg import IntMatrix
 from dualalg.orbitring import InvariantElement
 from dualalg.rootdata import FrobeniusData, RootDatum, build_standard, weyl_group
@@ -283,6 +282,23 @@ def test_datum_file_so_even_detected_by_structure(tmp_path, capsys):
     assert payload["class_count"]["value"] == 16
 
 
+def test_verify_sl2_check_follows_the_datum_not_the_label(tmp_path, capsys):
+    # a GL(2) datum labelled as SL(2) gets no rank-one SL(2) regression check
+    rd = build_standard("GL", 2)
+    doc = {
+        "rank": rd.rank,
+        "simple_roots": [list(a) for a in rd.simple_roots],
+        "simple_coroots": [list(a) for a in rd.simple_coroots],
+        "label": "SL(2) as GL(2)",
+    }
+    f = tmp_path / "gl2.json"
+    f.write_text(json.dumps(doc))
+    code, out = run_cli(["verify", "--datum-file", str(f), "--q", "3"], capsys)
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert "sl2_q3_regression" not in names
+
+
 @pytest.mark.parametrize("argv", [
     ["rank", "--group", "SO", "--n", "8", "--q", "2"],
     ["points", "--group", "SO", "--n", "8", "--q", "2"],
@@ -331,14 +347,12 @@ def test_cover_reductions_reuse_one_factorization(monkeypatch):
 
 
 def test_central_rep_index_reuses_one_factorization(monkeypatch):
-    # GL(3) q=3: the central lattice is spanned by (1, 1, 1), with two
-    # representatives modulo (F - id) = 2
+    # GL(3) q=3: the central lattice is spanned by (1, 1, 1), one central
+    # coordinate with two representatives modulo (F - id) = 2
     rd = build_standard("GL", 3)
     ctx = balgebra.build_context(rd, FrobeniusData(rd, 3, 1), balgebra.GENERIC_SC)
     calls = count_normal_form_calls(monkeypatch)
-    assert [ctx._central_rep_index((k, k, k)) for k in range(-3, 4)] == [1, 0, 1, 0, 1, 0, 1]
-    with pytest.raises(NonIntegral):
-        ctx._central_rep_index((1, 0, 0))
+    assert [ctx._central_rep_index((k,)) for k in range(-3, 4)] == [1, 0, 1, 0, 1, 0, 1]
     assert calls == {}
 
 

@@ -74,6 +74,13 @@ GOLDEN = [
     # u = -1 of the central lattice's SNF, with tau != 1
     (["structure", "--datum-file", "data/unitary_gl2.json", "--q", "3"], 0,
      "fd1bc4d91b737bb09c8f41a4c37348304f6e029161fa8a4df2c09d8e6f4f6c3f"),
+    # the GenericSC reduction in fundamental-weight coordinates (taken before
+    # it left the coordinates of X): Sp(4), whose change of basis is not the
+    # identity and which has no centre, and the GenericSC cover of SO(4)
+    (["structure", "--group", "Sp", "--n", "4", "--q", "3"], 0,
+     "e80cae3b8a9500b5978e6ae9e8451cfb7be7ecb0fd435d40c56d3fcd8fb7e919"),
+    (["structure", "--group", "SO", "--n", "4", "--q", "3"], 0,
+     "94a49237f4ff23192d48cc697b9b710b403788ea6d312629ffb88d8bb5e20097"),
     # the exact eliminations outside intlinalg (taken before they were
     # routed through finitefield._poly_rem, kernel_basis and powers): the
     # GF(4) modulus search and generator inverses, the F_2 parity lattice of

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import dualalg
 
@@ -112,6 +116,32 @@ def test_benchmark_hooks_resolve():
                         resolved += 1
     # 17 traced functions, 7 checks and the patched class attributes
     assert resolved > 30
+
+
+def _perfbench_run(script, *args):
+    """Run a perfbench script as the harness does: a fresh process with
+    PYTHONPATH=src."""
+    root = PERFBENCH.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    return subprocess.run([sys.executable, *script, *args], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_benchmark_harness_runs(tmp_path):
+    # the set-up probe and the trace harness run end to end on the current
+    # source, so an API change that breaks setup_s or --trace fails here
+    src = (PERFBENCH.parent / "src").resolve()
+    for workload in ("structure", "count", "verify"):
+        res = _perfbench_run([str(PERFBENCH / "setup_probe.py")], workload)
+        assert res.returncode == 0, (workload, res.stderr)
+        assert src in pathlib.Path(res.stdout.strip()).resolve().parents, res.stdout
+    for argv in (["verify", "--group", "GL", "--n", "2", "--q", "3", "--fast"],
+                 ["verify", "--group", "SO", "--n", "4", "--q", "3", "--fast"]):
+        summary = tmp_path / "summary.json"
+        traced = _perfbench_run([str(PERFBENCH / "tracer.py"), str(summary)], *argv)
+        plain = _perfbench_run(["-m", "dualalg.cli"], *argv)
+        assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout), argv
+        assert "cli.main" in json.loads(summary.read_text())["spans"], argv
 
 
 # definitions that only code outside the repository calls

@@ -20,14 +20,14 @@ invariant unit.
 SOEven (the even special orthogonal datum): the published basis box
 S1 | S2 | S2' is materialized as stated.  The published reduction sketch
 cannot rewrite every weight (a band of two-sided weights admits no dominant
-decomposition lam = kappa + q*mu at all), so normal forms are computed
-through an embedding into a rank+1 datum whose derived group is
-simply-connected ("z-extension" cover); coordinates w.r.t. the box are then
-the canonical integer solution of an exact linear system, and every solve is
-certified or fails loudly.  Note: the point count of this datum is q^n, which
-contradicts the published box size 2q^n - 2q^(n-1) + q^(n-2); the package
-computes both and surfaces the mismatch rather than hiding it.  See the
-project README for the full analysis.
+decomposition lam = kappa + q*mu at all), so products and normal forms run
+by the GenericSC route in the coordinates (b, c) of a rank+1 datum whose
+derived group is simply-connected ("z-extension" cover); coordinates w.r.t.
+the box are then the canonical integer solution of an exact linear system,
+and every solve is certified or fails loudly.  Note: the point count of this
+datum is q^n, which contradicts the published box size 2q^n - 2q^(n-1) +
+q^(n-2); the package computes both and surfaces the mismatch rather than
+hiding it.  See the project README for the full analysis.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class BContext:
         """The change of basis to_x = (w_1 ... w_m | z_1 ... z_k) from the
         coordinates (b, c) of X = sum Z w_i + X0 to those of X, its inverse
         to_w, whose first m rows are the simple coroots, and a private copy
-        of the datum, the Frobenius data and the orbit cache in (b, c).
+        of the datum and of its orbit cache, and tau, in (b, c).
 
         The reduction runs on that copy: b holds the pairings of a weight
         and c its central part, so w_a is the unit vector e_a.  The basis is
@@ -188,9 +188,10 @@ class BContext:
         self._to_w = to_w = form.v * form.u
         ident = IntMatrix.identity(rd.rank).entries
         w_rd = RootDatum(rd.rank, [to_w.apply(a) for a in rd.simple_roots], ident[:m], rd.label)
-        self._wfrob = FrobeniusData(w_rd, frob.p, frob.r, to_w * frob.tau * to_x)
         self._wcache = OrbitCache(w_rd)
-        f = self._wfrob.f_matrix.entries
+        # tau(e_a) is column a of _wtau
+        self._wtau = to_w * frob.tau * to_x
+        f = (to_w * frob.f_matrix * to_x).entries
         if any(any(row[m:]) for row in f[:m]):
             raise NonIntegral("F does not preserve the central lattice")
         a0 = IntMatrix([row[m:] for row in f[m:]]) - IntMatrix.identity(rd.rank - m)
@@ -281,14 +282,15 @@ def so_even_claimed_rank(n, q):
 
 
 class _SOCover:
-    """Embedding of the even orthogonal datum into a rank+1 datum with
-    simply-connected derived group, plus the exact change-of-basis solve.
+    """The ring an SOEven context multiplies and reduces in: a rank+1 datum
+    with simply-connected derived group, plus the exact change-of-basis solve.
 
     The cover has character lattice Z^(n+1); the first n coordinates carry the
     same simple roots, and the extra coordinate enters only the last simple
-    coroot.  Restriction to the hyperplane (x, 0) is the identity on the
-    original lattice and commutes with all reflections, so orbit sums map to
-    orbit sums and the Frobenius-difference ideal maps into the cover's.
+    coroot.  x -> (x, 0) commutes with every reflection (the extra coordinate
+    is 0 on its image), so orbit sums map to orbit sums of the same size,
+    products commute with it and the Frobenius-difference ideal maps into the
+    cover's.  _to_w is x -> (x, 0) -> (b, c) and _wbasis the box in (b, c).
     """
 
     def __init__(self, ctx: BContext):
@@ -299,43 +301,34 @@ class _SOCover:
         coroots.append(tuple(rd.simple_coroots[-1]) + (-1,))
         cover_rd = RootDatum(n + 1, roots, coroots, label=rd.label + "-cover")
         cover_frob = FrobeniusData(cover_rd, ctx.frob.p, ctx.frob.r)
-        self.ctx = ctx
-        self.cover_ctx = BContext(cover_rd, cover_frob, GENERIC_SC)
-        if len(self.cover_ctx.weyl) != len(ctx.weyl):
+        self.ctx_id = ctx.ctx_id
+        self.cover_ctx = cover = BContext(cover_rd, cover_frob, GENERIC_SC)
+        if len(cover.weyl) != len(ctx.weyl):
             raise CrossCheckFailed(
-                f"cover Weyl group has order {len(self.cover_ctx.weyl)}, "
+                f"cover Weyl group has order {len(cover.weyl)}, "
                 f"the datum's has {len(ctx.weyl)}"
             )
-        cols = []
-        for lam in ctx.basis:
-            nf = normal_form(self.cover_ctx, InvariantElement.r(self.embed(lam)))
-            cols.append(_dense(nf, len(self.cover_ctx.basis)))
-        m = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(len(self.cover_ctx.basis))])
-        # one factorization for the kernel and every solve in reduce()
-        self._form = SmithForm(m)
+        self._to_w = IntMatrix([row[:n] for row in cover._to_w.entries])
+        self._wbasis = [self._to_w.apply(lam) for lam in ctx.basis]
+        self._wcache = cover._wcache
+        cols = [_dense(_normal_form_w(cover, {w: 1}), len(cover.basis)) for w in self._wbasis]
+        # one factorization for the kernel and every solve in solve()
+        self._form = SmithForm(IntMatrix(list(zip(*cols))))
         self.kernel = self._form.kernel
 
-    def embed(self, lam):
-        return tuple(lam) + (0,)
-
-    def reduce(self, x: InvariantElement):
-        """Canonical coordinates of x w.r.t. the SOEven box, via the cover.
-
-        Solves m * c = cover-coordinates(x) over Z, m the change-of-basis
-        matrix, against its one held factorization and reduces the solution
-        modulo the kernel lattice for determinism.  Raises
-        ReductionUnsolvable if the box does not span the image of x.
-        """
-        lifted = InvariantElement({self.embed(k): v for k, v in x.coeffs.items()})
-        target = _dense(normal_form(self.cover_ctx, lifted), len(self.cover_ctx.basis))
-        ok, c = self._form.solve(target)
+    def solve(self, nf: BElement):
+        """Box coordinates of the cover normal form nf: the solution of
+        m * c = nf over Z, m the change-of-basis matrix, from its one held
+        factorization, reduced modulo the kernel lattice for determinism.
+        Raises ReductionUnsolvable if the box does not span nf."""
+        ok, c = self._form.solve(_dense(nf, len(self.cover_ctx.basis)))
         if not ok:
             raise ReductionUnsolvable(
                 "SOEven box does not span this element in the cover; "
                 "the published basis cannot express it"
             )
         c = self._form.reduce(c)
-        return BElement({i: v for i, v in enumerate(c) if v}, self.ctx.ctx_id)
+        return BElement({i: v for i, v in enumerate(c) if v}, self.ctx_id)
 
 
 def _dense(x: BElement, size):
@@ -354,33 +347,36 @@ def rank(ctx: BContext) -> int:
 
 
 def normal_form(ctx: BContext, x: InvariantElement) -> BElement:
-    """Image of an invariant element in the quotient, in basis coordinates."""
-    if ctx.strategy == SO_EVEN:
-        return ctx.cover().reduce(x)
+    """Image of an invariant element in the quotient, in basis coordinates,
+    reduced in the (b, c) of the context or, for SOEven, of its cover."""
+    ring = ctx.cover() if ctx.strategy == SO_EVEN else ctx
     m = ctx.rd.nroots
     coeffs = {}
     for lam, c in x.coeffs.items():
-        w = ctx._to_w.apply(lam)
+        w = ring._to_w.apply(lam)
         if any(b < 0 for b in w[:m]):
             raise NotDominant(str(lam))
         coeffs[w] = c
-    return _normal_form_w(ctx, coeffs)
+    return _normal_form_w(ring, coeffs)
 
 
-def _normal_form_w(ctx: BContext, coeffs):
+def _normal_form_w(ring, coeffs):
     """Normal form of the sum of c*r(w) over {w: c}, each w = (b, z) a
     dominant weight in fundamental-weight coordinates: the memo entry of the
-    canonical weight (b, 0), reduced if new, shifted by z."""
-    m = ctx.rd.nroots
+    canonical weight (b, 0), reduced if new, shifted by z.  For an SOEven
+    cover, the cover's normal form solved against the box."""
+    if isinstance(ring, _SOCover):
+        return ring.solve(_normal_form_w(ring.cover_ctx, coeffs))
+    m = ring.rd.nroots
     terms = []
     for w, c in coeffs.items():
         z = w[m:]
         key = w[:m] + (0,) * len(z)
-        entry = ctx.memo.get(key)
+        entry = ring.memo.get(key)
         if entry is None:
-            entry = _reduce_canonical(ctx, key)
-        terms.append((_shifted(ctx, entry, z) if any(z) else entry.coeffs, c))
-    return BElement(combine(terms), ctx.ctx_id)
+            entry = _reduce_canonical(ring, key)
+        terms.append((_shifted(ring, entry, z) if any(z) else entry.coeffs, c))
+    return BElement(combine(terms), ring.ctx_id)
 
 
 def _shifted(ctx: BContext, entry: BElement, z):
@@ -410,8 +406,8 @@ def _reduce_canonical(ctx: BContext, key) -> BElement:
     the box is basis vector (b, 0), the mixed-radix index of b times the
     number of central classes.
     """
-    frob, cache, memo = ctx._wfrob, ctx._wcache, ctx.memo
-    q, m, nc = frob.q, ctx.rd.nroots, len(ctx._central_reps)
+    cache, memo = ctx._wcache, ctx.memo
+    q, m, nc = ctx.frob.q, ctx.rd.nroots, len(ctx._central_reps)
     zero = key[m:]
     replacements = {}
     stack = [key]
@@ -436,7 +432,7 @@ def _reduce_canonical(ctx: BContext, key) -> BElement:
                 raise NonTermination(
                     f"leading coefficient of r({cur}) is {p1.coeffs.get(cur)}"
                 )
-            tau_e = frob.tau_apply(e_a)
+            tau_e = ctx._wtau.apply(e_a)
             p2 = multiply(cache, InvariantElement.r(lam_p), InvariantElement.r(tau_e))
             replacement = combine(((p2.coeffs, 1), (p1.coeffs, -1), ({cur: 1}, 1)))
             h_cur = cache.height(cur)
@@ -457,16 +453,15 @@ def _reduce_canonical(ctx: BContext, key) -> BElement:
 
 
 def multiply_b(ctx: BContext, x: BElement, y: BElement) -> BElement:
+    """The product of the basis lifts in the ring's (b, c), reduced there."""
     if x.ctx_id != ctx.ctx_id or y.ctx_id != ctx.ctx_id:
         raise ContextMismatch("operands belong to a different context")
-    if ctx.strategy == SO_EVEN:
-        return normal_form(ctx, multiply(ctx.cache, ctx.lift(x), ctx.lift(y)))
-    # GenericSC: the product of the basis lifts in (b, c), reduced there
+    ring = ctx.cover() if ctx.strategy == SO_EVEN else ctx
     a, b = (
-        InvariantElement(combine(({ctx._wbasis[i]: 1}, c) for i, c in e.coeffs.items()))
+        InvariantElement(combine(({ring._wbasis[i]: 1}, c) for i, c in e.coeffs.items()))
         for e in (x, y)
     )
-    return _normal_form_w(ctx, multiply(ctx._wcache, a, b).coeffs)
+    return _normal_form_w(ring, multiply(ring._wcache, a, b).coeffs)
 
 
 def structure_constants(ctx: BContext, limit=64):

@@ -468,18 +468,21 @@ def datum_from_json(doc):
 
     Schema: {"rank": n, "simple_roots": [[...]], "simple_coroots": [[...]],
     "tau": [[...]] (optional), "label": "..."}.  Every number must be a JSON
-    integer and the rank nonnegative, else DualalgError.
+    integer, the rank nonnegative and the label a string, else DualalgError.
     """
     if not isinstance(doc, dict):
         raise DualalgError("datum JSON must be an object")
     rank = _json_int("rank", doc.get("rank"))
     if rank < 0:
         raise DualalgError(f"rank must be nonnegative, got {rank}")
+    label = doc.get("label", "custom")
+    if not isinstance(label, str):
+        raise DualalgError(f"label must be a string, got {label!r}")
     rd = RootDatum(
         rank,
         _json_rows("simple_roots", doc.get("simple_roots", [])),
         _json_rows("simple_coroots", doc.get("simple_coroots", [])),
-        doc.get("label", "custom"),
+        label,
     )
     tau = doc.get("tau")
     return rd, (IntMatrix(_json_rows("tau", tau)) if tau is not None else None)

@@ -346,6 +346,47 @@ def test_so8_normal_form_via_cover():
         assert lhs == evaluate(ctx.cache, ctx.lift(prod), pt)
 
 
+# -- SOEven on the GenericSC route ---------------------------------------------
+# SOEven products and normal forms run in the cover's fundamental-weight
+# coordinates.  The reference is the former route: the product of the basis
+# lifts formed in the SO datum itself, then reduced.
+
+
+def reference_so_product(ctx, x, y):
+    return normal_form(ctx, multiply(ctx.cache, ctx.lift(x), ctx.lift(y)))
+
+
+def test_so_even_products_match_the_so_datum_product():
+    for n, q in [(4, 2), (4, 3), (6, 2)]:
+        ctx = make_ctx("SO", n, q, strategy=SO_EVEN)
+        basis = [BElement({i: 1}, ctx.ctx_id) for i in range(rank(ctx))]
+        for x, y in itertools.product(basis, repeat=2):
+            assert multiply_b(ctx, x, y) == reference_so_product(ctx, x, y), (n, q, x, y)
+    ctx = make_ctx("SO", 8, 2, strategy=SO_EVEN)
+    rng = random.Random(3)
+    for _ in range(40):
+        x, y = (
+            BElement({rng.randrange(rank(ctx)): rng.choice((-2, -1, 1, 3)) for _ in range(2)},
+                     ctx.ctx_id)
+            for _ in range(2)
+        )
+        assert multiply_b(ctx, x, y) == reference_so_product(ctx, x, y), (x, y)
+
+
+def test_so_even_products_leave_the_so_orbit_cache_empty():
+    ctx = make_ctx("SO", 4, 3, strategy=SO_EVEN)
+    structure_constants(ctx)
+    assert ctx.cache._orbits == {}
+
+
+def test_so_even_box_in_cover_coordinates():
+    for n, q in [(4, 3), (8, 2)]:
+        ctx = make_ctx("SO", n, q, strategy=SO_EVEN)
+        cover = ctx.cover()
+        for i, lam in enumerate(ctx.basis):
+            assert cover._wbasis[i] == cover.cover_ctx._to_w.apply(lam + (0,)), (n, q, i)
+
+
 # -- weight-keyed reference reduction ------------------------------------------
 # The library reduces in the coordinates (b, c) of X = sum Z w_i + X0, memoizes
 # each reduction under the canonical weight (b, 0) and moves the central part
@@ -484,3 +525,7 @@ def test_normal_form_names_the_non_dominant_weight():
     ctx = make_ctx("GL", 2, 3)
     with pytest.raises(NotDominant, match=re.escape("(0, 1)")):
         normal_form(ctx, R((0, 1)))
+    # SOEven reduces in its cover, but names the weight of its own datum
+    ctx = make_ctx("SO", 4, 3, strategy=SO_EVEN)
+    with pytest.raises(NotDominant, match=r"^\(0, -1\)$"):
+        normal_form(ctx, R((0, -1)))

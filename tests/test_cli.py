@@ -299,6 +299,28 @@ def test_verify_sl2_check_follows_the_datum_not_the_label(tmp_path, capsys):
     assert "sl2_q3_regression" not in names
 
 
+@pytest.mark.parametrize("command", ["rank", "structure", "verify"])
+def test_datum_file_label_must_be_a_string(command, tmp_path, capsys):
+    # an integer label on the SO(4) datum: the SOEven cover names itself
+    # after the label, so a non-string once crashed structure and verify
+    rd = build_standard("SO", 4)
+    doc = {
+        "rank": rd.rank,
+        "simple_roots": [list(a) for a in rd.simple_roots],
+        "simple_coroots": [list(a) for a in rd.simple_coroots],
+        "label": 5,
+    }
+    f = tmp_path / "so4.json"
+    f.write_text(json.dumps(doc))
+    code = main([command, "--datum-file", str(f), "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "label must be a string, got 5" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["rank", "--group", "SO", "--n", "8", "--q", "2"],
     ["points", "--group", "SO", "--n", "8", "--q", "2"],

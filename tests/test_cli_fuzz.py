@@ -1,10 +1,11 @@
-"""Fuzz of the CLI exit-code contract over `rank` and `points`.
+"""Fuzz of the CLI exit-code contract over `rank`, `points` and `structure`.
 
 Random groups, small n, bad q (0, 1, 4, 6, negative), random datum JSON and
 argument errors (an unknown group, a non-integer n) must always make `main`
 return 0, 1 or 2 with no traceback and no SystemExit: 0 and 2 print a JSON
-document, 1 prints an `error:` line.  DUALALG_WEYL_CAP is kept low so every
-example stays small; the examples are derandomized, so a run is repeatable.
+document, 1 prints an `error:` line.  DUALALG_WEYL_CAP is kept low and
+`structure` runs with `--limit 8`, so every example stays small; the examples
+are derandomized, so a run is repeatable.
 """
 
 import contextlib
@@ -54,6 +55,9 @@ def shaped_docs(draw):
         entry = st.integers(-1, 1)
         doc["tau"] = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
                                    min_size=width, max_size=width))
+    if draw(st.booleans()):
+        doc["label"] = draw(st.text(max_size=3) | st.integers(-5, 5)
+                            | st.lists(st.integers(-3, 3), max_size=2))
     return doc
 
 
@@ -62,8 +66,8 @@ datum_docs = st.sampled_from(VALID_DOCS) | shaped_docs() | json_junk
 
 @st.composite
 def argvs(draw, datum_path):
-    cmd = draw(st.sampled_from(["rank", "points"]))
-    argv = [cmd]
+    cmd = draw(st.sampled_from(["rank", "points", "structure"]))
+    argv = [cmd] + (["--limit", "8"] if cmd == "structure" else [])
     if draw(st.booleans()):
         with open(datum_path, "w") as fh:
             json.dump(draw(datum_docs), fh)

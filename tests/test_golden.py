@@ -81,6 +81,10 @@ GOLDEN = [
      "e80cae3b8a9500b5978e6ae9e8451cfb7be7ecb0fd435d40c56d3fcd8fb7e919"),
     (["structure", "--group", "SO", "--n", "4", "--q", "3"], 0,
      "94a49237f4ff23192d48cc697b9b710b403788ea6d312629ffb88d8bb5e20097"),
+    # SOEven products in the cover's fundamental-weight coordinates (taken
+    # before they left the SO datum): the S2' band of the box, reached at odd q
+    (["structure", "--group", "SO", "--n", "6", "--q", "3"], 0,
+     "4ab48081c23b0a2774f939d802b9683b520a862cea10844fdc13bf6a76e8c960"),
     # the exact eliminations outside intlinalg (taken before they were
     # routed through finitefield._poly_rem, kernel_basis and powers): the
     # GF(4) modulus search and generator inverses, the F_2 parity lattice of

@@ -477,12 +477,7 @@ def structure_constants(ctx: BContext, limit=64):
             bi = BElement({i: 1}, ctx.ctx_id)
             for j in range(i, n):
                 bj = BElement({j: 1}, ctx.ctx_id)
-                prod = multiply_b(ctx, bi, bj)
-                row = [0] * n
-                for k, v in prod.coeffs.items():
-                    row[k] = v
-                tensor[i][j] = row
-                tensor[j][i] = row
+                tensor[i][j] = tensor[j][i] = _dense(multiply_b(ctx, bi, bj), n)
         ctx._structure = tensor
     return ctx._structure
 

@@ -154,8 +154,7 @@ def cmd_oracle(args):
     spec = MatrixGroupSpec(args.group, args.n, args.q, cap=args.cap)
     count, histogram = brute_force_ss_classes(spec)
     rd = build_standard(args.group, args.n)
-    p, r = prime_power_split(args.q)
-    frob = FrobeniusData(rd, p, r)
+    frob = FrobeniusData(rd, spec.p, spec.r)
     cc = class_count(rd, frob)
     payload = {
         "version": VERSION,
@@ -215,6 +214,7 @@ def cmd_structure(args):
 
 def cmd_curtis(args):
     group = {"GL2": GL2, "PGL2": PGL2}[args.group]
+    _resolve_q(args)
     q = args.q
     head = {"version": VERSION, "group": args.group, "q": q}
     if args.check == "saturation":

@@ -11,7 +11,7 @@ working definitions of semisimplicity in a finite matrix group.
 from __future__ import annotations
 
 from .errors import CapExceeded, CrossCheckFailed
-from .finitefield import GF, poly_derivative, poly_gcd
+from .finitefield import GF, _digits_fixed, poly_derivative, poly_gcd
 from .rootdata import prime_power_split
 
 DEFAULT_GROUP_CAP = 10 ** 6
@@ -23,6 +23,7 @@ class MatrixGroupSpec:
             raise ValueError("family must be GL or SL")
         if n > 3 or n < 1:
             raise ValueError("n must be 1, 2 or 3")
+        self.p, self.r = prime_power_split(q)
         self.family = family
         self.n = n
         self.q = q
@@ -86,17 +87,12 @@ def enumerate_group(spec: MatrixGroupSpec):
     order = spec.order()
     if order > spec.cap:
         raise CapExceeded(f"group order {order} exceeds cap {spec.cap}")
-    p, r = prime_power_split(spec.q)
-    field = GF(p, r)
+    field = GF(spec.p, spec.r)
     n, q = spec.n, spec.q
     want_det_one = spec.family == "SL"
     elems = []
     for code in range(q ** (n * n)):
-        entries = []
-        c = code
-        for _ in range(n * n):
-            entries.append(c % q)
-            c //= q
+        entries = _digits_fixed(code, q, n * n)
         m = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
         d = _det(field, m, n)
         if d == 0:
@@ -155,12 +151,7 @@ def minimal_polynomial(field, m, n):
         powers.append(_mat_mul(field, powers[-1], m, n))
     for deg in range(1, n + 1):
         for code in range(field.q ** deg):
-            coeffs = []
-            c = code
-            for _ in range(deg):
-                coeffs.append(c % field.q)
-                c //= field.q
-            coeffs.append(1)
+            coeffs = _digits_fixed(code, field.q, deg) + [1]
             acc = [[0] * n for _ in range(n)]
             for k, ck in enumerate(coeffs):
                 if ck:

@@ -56,34 +56,19 @@ class RootDatum:
         self.cowalls = tuple((root, coroot, 0) for root, coroot in self.simple)
         self.cartan = tuple(self.pairings(a) for a in self.simple_roots)
         self.validate()
-        self.all_roots = self._root_closure()
         # the one factorization of the coroot rows: its kernel is the central
         # lattice, and it solves for the fundamental-weight lifts
         self.coroot_form = SmithForm(IntMatrix(self.simple_coroots)) if self.nroots else None
 
     # -- structure -----------------------------------------------------
 
-    def _root_closure(self):
-        roots = set(self.simple_roots)
-        frontier = list(self.simple_roots)
-        while frontier:
-            lam = frontier.pop()
-            for root, coroot in self.simple:
-                img = list(lam)
-                c = sum(lam[k] * x for k, x in coroot)
-                for k, a in root:
-                    img[k] -= c * a
-                img = tuple(img)
-                if img not in roots:
-                    roots.add(img)
-                    frontier.append(img)
-                    if len(roots) > 100000:
-                        raise InvalidCartan("root closure does not terminate")
-        return tuple(sorted(roots))
-
     def validate(self):
-        """Finite-type generalized Cartan matrix, else the root closure would
-        not end; the closure is closed under each simple reflection."""
+        """The Cartan matrix is a generalized Cartan matrix (GCM) of finite
+        type, else InvalidCartan.  The test is exact: a GCM has off-diagonal
+        entries <= 0, so it is a Z-matrix; a Z-matrix whose leading principal
+        minors are all positive is a nonsingular M-matrix (Berman-Plemmons
+        1994, Thm 6.2.3); and such a GCM is of finite type (Kac 1990, Thm
+        4.3).  So W is finite, and its closure is bounded by the Weyl cap."""
         c = self.cartan
         for i in range(self.nroots):
             if c[i][i] != 2:
@@ -93,7 +78,6 @@ class RootDatum:
                     raise InvalidCartan("positive off-diagonal Cartan entry")
                 if i != j and (c[i][j] == 0) != (c[j][i] == 0):
                     raise InvalidCartan("asymmetric zero pattern")
-        # finite type: all leading principal minors positive
         for k in range(1, self.nroots + 1):
             if det(IntMatrix([row[:k] for row in c[:k]])) <= 0:
                 raise InvalidCartan("not of finite type (nonpositive principal minor)")
@@ -111,9 +95,6 @@ class RootDatum:
             out.append(p)
         return tuple(out)
 
-    def is_dominant(self, lam):
-        return all(x >= 0 for x in self.pairings(lam))
-
     # -- derived data ----------------------------------------------------
 
     def central_lattice(self):
@@ -124,16 +105,18 @@ class RootDatum:
 
     def highest_roots(self):
         """(theta, theta^vee) for each irreducible component, sorted.  Each
-        simple root alpha walks to the dominant root w*alpha of its W-orbit,
-        kept when no theta + alpha_j is a root, as only the highest root of a
-        component is maximal among its positive roots.  Then w*alpha^vee =
-        theta^vee pairs nonnegatively with every simple root, so it is the
-        one dominant coweight in the W-orbit of alpha^vee."""
-        roots = set(self.all_roots)
+        simple root alpha walks to the dominant root theta = w*alpha of its
+        W-orbit, kept when no theta + alpha_j is a root, as only the highest
+        root of a component is maximal among its positive roots.  v is a root
+        exactly when chamber(v) is such a theta: every root is W-conjugate to a
+        simple root, and the closed chamber meets each W-orbit once.  theta^vee
+        = w*alpha^vee is the one dominant coweight in the W-orbit of alpha^vee."""
+        tops = [chamber(a, self.walls) for a in self.simple_roots]
+        dominant = set(tops)
         found = {}
-        for a, a_v in zip(self.simple_roots, self.simple_coroots):
-            theta = chamber(a, self.walls)
-            if all(tuple(x + y for x, y in zip(theta, b)) not in roots for b in self.simple_roots):
+        for theta, a_v in zip(tops, self.simple_coroots):
+            if all(chamber(tuple(x + y for x, y in zip(theta, b)), self.walls) not in dominant
+                   for b in self.simple_roots):
                 found[theta] = chamber(a_v, self.cowalls)
         return sorted(found.items())
 
@@ -366,9 +349,6 @@ class FrobeniusData:
 
     def f_apply(self, lam):
         return self.f_matrix.apply(lam)
-
-    def tau_apply(self, lam):
-        return self.tau.apply(lam)
 
 
 def _is_prime(n):

@@ -130,6 +130,22 @@ def test_curtis_eside_rejects_pgl2(capsys):
     assert json.loads(out)["eside_parity"] is True
 
 
+CURTIS_FORMS = [[], ["--format", "csv"], ["--check", "saturation"],
+                ["--check", "homomorphism"], ["--check", "eside"]]
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, -2])
+@pytest.mark.parametrize("group", ["GL2", "PGL2"])
+def test_curtis_rejects_q_that_is_no_prime_power(group, q, capsys):
+    # every form checks q before it computes: no table for a field that
+    # does not exist, and no ZeroDivisionError at q = 1
+    for form in CURTIS_FORMS:
+        assert main(["curtis", "--group", group, "--q", str(q)] + form) == 1, form
+        captured = capsys.readouterr()
+        assert captured.out == "", form
+        assert captured.err == f"error: q = {q} is not a prime power\n", form
+
+
 def test_verify_sl2(capsys):
     code, out = run_cli(["verify", "--group", "SL", "--n", "2", "--q", "3", "--fast"], capsys)
     doc = json.loads(out)

@@ -1,11 +1,13 @@
-"""Fuzz of the CLI exit-code contract over `rank`, `points` and `structure`.
+"""Fuzz of the CLI exit-code contract over `rank`, `points`, `structure`,
+`curtis` and `oracle`.
 
 Random groups, small n, bad q (0, 1, 4, 6, negative), random datum JSON and
 argument errors (an unknown group, a non-integer n) must always make `main`
 return 0, 1 or 2 with no traceback and no SystemExit: 0 and 2 print a JSON
-document, 1 prints an `error:` line.  DUALALG_WEYL_CAP is kept low and
-`structure` runs with `--limit 8`, so every example stays small; the examples
-are derandomized, so a run is repeatable.
+document (the curtis tables under `--format csv` print integer rows), 1
+prints an `error:` line.  DUALALG_WEYL_CAP is kept low, `structure` runs with
+`--limit 8` and `oracle` with `--cap 1000`, so every example stays small; the
+examples are derandomized, so a run is repeatable.
 """
 
 import contextlib
@@ -66,9 +68,17 @@ datum_docs = st.sampled_from(VALID_DOCS) | shaped_docs() | json_junk
 
 @st.composite
 def argvs(draw, datum_path):
-    cmd = draw(st.sampled_from(["rank", "points", "structure"]))
+    cmd = draw(st.sampled_from(["rank", "points", "structure", "curtis", "oracle"]))
     argv = [cmd] + (["--limit", "8"] if cmd == "structure" else [])
-    if draw(st.booleans()):
+    if cmd == "curtis":
+        argv += ["--group", draw(st.sampled_from(["GL2", "PGL2", "Foo"]))]
+        check = draw(st.sampled_from([None, "saturation", "homomorphism", "eside"]))
+        fmt = draw(st.sampled_from([None, "json", "csv"]))
+        argv += (["--check", check] if check else []) + (["--format", fmt] if fmt else [])
+    elif cmd == "oracle":
+        argv += ["--group", draw(st.sampled_from(["GL", "SL", "Foo"])),
+                 "--n", str(draw(st.sampled_from([1, 2, 3, 4, 0, "x"]))), "--cap", "1000"]
+    elif draw(st.booleans()):
         with open(datum_path, "w") as fh:
             json.dump(draw(datum_docs), fh)
         argv += ["--datum-file", datum_path]
@@ -83,6 +93,13 @@ def argvs(draw, datum_path):
     if cmd == "points" and draw(st.booleans()):
         argv += ["--ell", str(draw(st.integers(-3, 300)))]
     return argv
+
+
+def parse_output(argv, text):
+    """The JSON document, or the integer rows of the curtis tables in CSV."""
+    if "csv" in argv and "--check" not in argv:
+        return [[int(x) for x in line.split(",")] for line in text.splitlines() if line]
+    return json.loads(text)
 
 
 def test_rank_and_points_exit_0_1_2_without_traceback(tmp_path_factory):
@@ -100,7 +117,7 @@ def test_rank_and_points_exit_0_1_2_without_traceback(tmp_path_factory):
         if code == 1:
             assert err.getvalue().startswith("error: "), argv
         else:
-            json.loads(out.getvalue())
+            parse_output(argv, out.getvalue())
 
     with mock.patch.dict(os.environ, {"DUALALG_WEYL_CAP": "50"}):
         run()

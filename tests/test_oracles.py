@@ -290,6 +290,13 @@ def test_group_cap():
         brute_force_ss_classes(MatrixGroupSpec("GL", 3, 5, cap=1000))
 
 
+def test_group_spec_rejects_q_that_is_no_prime_power():
+    # checked before the order formula, which divides by q - 1 for SL
+    for q in (0, 1, 6, -2):
+        with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
+            MatrixGroupSpec("SL", 2, q)
+
+
 def test_generator_inverses():
     # the orbit refinement conjugates by g^-1 = g^(k-1), k the order of g
     for fam in ("GL", "SL"):

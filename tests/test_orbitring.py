@@ -30,7 +30,7 @@ def contract_from_e(cache, emap):
     emap = {k: v for k, v in emap.items() if v}
     out = {}
     while emap:
-        dominant = [k for k in emap if rd.is_dominant(k)]
+        dominant = [k for k in emap if min(rd.pairings(k), default=0) >= 0]
         assert dominant, "W-invariant support must contain a dominant weight"
         best = max(dominant, key=lambda k: (cache.height(k), k))
         c = emap[best]
@@ -97,7 +97,7 @@ def test_chamber_walk_is_orbit_invariant():
     for _ in range(50):
         lam = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
         dom = chamber(lam, rd.walls)
-        assert rd.is_dominant(dom)
+        assert min(rd.pairings(dom), default=0) >= 0
         assert chamber(rng.choice(weyl).apply(lam), rd.walls) == dom
         assert dom in cache.orbit(lam)
 

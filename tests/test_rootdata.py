@@ -50,6 +50,12 @@ def reference_weyl_group(rd, cap):
     return elems
 
 
+def roots(rd):
+    """The roots as the Weyl images of the simple roots: every root is
+    W-conjugate to a simple root."""
+    return {w.apply(a) for w in weyl_group(rd) for a in rd.simple_roots}
+
+
 def test_gl2_datum():
     rd = build_standard("GL", 2)
     assert rd.rank == 2
@@ -61,12 +67,12 @@ def test_so8_datum():
     rd = build_standard("SO", 8)
     assert rd.rank == 4
     assert rd.nroots == 4
-    assert len(rd.all_roots) == 2 * 4 * 3  # 2n(n-1) for the even orthogonal family
+    assert len(roots(rd)) == 2 * 4 * 3  # 2n(n-1) for the even orthogonal family
 
 
 def test_torus_datum():
     rd = build_standard("Torus", 1)
-    assert rd.rank == 1 and rd.nroots == 0 and rd.all_roots == ()
+    assert rd.rank == 1 and rd.nroots == 0 and roots(rd) == set()
 
 
 def test_from_cartan_rejects_bad_input():
@@ -76,9 +82,40 @@ def test_from_cartan_rejects_bad_input():
         build_standard("FromCartan", cartan=[[2, 1], [1, 2]])
 
 
+def principal_minors(c):
+    """Every principal minor of a 3x3 matrix, by cofactor expansion."""
+    out = [c[i][i] for i in range(3)]
+    out += [c[i][i] * c[j][j] - c[i][j] * c[j][i] for i in range(3) for j in range(i + 1, 3)]
+    out.append(sum(c[0][j] * (c[1][(j + 1) % 3] * c[2][(j + 2) % 3]
+                              - c[1][(j + 2) % 3] * c[2][(j + 1) % 3]) for j in range(3)))
+    return out
+
+
+def test_validate_is_exact_on_3x3_cartan_matrices():
+    # every 3x3 matrix with diagonal 2 and off-diagonal entries in
+    # {0, -1, -2, -3}: accepted exactly when the zero pattern is symmetric
+    # and every principal minor is positive, and then W is finite
+    accepted = 0
+    for code in range(4 ** 6):
+        off = [-((code >> (2 * k)) & 3) for k in range(6)]
+        c = [[2, off[0], off[1]], [off[2], 2, off[3]], [off[4], off[5], 2]]
+        symmetric = all((c[i][j] == 0) == (c[j][i] == 0) for i in range(3) for j in range(3))
+        finite = symmetric and min(principal_minors(c)) > 0
+        try:
+            rd = build_standard("FromCartan", cartan=c)
+        except InvalidCartan:
+            assert not finite, c
+            continue
+        assert finite, c
+        assert len(weyl_group(rd, cap=10 ** 4)) <= 48
+        assert len(rd.highest_roots()) == len(components(rd))
+        accepted += 1
+    assert accepted == 31
+
+
 def test_from_cartan_g2():
     rd = build_standard("FromCartan", cartan=[[2, -1], [-3, 2]])
-    assert len(rd.all_roots) == 12
+    assert len(roots(rd)) == 12
     assert len(weyl_group(rd)) == 12
 
 
@@ -133,9 +170,9 @@ def test_weyl_group_axioms_small():
     for a in weyl:
         for b in weyl:
             assert (a * b).entries in mats
-    rootset = set(rd.all_roots)
+    rootset = roots(rd)
     for w in weyl:
-        for beta in rd.all_roots:
+        for beta in rootset:
             assert w.apply(beta) in rootset
 
 
@@ -220,7 +257,7 @@ def test_highest_roots_reference(fam, n):
     ident = IntMatrix.identity(rd.rank)
     want = []
     for comp in components(rd):
-        inside = [b for b in rd.all_roots
+        inside = [b for b in sorted(roots(rd))
                   if all(p == 0 for j, p in enumerate(rd.pairings(b)) if j not in comp)]
         theta = max(inside, key=cache.height)
         w, i = next((w, i) for w in weyl for i in comp if w.apply(rd.simple_roots[i]) == theta)
@@ -336,7 +373,7 @@ def test_datum_from_json_rejects_malformed():
     ]:
         with pytest.raises(DualalgError, match=msg):
             datum_from_json(doc)
-    # an affine Cartan matrix is refused before the (infinite) root closure
+    # an affine Cartan matrix is refused: its Weyl group is infinite
     with pytest.raises(InvalidCartan, match="finite type"):
         datum_from_json({"rank": 2, "simple_roots": [[2, -2], [-2, 2]],
                          "simple_coroots": [[1, 0], [0, 1]]})

@@ -45,7 +45,7 @@ from .errors import (
     ReductionUnsolvable,
     StrategyInapplicable,
 )
-from .intlinalg import IntMatrix, SmithForm, det, snf
+from .intlinalg import IntMatrix, SmithForm, det, rank_mod_p, snf
 from .oracles import enumerate_points, evaluate, sector_average, sector_divisors
 from .orbitring import InvariantElement, OrbitCache, combine, multiply
 from .rootdata import UNAVAILABLE, FrobeniusData, RootDatum, weyl_group
@@ -543,32 +543,5 @@ def reducedness_certificate(ctx: BContext):
 def evaluation_rank(ctx: BContext):
     """(rank mod ell of the evaluation matrix, basis size, point count)."""
     pts = ctx.points()
-    r = _rank_mod_p(ctx.evaluations(), pts[0].ell) if pts else 0
+    r = rank_mod_p(ctx.evaluations(), pts[0].ell) if pts else 0
     return r, len(ctx.basis), len(pts)
-
-
-def _rank_mod_p(rows, p):
-    m = [[x % p for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    rank_ = 0
-    col = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank_, nr):
-            if m[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank_], m[piv] = m[piv], m[rank_]
-        inv = pow(m[rank_][col], p - 2, p)
-        m[rank_] = [x * inv % p for x in m[rank_]]
-        for r in range(nr):
-            if r != rank_ and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank_])]
-        rank_ += 1
-        if rank_ == nr:
-            break
-    return rank_

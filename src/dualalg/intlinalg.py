@@ -255,56 +255,35 @@ def snf(m: IntMatrix):
         if not clean:
             continue
         t += 1
-    # sign normalization
-    for i in range(limit):
+    # a is diagonal, its t nonzero entries first; their signs move into u
+    for i in range(t):
         if a[i][i] < 0:
-            for k in range(ncols):
-                a[i][k] = -a[i][k]
-            # flip the corresponding row of u to keep u*m*v = d
+            a[i][i] = -a[i][i]
             u[i] = [-x for x in u[i]]
-    # enforce the divisibility chain d_i | d_{i+1}
+    # enforce d_i | d_{i+1} on the diagonal alone: column i += column i+1,
+    # then rows i, i+1 combined by x*d_i + y*d_j = g give (g, d_i*d_j/g) and
+    # the entry y*d_j, a multiple of g that one column step clears
     changed = True
     while changed:
         changed = False
-        for i in range(limit - 1):
+        for i in range(t - 1):
             di, dj = a[i][i], a[i + 1][i + 1]
-            if di != 0 and dj % di != 0:
-                # fold column i+1 into column i and re-eliminate the 2x2 block
-                addcol(i, i + 1, 1)
-                g, x, y = _xgcd(di, a[i + 1][i])
-                # row_i <- x*row_i + y*row_{i+1}; row_{i+1} adjusted to keep u unimodular
-                ri, rj = a[i][:], a[i + 1][:]
-                uri, urj = u[i][:], u[i + 1][:]
-                p, q = di // g, a[i + 1][i] // g
-                a[i] = [x * s + y * t2 for s, t2 in zip(ri, rj)]
-                u[i] = [x * s + y * t2 for s, t2 in zip(uri, urj)]
-                a[i + 1] = [-q * s + p * t2 for s, t2 in zip(ri, rj)]
-                u[i + 1] = [-q * s + p * t2 for s, t2 in zip(uri, urj)]
-                # clear the off-diagonal remnants
-                qq = a[i][i + 1] // a[i][i]
-                if a[i][i + 1] % a[i][i] == 0:
-                    addcol(i + 1, i, -qq)
-                else:
-                    changed = True
-                    continue
-                qq = a[i + 1][i] // a[i][i] if a[i + 1][i] else 0
-                if qq:
-                    addrow(i + 1, i, -qq)
-                if a[i + 1][i + 1] < 0:
-                    for k in range(ncols):
-                        a[i + 1][k] = -a[i + 1][k]
-                    u[i + 1] = [-x2 for x2 in u[i + 1]]
-                changed = True
-        # re-sort zero diagonal entries to the end
-        for i in range(limit - 1):
-            if a[i][i] == 0 and a[i + 1][i + 1] != 0:
-                swaprows(i, i + 1)
-                swapcols(i, i + 1)
+            if dj % di:
+                g, x, y = _xgcd(di, dj)
+                p, q = di // g, dj // g
+                for r in v:
+                    r[i] += r[i + 1]
+                    r[i + 1] -= y * q * r[i]
+                ui, uj = u[i], u[i + 1]
+                u[i] = [x * s + y * s2 for s, s2 in zip(ui, uj)]
+                u[i + 1] = [p * s2 - q * s for s, s2 in zip(ui, uj)]
+                a[i][i], a[i + 1][i + 1] = g, p * dj
                 changed = True
     return IntMatrix(a), IntMatrix(u), IntMatrix(v)
 
 
 def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), for a, b > 0."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -313,9 +292,27 @@ def _xgcd(a, b):
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p (p prime) of integer rows, by forward elimination: each
+    pivot clears only the rows below it."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        inv = pow(top[col], -1, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv % p
+            if f:
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], top)]
+        rank += 1
+    return rank
 
 
 class SmithForm:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .errors import BadPrime, CrossCheckFailed, NonIntegral, PrimeMismatch
+from .errors import BadPrime, CrossCheckFailed, NonIntegral
 from .finitefield import GF
 from .intlinalg import IntMatrix, det, snf
 from .orbitring import OrbitCache
@@ -271,10 +271,8 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
     return points
 
 
-def evaluate(cache: OrbitCache, x, pt: TorusPoint, ell=None):
+def evaluate(cache: OrbitCache, x, pt: TorusPoint):
     """Value of an invariant element at a torus point, in F_ell."""
-    if ell is not None and pt.ell != ell:
-        raise PrimeMismatch(f"point has ell={pt.ell}, expected {ell}")
     total = 0
     for lam, c in x.coeffs.items():
         s = 0

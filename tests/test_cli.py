@@ -146,6 +146,35 @@ def test_curtis_rejects_q_that_is_no_prime_power(group, q, capsys):
         assert captured.err == f"error: q = {q} is not a prime power\n", form
 
 
+@pytest.mark.parametrize("cmd,q,p,r", [
+    (["rank"], 3, 3, 1),
+    (["points"], 3, 3, 1),
+    (["structure"], 3, 3, 1),
+    (["verify", "--fast"], 3, 3, 1),
+    (["points"], 4, 2, 2),
+])
+def test_p_and_r_in_place_of_q(cmd, q, p, r, capsys):
+    argv = cmd + ["--group", "GL", "--n", "2"]
+    by_q = run_cli(argv + ["--q", str(q)], capsys)
+    assert by_q[0] == 0
+    assert run_cli(argv + ["--p", str(p), "--r", str(r)], capsys) == by_q
+
+
+@pytest.mark.parametrize("opts,message", [
+    (["--q", "9", "--p", "2"], "--p 2 inconsistent with --q 9"),
+    (["--q", "9", "--r", "1"], "--r 1 inconsistent with --q 9"),
+    (["--p", "3"], "need --q, or both --p and --r"),
+    (["--p", "4", "--r", "1"], "p = 4 is not prime"),
+    (["--p", "3", "--r", "0"], "r must be >= 1"),
+])
+def test_bad_p_and_r_exit_1(opts, message, capsys):
+    code = main(["rank", "--group", "GL", "--n", "2"] + opts)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_sl2(capsys):
     code, out = run_cli(["verify", "--group", "SL", "--n", "2", "--q", "3", "--fast"], capsys)
     doc = json.loads(out)

@@ -1,7 +1,8 @@
 """Fuzz of the CLI exit-code contract over `rank`, `points`, `structure`,
 `curtis` and `oracle`.
 
-Random groups, small n, bad q (0, 1, 4, 6, negative), random datum JSON and
+Random groups, small n, bad q (0, 1, 4, 6, negative), --p/--r with or
+without --q (consistent or not, p not prime, r < 1), random datum JSON and
 argument errors (an unknown group, a non-integer n) must always make `main`
 return 0, 1 or 2 with no traceback and no SystemExit: 0 and 2 print a JSON
 document (the curtis tables under `--format csv` print integer rows), 1
@@ -25,6 +26,10 @@ from dualalg.cli import main
 GROUPS = ["Torus", "GL", "SL", "PGL", "Sp", "SO", "Foo"]
 # q = 4 is a valid prime power, kept with the bad values as the smallest r > 1
 Q_VALUES = [2, 3, 5, 4, 0, 1, 6, -1, -2, -4, -7, None]
+# p = 4 is not prime; r = 0 and r = -1 are below 1
+P_VALUES = [None, 2, 3, 4, 0, -3]
+R_VALUES = [None, 1, 2, 0, -1]
+DATUM_CMDS = ("rank", "points", "structure")
 KEYS = ["rank", "simple_roots", "simple_coroots", "tau", "label"]
 
 # well-formed data: unitary GL(2), SL(2), B_2 in the lattice Z^2, a rank-0 torus
@@ -87,9 +92,17 @@ def argvs(draw, datum_path):
         n = draw(st.sampled_from([2, 4, 3, 6, 1, 5, 0, -1, "x", None]))
         if n is not None:
             argv += ["--n", str(n)]
-    q = draw(st.sampled_from(Q_VALUES))
-    if q is not None:
-        argv += ["--q", str(q)]
+    # --p/--r in place of --q or alongside it, consistent or not
+    mode = draw(st.sampled_from(["q", "pr", "both"])) if cmd in DATUM_CMDS else "q"
+    if mode != "pr":
+        q = draw(st.sampled_from(Q_VALUES))
+        if q is not None:
+            argv += ["--q", str(q)]
+    if mode != "q":
+        for flag, values in (("--p", P_VALUES), ("--r", R_VALUES)):
+            v = draw(st.sampled_from(values))
+            if v is not None:
+                argv += [flag, str(v)]
     if cmd == "points" and draw(st.booleans()):
         argv += ["--ell", str(draw(st.integers(-3, 300)))]
     return argv

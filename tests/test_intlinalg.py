@@ -15,9 +15,11 @@ from dualalg.intlinalg import (
     kernel_basis,
     lattice_hnf,
     lattices_equal,
+    rank_mod_p,
     reduce_mod_lattice,
     snf,
 )
+from dualalg.rootdata import FrobeniusData, build_standard, weyl_group
 
 
 def is_hnf_shape(h: IntMatrix):
@@ -110,6 +112,77 @@ def test_snf_with_zero_divisor():
     d, u, v = snf(m)
     assert [d[0, 0], d[1, 1]] == [5, 0]
     assert u * m * v == d
+
+
+# (m, d, u, v) recorded before the divisibility pass was rewritten to act on
+# the diagonal alone.  Each matrix runs its gcd-lcm step; the factor identity
+# alone would pass a pass that moved u or v, and with them every walked point
+# and printed representative.  The last is sector 57 of SO(10) at q = 2.
+SO10_SECTOR_57 = ((-1, 2, 0, 0, 0), (0, -1, 2, 0, 0), (2, 0, -1, 0, 0), (0, 0, 0, -3, 0),
+                  (0, 0, 0, 0, -3))
+PINNED_SNF = [
+    (((2, 0), (0, 3)),
+     ((1, 0), (0, 6)), ((-1, 1), (-3, 2)), ((1, -3), (1, -2))),
+    (((4, 0, 0), (0, 6, 0), (0, 0, 10)),
+     ((2, 0, 0), (0, 2, 0), (0, 0, 60)),
+     ((-1, 1, 0), (-3, 2, -1), (15, -10, 6)),
+     ((1, -3, -15), (1, -2, -10), (0, 1, 6))),
+    (SO10_SECTOR_57,
+     ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 3, 0), (0, 0, 0, 0, 21)),
+     ((-1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (2, 4, 1, 0, 2), (6, 12, 3, 1, 6), (6, 12, 3, 0, 7)),
+     ((1, 2, 4, 0, -24), (0, 1, 2, 0, -12), (0, 0, 1, 0, -6), (0, 0, 1, -1, 0),
+      (0, 0, 1, 0, -7))),
+]
+
+
+@pytest.mark.parametrize("m,d,u,v", PINNED_SNF, ids=["diag-2-3", "diag-4-6-10", "so10-sector"])
+def test_snf_transforms_pinned(m, d, u, v, monkeypatch):
+    steps = []
+    real = intlinalg._xgcd
+    monkeypatch.setattr(intlinalg, "_xgcd", lambda a, b: steps.append((a, b)) or real(a, b))
+    got = snf(IntMatrix(m))
+    assert tuple(x.entries for x in got) == (d, u, v)
+    assert steps
+
+
+def test_so10_pinned_matrix_is_a_sector_matrix():
+    rd = build_standard("SO", 10)
+    fw = FrobeniusData(rd, 2, 1).f_matrix * weyl_group(rd)[57]
+    assert fw - IntMatrix.identity(5) == IntMatrix(SO10_SECTOR_57)
+
+
+def test_rank_mod_p_matches_smith_diagonal():
+    # an independent route: over F_l the rank of m is the number of Smith
+    # invariants that l does not divide
+    rng = random.Random(20261019)
+    cases = [[], [[]], [[0, 0], [0, 0]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]]]
+    for _ in range(300):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        shape = rng.random()
+        if shape < 0.3:
+            # rank at most k < min(r, c): a product through a k-dimensional space
+            k = rng.randint(0, min(r, c) - 1)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+            right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+            m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k else [0] * c
+                 for row in left]
+        elif shape < 0.5:
+            for i in rng.sample(range(r), rng.randint(0, r)):
+                m[i] = [0] * c
+            for j in rng.sample(range(c), rng.randint(0, c)):
+                for row in m:
+                    row[j] = 0
+        cases.append(m)
+    deficient = 0
+    for m in cases:
+        diag = SmithForm(IntMatrix(m)).diag
+        for ell in (2, 3, 5, 7, 31):
+            want = sum(1 for d in diag if d % ell)
+            assert rank_mod_p(m, ell) == want, (m, ell)
+            deficient += want < min(len(m), len(m[0]) if m else 0)
+    assert rank_mod_p([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 7) == 2
+    assert deficient > 100
 
 
 def test_det_examples():

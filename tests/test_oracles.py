@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import gcd, prod
 
 import pytest
@@ -331,8 +332,11 @@ def reference_poly_mod(p, a, b):
 
 
 def test_extension_fields_match_reference_division():
-    # modulus search and products over F_p[x] against the old division routine
-    for p, r in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
+    # modulus search and products over F_p[x] against the old division
+    # routine: every pair while q <= 4096, where mul reads its table, and 300
+    # random pairs above that bound, where mul runs _mul_raw with no table
+    rng = random.Random(20261019)
+    for p, r in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (3, 8), (2, 13)]:
         field = GF(p, r)
         q = p ** r
 
@@ -345,25 +349,16 @@ def test_extension_fields_match_reference_division():
 
         want = next(tuple(digits(low) + [1]) for low in range(q) if irreducible(digits(low) + [1]))
         assert field.modulus == want, (p, r)
-        for a in range(q):
-            for b in range(q):
-                prod = [0] * (2 * r - 1)
-                for i, x in enumerate(digits(a)):
-                    for j, y in enumerate(digits(b)):
-                        prod[i + j] += x * y
-                rem = reference_poly_mod(p, [c % p for c in prod], list(want)) + [0] * r
-                assert field.mul(a, b) == sum(c * p ** k for k, c in enumerate(rem[:r])), (p, r, a, b)
-
-
-def test_prime_mismatch():
-    from dualalg.errors import PrimeMismatch
-
-    rd = build_standard("Torus", 1)
-    frob = FrobeniusData(rd, 2, 2)
-    pts = enumerate_points(rd, frob, 7)
-    cache = OrbitCache(rd)
-    with pytest.raises(PrimeMismatch):
-        evaluate(cache, InvariantElement.one(1), pts[0], ell=13)
+        pairs = (itertools.product(range(q), repeat=2) if q <= 4096
+                 else [(rng.randrange(q), rng.randrange(q)) for _ in range(300)])
+        for a, b in pairs:
+            prod = [0] * (2 * r - 1)
+            for i, x in enumerate(digits(a)):
+                for j, y in enumerate(digits(b)):
+                    prod[i + j] += x * y
+            rem = reference_poly_mod(p, [c % p for c in prod], list(want)) + [0] * r
+            assert field.mul(a, b) == sum(c * p ** k for k, c in enumerate(rem[:r])), (p, r, a, b)
+        assert (field._mul_table is None) == (q > 4096), (p, r)
 
 
 def test_point_determinism():

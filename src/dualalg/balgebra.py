@@ -1,9 +1,7 @@
 """The quotient of the invariant ring by the Frobenius-difference ideal:
 normal forms, explicit Z-bases, rank data, structure constants, the averaged
 trace form, its Gram discriminant, and a reducedness certificate by modular
-evaluation.
-
-Two basis strategies are supported.
+evaluation, under two basis strategies.
 
 GenericSC (derived group of the dual datum simply-connected): the basis is
 indexed by a box of fundamental-weight coefficients in [0, q) times a set of
@@ -11,17 +9,17 @@ representatives of the central lattice modulo (F - id).  Normal forms follow
 the constructive reduction: a weight with some pairing >= q is rewritten
 through the product expansions against r(q*w_a) and r(tau(w_a)), which have
 the same image in the quotient, and every step strictly lowers the height.
-The reduction runs in the coordinates (b, c) of X = sum Z w_a + X0, where b
-holds the pairings and c the central part; weights enter them once, at
-normal_form.  It is memoized under the canonical weight (b, 0): a weight
-(b, c) reads that entry with its central coordinate moved, as e(0, c) is an
-invariant unit.
+Every orbit sum (reduction, products, evaluations, trace form) is built in
+the coordinates (b, c) of X = sum Z w_a + X0, b the pairings and c the
+central part; X is the boundary format.  The reduction is memoized under the
+canonical weight (b, 0): a weight (b, c) reads that entry with its central
+coordinate moved, as e(0, c) is an invariant unit.
 
 SOEven (the even special orthogonal datum): the published basis box
 S1 | S2 | S2' is materialized as stated.  The published reduction sketch
 cannot rewrite every weight (a band of two-sided weights admits no dominant
-decomposition lam = kappa + q*mu at all), so products and normal forms run
-by the GenericSC route in the coordinates (b, c) of a rank+1 datum whose
+decomposition lam = kappa + q*mu at all), so every orbit sum is built by
+the GenericSC route in the coordinates (b, c) of a rank+1 datum whose
 derived group is simply-connected ("z-extension" cover); coordinates w.r.t.
 the box are then the canonical integer solution of an exact linear system,
 and every solve is certified or fails loudly.  Note: the point count of this
@@ -46,7 +44,7 @@ from .errors import (
     StrategyInapplicable,
 )
 from .intlinalg import IntMatrix, SmithForm, det, rank_mod_p, snf
-from .oracles import enumerate_points, evaluate, sector_average, sector_divisors
+from .oracles import TorusPoint, enumerate_points, evaluate, sector_average, sector_divisors
 from .orbitring import InvariantElement, OrbitCache, combine, multiply
 from .rootdata import UNAVAILABLE, FrobeniusData, RootDatum, weyl_group
 
@@ -94,9 +92,8 @@ class BContext:
     Immutable after construction except the memo cache, the central-shift
     offsets read with it, the lazily computed oracle data (the sector table,
     points, evaluation matrices) and the structure-constant tensor, each
-    computed at most once per context.
-    All are idempotent write-once-per-key caches (racing writers would all
-    write the same value).
+    computed at most once per context: idempotent write-once-per-key caches.
+    ``cache`` holds orbits in X only, for curtis and verification.
     """
 
     _next_id = itertools.count()
@@ -142,14 +139,15 @@ class BContext:
         return self._points
 
     def evaluations(self):
-        """Values of every basis orbit sum at every point: rows follow the
-        basis, columns follow points()."""
+        """Values of every basis orbit sum (rows) at every point (columns), from
+        the ring's orbits in (b, c): <E, to_x*w> = <to_x^T*E, w> for exponents E."""
         if self._evaluations is None:
-            pts = self.points()
-            self._evaluations = [
-                [evaluate(self.cache, InvariantElement.r(lam), pt) for pt in pts]
-                for lam in self.basis
-            ]
+            ring = self.ring()
+            to_xt = ring._to_x.transpose()
+            pts = [TorusPoint(to_xt.apply(p.exponents), p.zeta, p.l, p.ell, p.w_index)
+                   for p in self.points()]
+            self._evaluations = [[evaluate(ring._wcache, InvariantElement.r(w), pt) for pt in pts]
+                                 for w in ring._wbasis]
         return self._evaluations
 
     def lift(self, x: BElement):
@@ -157,10 +155,11 @@ class BContext:
         return InvariantElement(combine(({self.basis[i]: 1}, c) for i, c in x.coeffs.items()))
 
     def unit(self):
-        return self.from_weight((0,) * self.rd.rank)
+        return normal_form(self, InvariantElement.one(self.rd.rank))
 
-    def from_weight(self, lam):
-        return normal_form(self, InvariantElement.r(lam))
+    def ring(self):
+        """Where every orbit sum is built: this context, or SOEven's cover."""
+        return self.cover() if self.strategy == SO_EVEN else self
 
     # -- GenericSC -------------------------------------------------------
 
@@ -170,7 +169,7 @@ class BContext:
         to_w, whose first m rows are the simple coroots, and a private copy
         of the datum and of its orbit cache, and tau, in (b, c).
 
-        The reduction runs on that copy: b holds the pairings of a weight
+        All ring arithmetic runs on that copy: b holds the pairings of a weight
         and c its central part, so w_a is the unit vector e_a.  The basis is
         the box [0, q)^m times representatives of X0 / (F - id) X0, and
         ``basis`` holds it in X for everything else that reads it."""
@@ -185,6 +184,7 @@ class BContext:
         form = SmithForm(to_x)
         if any(d != 1 for d in form.diag):
             raise CrossCheckFailed("fundamental weights and central lattice do not span X")
+        self._to_x = to_x
         self._to_w = to_w = form.v * form.u
         ident = IntMatrix.identity(rd.rank).entries
         w_rd = RootDatum(rd.rank, [to_w.apply(a) for a in rd.simple_roots], ident[:m], rd.label)
@@ -282,7 +282,7 @@ def so_even_claimed_rank(n, q):
 
 
 class _SOCover:
-    """The ring an SOEven context multiplies and reduces in: a rank+1 datum
+    """The ring an SOEven context builds its orbit sums in: a rank+1 datum
     with simply-connected derived group, plus the exact change-of-basis solve.
 
     The cover has character lattice Z^(n+1); the first n coordinates carry the
@@ -290,7 +290,7 @@ class _SOCover:
     coroot.  x -> (x, 0) commutes with every reflection (the extra coordinate
     is 0 on its image), so orbit sums map to orbit sums of the same size,
     products commute with it and the Frobenius-difference ideal maps into the
-    cover's.  _to_w is x -> (x, 0) -> (b, c) and _wbasis the box in (b, c).
+    cover's.  _to_w is x -> (x, 0) -> (b, c), _to_x back, _wbasis the box.
     """
 
     def __init__(self, ctx: BContext):
@@ -309,6 +309,7 @@ class _SOCover:
                 f"the datum's has {len(ctx.weyl)}"
             )
         self._to_w = IntMatrix([row[:n] for row in cover._to_w.entries])
+        self._to_x = IntMatrix(cover._to_x.entries[:n])
         self._wbasis = [self._to_w.apply(lam) for lam in ctx.basis]
         self._wcache = cover._wcache
         cols = [_dense(_normal_form_w(cover, {w: 1}), len(cover.basis)) for w in self._wbasis]
@@ -348,8 +349,8 @@ def rank(ctx: BContext) -> int:
 
 def normal_form(ctx: BContext, x: InvariantElement) -> BElement:
     """Image of an invariant element in the quotient, in basis coordinates,
-    reduced in the (b, c) of the context or, for SOEven, of its cover."""
-    ring = ctx.cover() if ctx.strategy == SO_EVEN else ctx
+    reduced in the (b, c) of ctx.ring()."""
+    ring = ctx.ring()
     m = ctx.rd.nroots
     coeffs = {}
     for lam, c in x.coeffs.items():
@@ -456,7 +457,7 @@ def multiply_b(ctx: BContext, x: BElement, y: BElement) -> BElement:
     """The product of the basis lifts in the ring's (b, c), reduced there."""
     if x.ctx_id != ctx.ctx_id or y.ctx_id != ctx.ctx_id:
         raise ContextMismatch("operands belong to a different context")
-    ring = ctx.cover() if ctx.strategy == SO_EVEN else ctx
+    ring = ctx.ring()
     a, b = (
         InvariantElement(combine(({ring._wbasis[i]: 1}, c) for i, c in e.coeffs.items()))
         for e in (x, y)
@@ -488,20 +489,18 @@ def trace_form(ctx: BContext, x: BElement):
 
     The count is the same on F-conjugate sectors (their images differ by a
     Weyl element and each orbit is W-stable), so each class representative's
-    count is weighted by its class size."""
+    count is weighted by its class size.  Orbits are the ring's: u acts as u*to_x."""
     if x.ctx_id != ctx.ctx_id:
         raise ContextMismatch("element belongs to a different context")
-    lifted = ctx.lift(x)
-    _, sectors = ctx.sector_data()
+    ring = ctx.ring()
+    maps = [(u * ring._to_x, d, size) for u, d, _, size in ctx.sector_data()[1] if u is not None]
     total = 0
-    for lam, c in lifted.coeffs.items():
-        orb = ctx.cache.orbit(lam)
+    for i, c in x.coeffs.items():
+        orb = ring._wcache.orbit(ring._wbasis[i])
         hits = 0
-        for u, diag, _, size in sectors:
-            if u is None:
-                continue
-            for mu in orb:
-                y = u.apply(mu)
+        for ux, diag, size in maps:
+            for w in orb:
+                y = ux.apply(w)
                 if all(yi % d == 0 for yi, d in zip(y, diag)):
                     hits += size
         total += c * hits

@@ -34,7 +34,7 @@ from dualalg.errors import (
 )
 from dualalg.intlinalg import IntMatrix, in_image, snf
 from dualalg.oracles import class_count, evaluate
-from dualalg.orbitring import InvariantElement, combine, multiply
+from dualalg.orbitring import InvariantElement, OrbitCache, combine, multiply
 from dualalg.rootdata import (
     FrobeniusData,
     build_standard,
@@ -53,6 +53,12 @@ def make_ctx(fam, n, q, strategy=GENERIC_SC, tau=None):
     p, r = prime_power_split(q)
     frob = FrobeniusData(rd, p, r, tau)
     return build_context(rd, frob, strategy)
+
+
+def unitary_gl2(q):
+    with open(DATA / "unitary_gl2.json") as fh:
+        rd, tau = datum_from_json(json.load(fh))
+    return build_context(rd, FrobeniusData(rd, q, 1, tau), GENERIC_SC)
 
 
 def test_gl2_basis_matches_published_box():
@@ -268,11 +274,14 @@ def test_gram_matrix_matches_pairwise_trace(fam, n, q, tau):
     ("Sp", 4, 3, None),
     ("SL", 3, 2, [[0, 1], [1, 0]]),
     ("GL", 2, 3, [[0, -1], [-1, 0]]),
+    ("SO", 4, 3, None),
+    ("SO", 6, 2, None),
 ])
 def test_trace_form_matches_all_sector_definition(fam, n, q, tau):
-    # reference: hits counted in every sector, each with its own SNF, against
-    # the library's class representatives weighted by their class sizes
-    ctx = make_ctx(fam, n, q, tau=tau)
+    # reference: hits counted in every sector, each with its own SNF, on the
+    # orbits in X, against the library's class representatives weighted by
+    # their class sizes on the ring's orbits in (b, c); SO runs in its cover
+    ctx = make_ctx(fam, n, q, strategy=SO_EVEN if fam == "SO" else GENERIC_SC, tau=tau)
     one = IntMatrix.identity(ctx.rd.rank)
     sectors = []
     for w in ctx.weyl:
@@ -398,9 +407,35 @@ def test_so_even_products_and_normal_forms_match_evaluation(n, q):
 
 
 def test_so_even_products_leave_the_so_orbit_cache_empty():
-    ctx = make_ctx("SO", 4, 3, strategy=SO_EVEN)
-    structure_constants(ctx)
-    assert ctx.cache._orbits == {}
+    # every orbit sum of the ring arithmetic (evaluations, trace form,
+    # products) is built in the ring's (b, c), on both strategies: the orbit
+    # cache in the coordinates of X stays empty
+    for ctx in (make_ctx("SO", 4, 3, strategy=SO_EVEN), make_ctx("GL", 3, 3),
+                make_ctx("Sp", 4, 3), unitary_gl2(3)):
+        evaluation_rank(ctx)
+        for i in range(rank(ctx)):
+            trace_form(ctx, BElement({i: 1}, ctx.ctx_id))
+        structure_constants(ctx)
+        assert ctx.cache._orbits == {}, ctx.rd.label
+
+
+def evaluation_contexts():
+    yield "GL3q3", make_ctx("GL", 3, 3)
+    yield "Sp4q3", make_ctx("Sp", 4, 3)
+    yield "unitary-GL2q3", unitary_gl2(3)
+    for n, q in [(4, 3), (6, 3), (8, 2)]:
+        yield f"SO{n}q{q}", make_ctx("SO", n, q, strategy=SO_EVEN)
+
+
+def test_evaluations_match_the_x_orbit_reference():
+    # the evaluation matrix reads the ring's orbits in (b, c) and each point
+    # mapped by the transpose of to_x; the reference evaluates the orbit sum
+    # of each basis weight in X, on an orbit cache of its own
+    for label, ctx in evaluation_contexts():
+        cache = OrbitCache(ctx.rd)
+        pts = ctx.points()
+        ref = [[evaluate(cache, R(lam), pt) for pt in pts] for lam in ctx.basis]
+        assert ctx.evaluations() == ref, label
 
 
 def test_so_even_box_in_cover_coordinates():
@@ -480,9 +515,7 @@ def differential_contexts():
     for n in (2, 3, 4):
         for q in (2, 3, 4):
             yield f"GL{n}q{q}", make_ctx("GL", n, q)
-    with open(DATA / "unitary_gl2.json") as fh:
-        rd, tau = datum_from_json(json.load(fh))
-    yield "unitary-GL2q3", build_context(rd, FrobeniusData(rd, 3, 1, tau), GENERIC_SC)
+    yield "unitary-GL2q3", unitary_gl2(3)
     yield "SO4q3-cover", make_ctx("SO", 4, 3, strategy=SO_EVEN).cover().cover_ctx
     yield "SO8q2-cover", make_ctx("SO", 8, 2, strategy=SO_EVEN).cover().cover_ctx
 
@@ -522,9 +555,7 @@ FUNDAMENTAL_COORDINATE_CASES = [
 def fundamental_coordinate_contexts():
     for fam, n, q in FUNDAMENTAL_COORDINATE_CASES:
         yield f"{fam}{n}q{q}", make_ctx(fam, n, q)
-    with open(DATA / "unitary_gl2.json") as fh:
-        rd, tau = datum_from_json(json.load(fh))
-    yield "unitary-GL2q5", build_context(rd, FrobeniusData(rd, 5, 1, tau), GENERIC_SC)
+    yield "unitary-GL2q5", unitary_gl2(5)
     yield "SO4q3-cover", make_ctx("SO", 4, 3, strategy=SO_EVEN).cover().cover_ctx
     yield "SO8q2-cover", make_ctx("SO", 8, 2, strategy=SO_EVEN).cover().cover_ctx
 

@@ -112,6 +112,13 @@ GOLDEN = [
      "a31d85e6384776c361acca11bdeb5573a3fee65136b8e4e1db9087968730a99e"),
     (["curtis", "--group", "PGL2", "--q", "5", "--check", "homomorphism"], 0,
      "b01b9e77fee45bd698a3aca4cd2f96d3b35872c4e12153fafd9c6002f58ab8fe"),
+    # evaluations and the trace form (taken before they left the coordinates
+    # of X): Sp(4), whose change of basis is not the identity, and SO(6), whose
+    # trace and evaluations run through the cover
+    (["verify", "--group", "Sp", "--n", "4", "--q", "3", "--fast"], 0,
+     "978dbceda715814070425b4f48e895c23b9bb7c5d381cd683dac474e3f48558a"),
+    (["verify", "--group", "SO", "--n", "6", "--q", "2", "--fast"], 2,
+     "952068cf4c4b404b99e7c0987e2340064aaefd41b70243c4a9667fa81ee7d99c"),
 ]
 
 

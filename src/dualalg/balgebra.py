@@ -91,8 +91,9 @@ class BContext:
 
     Immutable after construction except the memo cache, the central-shift
     offsets read with it, the lazily computed oracle data (the sector table,
-    points, evaluation matrices) and the structure-constant tensor, each
-    computed at most once per context: idempotent write-once-per-key caches.
+    points, evaluation matrices), the structure-constant tensor and the basis
+    traces, each computed at most once per context: idempotent
+    write-once-per-key caches.
     ``cache`` holds orbits in X only, for curtis and verification.
     """
 
@@ -110,6 +111,7 @@ class BContext:
         self._points = None
         self._evaluations = None
         self._structure = None
+        self._traces = None
         self._shifts = {}
         if strategy == GENERIC_SC:
             self._init_generic_sc()
@@ -509,11 +511,20 @@ def trace_form(ctx: BContext, x: BElement):
     return total // len(ctx.weyl)
 
 
+def basis_traces(ctx: BContext):
+    """[tr(b_0), ..., tr(b_{n-1})], taken once per context and kept in
+    ctx._traces; callers only read it."""
+    if ctx._traces is None:
+        ctx._traces = [trace_form(ctx, BElement({k: 1}, ctx.ctx_id))
+                       for k in range(len(ctx.basis))]
+    return ctx._traces
+
+
 def gram_matrix(ctx: BContext):
     """G[i][j] = tr(b_i * b_j) = sum_k c[i][j][k] * tr(b_k), by linearity."""
     n = len(ctx.basis)
     tensor = structure_constants(ctx, limit=n)
-    traces = [trace_form(ctx, BElement({k: 1}, ctx.ctx_id)) for k in range(n)]
+    traces = basis_traces(ctx)
     return IntMatrix(
         [[sum(c * t for c, t in zip(tensor[i][j], traces)) for j in range(n)] for i in range(n)]
     )

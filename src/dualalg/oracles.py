@@ -7,11 +7,13 @@ group isomorphic to the cokernel of (F*w - id) on the character lattice; its
 order is |det(F*w - id)|.  Averaging those orders over W counts the W-orbits
 of the union of all sectors, which is the point count of the fixed-point
 scheme and the target of every rank cross-check in this package.  Each
-sector matrix is built once, in sector_divisors, and its Bareiss determinant
-taken; the class count averages those over all of W.  Up to the W-action a
-sector depends only on the F-conjugacy class of w, read off the reflection
-tables of weyl_group, so the Smith normal form is taken, and the point walk
-and the trace form run, once per class, on its first sector in Weyl order.
+sector matrix is built once, in sector_divisors, from its first parent's in
+Weyl order by one simple reflection and with no matrix product, and its
+Bareiss determinant taken; the class count averages those over all of W.
+Up to the W-action a sector depends only on the F-conjugacy class of w, read
+off the reflection tables of weyl_group, so the Smith normal form is taken,
+and the point walk and the trace form run, once per class, on its first
+sector in Weyl order.
 Every sector's determinant is compared with the SNF diagonal of its class.
 
 Points are realized concretely: a prime ell with ell = 1 mod every elementary
@@ -28,13 +30,15 @@ alcove representative over the cosets of Q^vee in the semisimple part of Y.
 
 from __future__ import annotations
 
+from collections import deque
 from math import gcd, prod
 
 from .errors import BadPrime, CrossCheckFailed, NonIntegral
 from .finitefield import GF
 from .intlinalg import IntMatrix, det, snf
 from .orbitring import OrbitCache
-from .rootdata import FrobeniusData, RootDatum, _is_prime, _sparse, chamber, weyl_group
+from .rootdata import (FrobeniusData, RootDatum, _is_prime, _reflect_rows, _sparse, chamber,
+                       parents, weyl_group)
 
 
 def class_count(rd: RootDatum, frob: FrobeniusData, weyl=None):
@@ -88,9 +92,10 @@ class TorusPoint:
 
 
 def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
-    """The sector table: each A_w = F*w - id is built once, its order |det A_w|
-    is taken by Bareiss for every w, and the SNF u*A*v = diag(d) once per
-    F-conjugacy class.
+    """The sector table: each A_w = F*w - id is built once, F*w by one
+    reflection of its parent's (_f_times_weyl), its order |det A_w| is taken
+    by Bareiss for every w, and the SNF u*A*v = diag(d) once per F-conjugacy
+    class.
 
     s_a*A_w*s_a = A_w' with w' = s_sigma(a)*w*s_a for every simple reflection
     s_a, as tau s_a tau^-1 = s_sigma(a) with sigma = frob.simple_permutation;
@@ -107,13 +112,13 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
     """
     if weyl is None:
         weyl = weyl_group(rd)
-    f = frob.f_matrix
     rep_of = [None] * len(weyl)
     per_sector = []
     l = 1
-    for i, w in enumerate(weyl):
-        a = IntMatrix.of_rows(tuple(tuple(x - (r == c) for c, x in enumerate(row))
-                                    for r, row in enumerate((f * w).entries)))
+    for i, fw in enumerate(_f_times_weyl(rd, frob, weyl)):
+        # A = F*w - id: one diagonal entry changes per row
+        a = IntMatrix.of_rows(tuple(row[:r] + (row[r] - 1,) + row[r + 1:]
+                                    for r, row in enumerate(fw)))
         order = abs(det(a))
         if order == 0:
             raise NonIntegral("sector matrix is singular; q >= 2 should prevent this")
@@ -133,6 +138,27 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
                 f"{prod(diag)}, |det(F*w - id)| = {order}"
             )
     return l, per_sector
+
+
+def _f_times_weyl(rd, frob, weyl):
+    """F*w_j for each w_j in Weyl order.  As tau^-1 s_b tau = s_sigma^-1(b),
+    F*s_b = s_sigma^-1(b)*F, so F*w_j for w_j = s_b*w_p is one rank-one update
+    of F*w_p.  Parents never decrease along the order, so F*w_k is kept only
+    from the current parent on."""
+    moved = [None] * rd.nroots
+    for a, b in frob.simple_permutation.items():
+        moved[b] = rd.simple[a]
+    fw = frob.f_matrix.entries
+    yield fw
+    live = deque([fw])
+    base = 0
+    for b, p in parents(weyl.left):
+        for _ in range(p - base):
+            live.popleft()
+        base = p
+        fw = _reflect_rows(live[0], *moved[b])
+        live.append(fw)
+        yield fw
 
 
 def _close_class(i, weyl, sigma, rep_of):

@@ -250,12 +250,27 @@ class WeylGroup(tuple):
         return self
 
 
+def parents(left):
+    """(b, p) for each w_j after the identity, in closure order, from the left
+    table of a WeylGroup: w_j was first reached as s_b * w_p.  The closure
+    walks p in increasing order, so p is the least index s_b * w_j takes over
+    b, and p never decreases along the order."""
+    cols = zip(*left)
+    next(cols, None)
+    for col in cols:
+        p = min(col)
+        yield col.index(p), p
+
+
 def weyl_group(rd: RootDatum, cap=None):
     """Full Weyl group by closure of the simple reflections, as a WeylGroup.
 
-    The closure looks up every s_a * w_j, which gives the left table.  Each
-    w_j after the identity was first reached as s_b * w_p with p < j, so
-    w_j * s_a = s_b * (w_p * s_a) gives the right table by lookups alone.
+    The closure runs on the pairing vector of rho, the all-ones vector, with
+    s_b acting by p -> p - p_b * cartan[b]: W acts freely on it, so the orbit
+    has the elements, their order and the left table of the closure on the
+    matrices themselves.  Each w_j after the identity, first reached as
+    s_b * w_p with p < j, is then built once by one rank-one update of w_p;
+    and w_j * s_a = s_b * (w_p * s_a) gives the right table by lookups alone.
 
     Raises CapExceeded before materializing more than ``cap`` elements
     (default DUALALG_WEYL_CAP env var or 10^6).
@@ -266,25 +281,32 @@ def weyl_group(rd: RootDatum, cap=None):
             cap = int(raw)
         except ValueError:
             raise DualalgError(f"DUALALG_WEYL_CAP must be an integer, got {raw!r}") from None
-    ident = IntMatrix.identity(rd.rank).entries
-    elems = [ident]
-    index = {ident: 0}
-    first = [None]
-    left = [[] for _ in rd.simple]
-    # elems grows while it is walked, so the walk is breadth-first
-    for p, m in enumerate(elems):
-        for b, (root, coroot) in enumerate(rd.simple):
-            nxt = _reflect_rows(m, root, coroot)
+    rho = (1,) * rd.nroots
+    orbit = [rho]
+    index = {rho: 0}
+    rows = [_sparse(row) for row in rd.cartan]
+    left = [[] for _ in rows]
+    # orbit grows while it is walked, so the walk is breadth-first
+    for v in orbit:
+        for b, row in enumerate(rows):
+            c = v[b]
+            nxt = list(v)
+            for i, y in row:
+                nxt[i] -= c * y
+            nxt = tuple(nxt)
             k = index.get(nxt)
             if k is None:
-                k = index[nxt] = len(elems)
-                elems.append(nxt)
-                first.append((b, p))
-                if len(elems) > cap:
+                k = index[nxt] = len(orbit)
+                orbit.append(nxt)
+                if len(orbit) > cap:
                     raise CapExceeded(f"Weyl group exceeds cap {cap}")
             left[b].append(k)
+    # free the vectors before the matrices are built, to keep the peak down
+    del orbit, index
+    elems = [IntMatrix.identity(rd.rank).entries]
     right = [[row[0]] for row in left]
-    for b, p in first[1:]:
+    for b, p in parents(left):
+        elems.append(_reflect_rows(elems[p], *rd.simple[b]))
         for row in right:
             row.append(left[b][row[p]])
     return WeylGroup((IntMatrix.of_rows(m) for m in elems), left, right)

@@ -13,7 +13,7 @@ import random
 
 from .balgebra import (
     GENERIC_SC,
-    BElement,
+    basis_traces,
     evaluation_rank,
     gram_discriminant,
     is_plus_minus_p_power,
@@ -95,9 +95,7 @@ def check_height_descent(cache, weyl, rng, samples=1000):
 
 
 def check_trace_integrality(ctx):
-    values = []
-    for i in range(len(ctx.basis)):
-        values.append(trace_form(ctx, BElement({i: 1}, ctx.ctx_id)))
+    values = basis_traces(ctx)
     unit_val = trace_form(ctx, ctx.unit())
     return {
         "name": "trace_form_integral_and_unit",

@@ -424,21 +424,41 @@ def test_central_rep_index_reuses_one_factorization(monkeypatch):
 
 
 def test_each_sector_matrix_built_once(monkeypatch, capsys):
-    # products F*w with F = 2 on SO(8): one per Weyl element
-    products = Counter()
-    real = IntMatrix.__mul__
+    # rank SO(8) q=2: each of the 192 sector matrices F*w - id (F = 2) is built
+    # once, and neither it nor F*w comes out of an IntMatrix product
+    rd = build_standard("SO", 8)
+    one = IntMatrix.identity(4)
+    f = one.scale(2)
+    weyl = weyl_group(rd)
+    f_times_w = {(f * w).entries for w in weyl}
+    sectors = {(f * w - one).entries for w in weyl}
+    built, products = Counter(), Counter()
+    real_mul = IntMatrix.__mul__
 
-    def counted(self, other):
-        products[self.entries] += 1
-        return real(self, other)
+    class Counted(IntMatrix):
+        # the matrices the oracle module builds; the Weyl closure builds the
+        # identity too, which is the sector matrix of w = 1
+        __slots__ = ()
 
-    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+        @classmethod
+        def of_rows(cls, rows):
+            built[rows] += 1
+            return super().of_rows(rows)
+
+    def mul(self, other):
+        out = real_mul(self, other)
+        products[out.entries] += 1
+        return out
+
+    monkeypatch.setattr(oracles, "IntMatrix", Counted)
+    monkeypatch.setattr(IntMatrix, "__mul__", mul)
     code = main(["rank", "--group", "SO", "--n", "8", "--q", "2"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 2
     assert doc["weyl_order"] == 192
-    f = IntMatrix.identity(4).scale(2).entries
-    assert products[f] == 192
+    assert len(sectors) == 192
+    assert {m: built[m] for m in sectors} == dict.fromkeys(sectors, 1)
+    assert not (f_times_w | sectors) & set(products)
 
 
 def test_sector_snf_disagreeing_with_det_exits_2(monkeypatch, capsys):

@@ -119,6 +119,13 @@ GOLDEN = [
      "978dbceda715814070425b4f48e895c23b9bb7c5d381cd683dac474e3f48558a"),
     (["verify", "--group", "SO", "--n", "6", "--q", "2", "--fast"], 2,
      "952068cf4c4b404b99e7c0987e2340064aaefd41b70243c4a9667fa81ee7d99c"),
+    # 3D4: the simply connected D4 with a triality tau of order 3, so that
+    # sigma != sigma^-1 on the simple roots (taken before the sector matrices
+    # were reflected from their parents' F*w)
+    (["rank", "--datum-file", "data/triality_d4.json", "--q", "2"], 0,
+     "55dd7303f254d193abecd453d9c001ce89f8b6295c6514aa91d13cd43e40dbce"),
+    (["points", "--datum-file", "data/triality_d4.json", "--q", "2"], 0,
+     "e409950ac17a565396ca59d72a5059305bd42207856caff95d293c112247b6e3"),
 ]
 
 

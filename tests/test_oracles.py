@@ -4,6 +4,7 @@ from math import gcd, prod
 
 import pytest
 
+from dualalg import oracles
 from dualalg.errors import BadPrime, CapExceeded, CrossCheckFailed
 from dualalg.finitefield import GF, _factorize
 from dualalg.intlinalg import IntMatrix, snf
@@ -30,6 +31,7 @@ from dualalg.rootdata import (
     RootDatum,
     _is_prime,
     build_standard,
+    parents,
     prime_power_split,
     weyl_group,
 )
@@ -496,7 +498,12 @@ def test_orbit_key_is_exact(fam, n, l):
     assert all(len(orbits) == 1 for orbits in keys.values())
 
 
-# (label, family, n, tau, number of F-conjugacy classes of W)
+# (label, family, n, tau, number of F-conjugacy classes of W).  3D4 is the
+# simply connected D4 with the triality tau of order 3 cycling the outer
+# nodes 0 -> 2 -> 3, so that sigma != sigma^-1 on the simple roots
+D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+TRIALITY = [[0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+CARTANS = {"G2": G2, "3D4": D4}
 CLASS_CASES = [
     ("A3", "SL", 4, None, 5),
     ("A4", "SL", 5, None, 7),
@@ -507,12 +514,17 @@ CLASS_CASES = [
     ("G2", "FromCartan", None, None, 6),
     ("2A2", "SL", 3, SWAP, 3),
     ("2D4", "SO", 8, D4_GRAPH, 9),
+    ("3D4", "FromCartan", None, TRIALITY, 7),
 ]
+
+
+def class_datum(label, fam, n):
+    return build_standard(fam, n, cartan=CARTANS.get(label), label=label)
 
 
 @pytest.mark.parametrize("label,fam,n,tau,classes", CLASS_CASES, ids=[c[0] for c in CLASS_CASES])
 def test_sector_classes(label, fam, n, tau, classes):
-    rd = build_standard(fam, n, cartan=G2, label=label)
+    rd = class_datum(label, fam, n)
     frob = FrobeniusData(rd, 2, 1, tau)
     weyl = weyl_group(rd)
     l, table = sector_divisors(rd, frob, weyl)
@@ -533,18 +545,65 @@ def test_sector_classes(label, fam, n, tau, classes):
             assert ref_table[i][1] == table[i][1] == table[c[0]][1]
 
 
-# the Weyl groups of CLASS_CASES; the tables do not depend on tau
-TABLE_CASES = [c for c in CLASS_CASES if c[3] is None]
-
-
-@pytest.mark.parametrize("label,fam,n,tau,classes", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
-def test_weyl_reflection_tables(label, fam, n, tau, classes):
-    # the closure's lookup tables against IntMatrix products with the
-    # reference reflection matrices
-    rd = build_standard(fam, n, cartan=G2, label=label)
+@pytest.mark.parametrize("label,fam,n,tau,classes", CLASS_CASES, ids=[c[0] for c in CLASS_CASES])
+@pytest.mark.parametrize("q", [2, 3])
+def test_sector_matrices_are_f_times_w_minus_one(monkeypatch, label, fam, n, tau, classes, q):
+    # the matrices whose determinants sector_divisors takes, in Weyl order,
+    # against IntMatrix products F*w - id
+    rd = class_datum(label, fam, n)
+    frob = FrobeniusData(rd, q, 1, tau)
     weyl = weyl_group(rd)
-    for a in range(rd.nroots):
-        s = reflection_matrix(rd, a)
-        for j, w in enumerate(weyl):
-            assert weyl[weyl.left[a][j]] == s * w
-            assert weyl[weyl.right[a][j]] == w * s
+    seen = []
+    real = oracles.det
+    monkeypatch.setattr(oracles, "det", lambda m: seen.append(m) or real(m))
+    sector_divisors(rd, frob, weyl)
+    one = IntMatrix.identity(rd.rank)
+    assert seen == [frob.f_matrix * w - one for w in weyl]
+
+
+def reference_closure(rd, cap):
+    """The breadth-first closure of the simple reflections on the matrices
+    themselves, by IntMatrix products: the elements in closure order, the
+    (b, p) with w_j first reached as s_b * w_p, and the tables of s_a * w_j
+    and w_j * s_a.  CapExceeded past ``cap`` elements."""
+    gens = [reflection_matrix(rd, a) for a in range(rd.nroots)]
+    elems = [IntMatrix.identity(rd.rank)]
+    index = {elems[0]: 0}
+    first = []
+    for p, w in enumerate(elems):
+        for b, s in enumerate(gens):
+            nxt = s * w
+            if nxt not in index:
+                index[nxt] = len(elems)
+                elems.append(nxt)
+                first.append((b, p))
+                if len(elems) > cap:
+                    raise CapExceeded(f"Weyl group exceeds cap {cap}")
+    left = [[index[s * w] for w in elems] for s in gens]
+    right = [[index[w * s] for w in elems] for s in gens]
+    return elems, first, left, right
+
+
+@pytest.mark.parametrize("label,fam,n,tau,classes", CLASS_CASES, ids=[c[0] for c in CLASS_CASES])
+def test_weyl_reflection_tables(label, fam, n, tau, classes):
+    # the closure on the orbit of rho against the closure on the matrices:
+    # the same elements in the same order, parents and tables, and the cap
+    rd = class_datum(label, fam, n)
+    weyl = weyl_group(rd)
+    elems, first, left, right = reference_closure(rd, 10 ** 6)
+    assert list(weyl) == elems
+    assert list(parents(weyl.left)) == first
+    assert weyl.left == left
+    assert weyl.right == right
+    for cap in (1, len(weyl) // 2, len(weyl) - 1):
+        with pytest.raises(CapExceeded):
+            weyl_group(rd, cap=cap)
+        with pytest.raises(CapExceeded):
+            reference_closure(rd, cap)
+
+
+def test_weyl_group_of_a_rank_zero_torus():
+    weyl = weyl_group(RootDatum(0, [], []))
+    assert list(weyl) == [IntMatrix.identity(0)]
+    assert list(parents(weyl.left)) == []
+    assert weyl.left == weyl.right == []

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from dualalg import verification
+from dualalg import balgebra, verification
 from dualalg.balgebra import GENERIC_SC, BContext, build_context, structure_constants
 from dualalg.cli import main
 from dualalg.orbitring import InvariantElement, OrbitCache
@@ -112,3 +112,24 @@ def test_sl2_regression_fails(ctx, monkeypatch, capsys):
     assert got["passed"] is False
     assert got["details"] == {"normal_form": str(real(ctx, InvariantElement.r((0,))))}
     verify_fails("sl2_q3_regression", capsys)
+
+
+def test_suite_takes_each_basis_trace_once(monkeypatch):
+    # check_trace_integrality and the Gram matrix read one list of basis
+    # traces: one trace_form call per basis vector, and one for the unit
+    rd = build_standard("GL", 3)
+    c = build_context(rd, FrobeniusData(rd, 3, 1), GENERIC_SC)
+    calls = []
+    real = balgebra.trace_form
+
+    def counted(ctx, x):
+        calls.append(x)
+        return real(ctx, x)
+
+    monkeypatch.setattr(balgebra, "trace_form", counted)
+    monkeypatch.setattr(verification, "trace_form", counted)
+    report = verification.run_suite(c, seed=1)
+    assert report["passed"] is True
+    assert "gram_discriminant_p_power" in [check["name"] for check in report["checks"]]
+    assert len(c.basis) == 18
+    assert len(calls) == len(c.basis) + 1

@@ -135,9 +135,7 @@ class BContext:
 
     def points(self):
         if self._points is None:
-            self._points = enumerate_points(
-                self.rd, self.frob, weyl=self.weyl, sectors=self.sector_data()
-            )
+            self._points = enumerate_points(self.rd, self.frob, sectors=self.sector_data())
         return self._points
 
     def evaluations(self):
@@ -486,37 +484,37 @@ def structure_constants(ctx: BContext, limit=64):
 
 
 def trace_form(ctx: BContext, x: BElement):
-    """Average over W of the number of orbit characters trivial on each
-    twisted fixed torus; integer by the theory, checked here.
-
-    The count is the same on F-conjugate sectors (their images differ by a
-    Weyl element and each orbit is W-stable), so each class representative's
-    count is weighted by its class size.  Orbits are the ring's: u acts as u*to_x."""
+    """tr(x) = sum of c * tr(b_i) over the coefficients of x, read from
+    basis_traces."""
     if x.ctx_id != ctx.ctx_id:
         raise ContextMismatch("element belongs to a different context")
-    ring = ctx.ring()
-    maps = [(u * ring._to_x, d, size) for u, d, _, size in ctx.sector_data()[1] if u is not None]
-    total = 0
-    for i, c in x.coeffs.items():
-        orb = ring._wcache.orbit(ring._wbasis[i])
-        hits = 0
-        for ux, diag, size in maps:
-            for w in orb:
-                y = ux.apply(w)
-                if all(yi % d == 0 for yi, d in zip(y, diag)):
-                    hits += size
-        total += c * hits
-    if total % len(ctx.weyl) != 0:
-        raise NonIntegral(f"trace sum {total} not divisible by |W|")
-    return total // len(ctx.weyl)
+    traces = basis_traces(ctx)
+    return sum(c * traces[i] for i, c in x.coeffs.items())
 
 
 def basis_traces(ctx: BContext):
-    """[tr(b_0), ..., tr(b_{n-1})], taken once per context and kept in
-    ctx._traces; callers only read it."""
+    """[tr(b_0), ..., tr(b_{n-1})] in one sweep, kept in ctx._traces.  tr(b)
+    averages over W the characters of b's orbit trivial on each twisted fixed
+    torus, checked integral for each b.  The count is the same on F-conjugate
+    sectors, so each class representative, its u*to_x formed once, counts with
+    its class size; each of the ring's basis orbits is read once."""
     if ctx._traces is None:
-        ctx._traces = [trace_form(ctx, BElement({k: 1}, ctx.ctx_id))
-                       for k in range(len(ctx.basis))]
+        ring = ctx.ring()
+        maps = [(u * ring._to_x, d, size) for u, d, _, size in ctx.sector_data()[1]
+                if u is not None]
+        traces = []
+        for i, lam in enumerate(ring._wbasis):
+            hits = 0
+            for w in ring._wcache.orbit(lam):
+                for ux, diag, size in maps:
+                    y = ux.apply(w)
+                    if all(yi % d == 0 for yi, d in zip(y, diag)):
+                        hits += size
+            trace, rem = divmod(hits, len(ctx.weyl))
+            if rem:
+                raise NonIntegral(f"trace sum {hits} of basis element {i} not divisible by |W|")
+            traces.append(trace)
+        ctx._traces = traces
     return ctx._traces
 
 

@@ -30,20 +30,19 @@ alcove representative over the cosets of Q^vee in the semisimple part of Y.
 
 from __future__ import annotations
 
-from collections import deque
 from math import gcd, prod
 
 from .errors import BadPrime, CrossCheckFailed, NonIntegral
 from .finitefield import GF
 from .intlinalg import IntMatrix, det, snf
 from .orbitring import OrbitCache
-from .rootdata import (FrobeniusData, RootDatum, _is_prime, _reflect_rows, _sparse, chamber,
-                       parents, weyl_group)
+from .rootdata import (FrobeniusData, RootDatum, _is_prime, _sparse, chamber, weyl_group,
+                       weyl_walk)
 
 
-def class_count(rd: RootDatum, frob: FrobeniusData, weyl=None):
+def class_count(rd: RootDatum, frob: FrobeniusData):
     """(1/|W|) * sum over w of |det(F*w - id)|, checked integral."""
-    return sector_average(sector_divisors(rd, frob, weyl)[1])
+    return sector_average(sector_divisors(rd, frob)[1])
 
 
 def sector_average(per_sector):
@@ -93,7 +92,8 @@ class TorusPoint:
 
 def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
     """The sector table: each A_w = F*w - id is built once, F*w by one
-    reflection of its parent's (_f_times_weyl), its order |det A_w| is taken
+    reflection of its parent's (weyl_walk from F: as tau^-1 s_b tau =
+    s_sigma^-1(b), F*s_b*F^-1 = s_sigma^-1(b)), its order |det A_w| is taken
     by Bareiss for every w, and the SNF u*A*v = diag(d) once per F-conjugacy
     class.
 
@@ -112,10 +112,13 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
     """
     if weyl is None:
         weyl = weyl_group(rd)
+    moves = [None] * rd.nroots
+    for a, b in frob.simple_permutation.items():
+        moves[b] = rd.simple[a]
     rep_of = [None] * len(weyl)
     per_sector = []
     l = 1
-    for i, fw in enumerate(_f_times_weyl(rd, frob, weyl)):
+    for i, fw in enumerate(weyl_walk(frob.f_matrix.entries, moves, weyl.left)):
         # A = F*w - id: one diagonal entry changes per row
         a = IntMatrix.of_rows(tuple(row[:r] + (row[r] - 1,) + row[r + 1:]
                                     for r, row in enumerate(fw)))
@@ -138,27 +141,6 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
                 f"{prod(diag)}, |det(F*w - id)| = {order}"
             )
     return l, per_sector
-
-
-def _f_times_weyl(rd, frob, weyl):
-    """F*w_j for each w_j in Weyl order.  As tau^-1 s_b tau = s_sigma^-1(b),
-    F*s_b = s_sigma^-1(b)*F, so F*w_j for w_j = s_b*w_p is one rank-one update
-    of F*w_p.  Parents never decrease along the order, so F*w_k is kept only
-    from the current parent on."""
-    moved = [None] * rd.nroots
-    for a, b in frob.simple_permutation.items():
-        moved[b] = rd.simple[a]
-    fw = frob.f_matrix.entries
-    yield fw
-    live = deque([fw])
-    base = 0
-    for b, p in parents(weyl.left):
-        for _ in range(p - base):
-            live.popleft()
-        base = p
-        fw = _reflect_rows(live[0], *moved[b])
-        live.append(fw)
-        yield fw
 
 
 def _close_class(i, weyl, sigma, rep_of):
@@ -246,7 +228,7 @@ def orbit_key(pt, lattice):
     return best
 
 
-def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *, sectors=None):
+def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, *, sectors=None):
     """One representative per W-orbit of the union of all sector fixed groups.
 
     A point is held as its exponent vector L mod l (l the lcm of all
@@ -262,7 +244,7 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, weyl=None, *,
     sector_divisors) is computed here unless a caller passes it in.
     """
     if sectors is None:
-        sectors = sector_divisors(rd, frob, weyl)
+        sectors = sector_divisors(rd, frob)
     l, per_sector = sectors
     ell = _pick_ell(l, frob.p, ell)
     lattice = key_lattice(rd, l)

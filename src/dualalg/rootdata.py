@@ -1,5 +1,5 @@
-"""Root data on the dual-torus character lattice, Weyl groups as lattice
-automorphisms, and Frobenius twisting data.
+"""Root data on the dual-torus character lattice, Weyl groups as reflection
+tables, and Frobenius twisting data.
 
 A :class:`RootDatum` stores the character lattice X of a (dual) maximal torus
 in fixed integer coordinates, the simple roots as vectors of X, and the simple
@@ -15,6 +15,7 @@ endomorphism on X is ``F = q * tau^{-1}``, so tau*F = F*tau = q.
 from __future__ import annotations
 
 import os
+from collections import deque
 
 from .errors import (
     CapExceeded,
@@ -238,10 +239,10 @@ def _reflect_rows(m, root, coroot):
 
 
 class WeylGroup(tuple):
-    """The elements of W as IntMatrix, in closure order with the identity
-    first, and the multiplication tables of the simple reflections:
-    ``left[a][j]`` is the index of s_a * w_j, ``right[a][j]`` that of
-    w_j * s_a."""
+    """The elements of W as the pairing vectors of w*rho, in closure order
+    with the identity first, and the multiplication tables of the simple
+    reflections: ``left[a][j]`` is the index of s_a * w_j, ``right[a][j]``
+    that of w_j * s_a."""
 
     def __new__(cls, elems, left, right):
         self = super().__new__(cls, elems)
@@ -266,11 +267,10 @@ def weyl_group(rd: RootDatum, cap=None):
     """Full Weyl group by closure of the simple reflections, as a WeylGroup.
 
     The closure runs on the pairing vector of rho, the all-ones vector, with
-    s_b acting by p -> p - p_b * cartan[b]: W acts freely on it, so the orbit
-    has the elements, their order and the left table of the closure on the
-    matrices themselves.  Each w_j after the identity, first reached as
-    s_b * w_p with p < j, is then built once by one rank-one update of w_p;
-    and w_j * s_a = s_b * (w_p * s_a) gives the right table by lookups alone.
+    s_b acting by p -> p - p_b * cartan[b].  W acts freely on it, so the orbit
+    is the group, in closure order, and its lookups give the left table; as
+    w_j * s_a = s_b * (w_p * s_a) for w_j = s_b * w_p, so do those of the
+    right table.  weyl_walk builds matrices of W where they are read.
 
     Raises CapExceeded before materializing more than ``cap`` elements
     (default DUALALG_WEYL_CAP env var or 10^6).
@@ -301,15 +301,30 @@ def weyl_group(rd: RootDatum, cap=None):
                 if len(orbit) > cap:
                     raise CapExceeded(f"Weyl group exceeds cap {cap}")
             left[b].append(k)
-    # free the vectors before the matrices are built, to keep the peak down
-    del orbit, index
-    elems = [IntMatrix.identity(rd.rank).entries]
+    del index
     right = [[row[0]] for row in left]
     for b, p in parents(left):
-        elems.append(_reflect_rows(elems[p], *rd.simple[b]))
         for row in right:
             row.append(left[b][row[p]])
-    return WeylGroup((IntMatrix.of_rows(m) for m in elems), left, right)
+    return WeylGroup(orbit, left, right)
+
+
+def weyl_walk(start, moves, left):
+    """M*w_j as row tuples for each w_j in closure order, from ``start`` = M
+    and the left table of a WeylGroup.  ``moves[b]`` is the (root, coroot) of
+    M*s_b*M^-1, so M*w_j = (M*s_b*M^-1)*(M*w_p) for w_j = s_b*w_p is one
+    rank-one update of its parent's, kept only from the current parent on
+    (parents never decrease along the order)."""
+    yield start
+    live = deque([start])
+    base = 0
+    for b, p in parents(left):
+        for _ in range(p - base):
+            live.popleft()
+        base = p
+        m = _reflect_rows(live[0], *moves[b])
+        live.append(m)
+        yield m
 
 
 def is_q_restricted(rd: RootDatum, frob, lam):

@@ -22,9 +22,10 @@ from .balgebra import (
     structure_constants,
     trace_form,
 )
+from .intlinalg import IntMatrix
 from .oracles import evaluate
 from .orbitring import InvariantElement
-from .rootdata import chamber
+from .rootdata import chamber, weyl_walk
 
 
 def random_dominant_weight(cache, rng, bound):
@@ -75,7 +76,10 @@ def check_f_invariance(ctx, rng, samples=100):
 
 
 def check_height_descent(cache, weyl, rng, samples=1000):
-    """ht(w*lam) < ht(lam) for dominant lam with nonzero derived part."""
+    """ht(w*lam) < ht(lam) for dominant lam with nonzero derived part, w drawn
+    from the matrices of W in closure order."""
+    ident = IntMatrix.identity(cache.rd.rank).entries
+    elems = [IntMatrix.of_rows(m) for m in weyl_walk(ident, cache.rd.simple, weyl.left)]
     tested = 0
     for _ in range(samples):
         lam = random_dominant_weight(cache, rng, 6)
@@ -84,7 +88,7 @@ def check_height_descent(cache, weyl, rng, samples=1000):
             continue
         if not h > 0:
             return {"name": "height_descent", "passed": False, "details": {"weight": list(lam), "why": "nonpositive height"}}
-        w = rng.choice(weyl)
+        w = rng.choice(elems)
         img = w.apply(lam)
         if img == lam:
             continue

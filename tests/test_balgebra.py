@@ -43,6 +43,7 @@ from dualalg.rootdata import (
     prime_power_split,
     weyl_group,
 )
+from test_rootdata import reference_weyl_group
 
 R = InvariantElement.r
 DATA = Path(__file__).resolve().parent / "data"
@@ -163,7 +164,7 @@ def test_rank_formulas_generic():
 def test_rank_equals_class_count_generic():
     for fam, n, q in [("GL", 2, 4), ("SL", 3, 2), ("Sp", 4, 2), ("Torus", 2, 3)]:
         ctx = make_ctx(fam, n, q)
-        assert rank(ctx) == class_count(ctx.rd, ctx.frob, ctx.weyl) == len(ctx.points())
+        assert rank(ctx) == class_count(ctx.rd, ctx.frob) == len(ctx.points())
 
 
 def test_strategy_inapplicable():
@@ -193,7 +194,7 @@ def test_twisted_gl2_unitary_form():
     # tau = -swap fixes the simple root; the twisted count is q(q+1)
     ctx = make_ctx("GL", 2, 3, tau=[[0, -1], [-1, 0]])
     assert rank(ctx) == 12
-    assert class_count(ctx.rd, ctx.frob, ctx.weyl) == 12
+    assert class_count(ctx.rd, ctx.frob) == 12
     assert reducedness_certificate(ctx)
     assert trace_form(ctx, ctx.unit()) == 1
     for i in range(rank(ctx)):
@@ -254,6 +255,29 @@ def test_gram_sl2_q3_value():
     assert gram_discriminant(ctx) == 9
 
 
+def all_sector_traces(ctx, elements):
+    """The trace of each element by its definition: the characters of the
+    orbits in X of its lift that are trivial on each twisted fixed torus,
+    counted in every sector, each with its own SNF, and averaged over W."""
+    one = IntMatrix.identity(ctx.rd.rank)
+    weyl = reference_weyl_group(ctx.rd, 10 ** 6)
+    sectors = []
+    for w in weyl:
+        d, u, _ = snf(ctx.frob.f_matrix * w - one)
+        sectors.append((u, [d[k, k] for k in range(ctx.rd.rank)]))
+    out = []
+    for x in elements:
+        total = 0
+        for lam, c in ctx.lift(x).coeffs.items():
+            for u, diag in sectors:
+                for mu in ctx.cache.orbit(lam):
+                    if all(y % d == 0 for y, d in zip(u.apply(mu), diag)):
+                        total += c
+        assert total % len(weyl) == 0
+        out.append(total // len(weyl))
+    return out
+
+
 @pytest.mark.parametrize("fam,n,q,tau", [
     ("GL", 2, 3, None),
     ("Sp", 4, 2, None),
@@ -261,12 +285,15 @@ def test_gram_sl2_q3_value():
     ("GL", 2, 3, [[0, -1], [-1, 0]]),
 ])
 def test_gram_matrix_matches_pairwise_trace(fam, n, q, tau):
-    # reference: the n^2 definition G[i][j] = tr(b_i * b_j)
+    # reference: the n^2 definition G[i][j] = tr(b_i * b_j), each trace the
+    # all-sector count of the product's lift, not a linear read of the basis
+    # traces
     ctx = make_ctx(fam, n, q, tau=tau)
     nb = len(ctx.basis)
     b = [BElement({i: 1}, ctx.ctx_id) for i in range(nb)]
-    ref = [[trace_form(ctx, multiply_b(ctx, b[i], b[j])) for j in range(nb)] for i in range(nb)]
-    assert [list(row) for row in gram_matrix(ctx).entries] == ref
+    ref = all_sector_traces(ctx, [multiply_b(ctx, b[i], b[j]) for i in range(nb) for j in range(nb)])
+    assert [list(row) for row in gram_matrix(ctx).entries] == [ref[i * nb:(i + 1) * nb]
+                                                               for i in range(nb)]
 
 
 @pytest.mark.parametrize("fam,n,q,tau", [
@@ -278,25 +305,12 @@ def test_gram_matrix_matches_pairwise_trace(fam, n, q, tau):
     ("SO", 6, 2, None),
 ])
 def test_trace_form_matches_all_sector_definition(fam, n, q, tau):
-    # reference: hits counted in every sector, each with its own SNF, on the
-    # orbits in X, against the library's class representatives weighted by
-    # their class sizes on the ring's orbits in (b, c); SO runs in its cover
+    # reference: all_sector_traces, against the library's one sweep of class
+    # representatives weighted by their class sizes on the ring's orbits in
+    # (b, c); SO runs in its cover
     ctx = make_ctx(fam, n, q, strategy=SO_EVEN if fam == "SO" else GENERIC_SC, tau=tau)
-    one = IntMatrix.identity(ctx.rd.rank)
-    sectors = []
-    for w in ctx.weyl:
-        d, u, _ = snf(ctx.frob.f_matrix * w - one)
-        sectors.append((u, [d[k, k] for k in range(ctx.rd.rank)]))
-    for i in range(len(ctx.basis)):
-        x = BElement({i: 1}, ctx.ctx_id)
-        total = 0
-        for lam, c in ctx.lift(x).coeffs.items():
-            for u, diag in sectors:
-                for mu in ctx.cache.orbit(lam):
-                    if all(y % d == 0 for y, d in zip(u.apply(mu), diag)):
-                        total += c
-        assert total % len(ctx.weyl) == 0
-        assert trace_form(ctx, x) == total // len(ctx.weyl)
+    basis = [BElement({i: 1}, ctx.ctx_id) for i in range(len(ctx.basis))]
+    assert [trace_form(ctx, x) for x in basis] == all_sector_traces(ctx, basis)
 
 
 def test_torus_gram_unit_discriminant():
@@ -324,7 +338,7 @@ def test_so8_box_vs_true_point_count():
     This mismatch is intrinsic to the published data, not to this code."""
     ctx = make_ctx("SO", 8, 2, strategy=SO_EVEN)
     assert rank(ctx) == 20
-    assert class_count(ctx.rd, ctx.frob, ctx.weyl) == 16
+    assert class_count(ctx.rd, ctx.frob) == 16
     assert len(ctx.points()) == 16
     r, nb, np_ = evaluation_rank(ctx)
     assert (r, nb, np_) == (16, 20, 16)

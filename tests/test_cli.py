@@ -9,12 +9,13 @@ from math import prod
 import pytest
 
 import dualalg
-from dualalg import balgebra, intlinalg, matrixgroups, oracles
+from dualalg import balgebra, intlinalg, matrixgroups, oracles, rootdata
 from dualalg.cli import main
 from dualalg.intlinalg import IntMatrix
 from dualalg.orbitring import InvariantElement
 from dualalg.rootdata import FrobeniusData, RootDatum, build_standard, weyl_group
 from dualalg.verification import random_dominant_weight
+from test_rootdata import reference_weyl_group
 
 
 def run_cli(args, capsys):
@@ -429,15 +430,14 @@ def test_each_sector_matrix_built_once(monkeypatch, capsys):
     rd = build_standard("SO", 8)
     one = IntMatrix.identity(4)
     f = one.scale(2)
-    weyl = weyl_group(rd)
+    weyl = reference_weyl_group(rd, 10 ** 6)
     f_times_w = {(f * w).entries for w in weyl}
     sectors = {(f * w - one).entries for w in weyl}
     built, products = Counter(), Counter()
     real_mul = IntMatrix.__mul__
 
     class Counted(IntMatrix):
-        # the matrices the oracle module builds; the Weyl closure builds the
-        # identity too, which is the sector matrix of w = 1
+        # the matrices the oracle module builds
         __slots__ = ()
 
         @classmethod
@@ -459,6 +459,26 @@ def test_each_sector_matrix_built_once(monkeypatch, capsys):
     assert len(sectors) == 192
     assert {m: built[m] for m in sectors} == dict.fromkeys(sectors, 1)
     assert not (f_times_w | sectors) & set(products)
+
+
+@pytest.mark.parametrize("argv,code,calls", [
+    # structure reads W only through |W| and its tables: no matrix is built
+    (["structure", "--group", "SL", "--n", "4", "--q", "3"], 0, 0),
+    # rank SO(8) q=2: one reflection per sector matrix F*w after F itself
+    (["rank", "--group", "SO", "--n", "8", "--q", "2"], 2, 191),
+], ids=["structure-SL4", "rank-SO8"])
+def test_weyl_matrices_built_only_where_read(argv, code, calls, monkeypatch, capsys):
+    counted = Counter()
+    real = rootdata._reflect_rows
+
+    def reflect(m, root, coroot):
+        counted["reflect"] += 1
+        return real(m, root, coroot)
+
+    patch_everywhere(monkeypatch, real, reflect)
+    assert main(argv) == code
+    capsys.readouterr()
+    assert counted["reflect"] == calls
 
 
 def test_sector_snf_disagreeing_with_det_exits_2(monkeypatch, capsys):
@@ -486,7 +506,7 @@ def test_sector_snf_once_per_class(monkeypatch, capsys):
     rd = build_standard("SO", 8)
     one = IntMatrix.identity(4)
     f = one.scale(2)
-    sectors = {(f * w - one).entries for w in weyl_group(rd)}
+    sectors = {(f * w - one).entries for w in reference_weyl_group(rd, 10 ** 6)}
     args = {"snf": Counter(), "det": Counter()}
     for name in args:
         def counted(m, _fn=getattr(oracles, name), _seen=args[name]):

@@ -126,6 +126,10 @@ GOLDEN = [
      "55dd7303f254d193abecd453d9c001ce89f8b6295c6514aa91d13cd43e40dbce"),
     (["points", "--datum-file", "data/triality_d4.json", "--q", "2"], 0,
      "e409950ac17a565396ca59d72a5059305bd42207856caff95d293c112247b6e3"),
+    # the height check over |W| = 192, its draws from the Weyl matrices in
+    # closure order (taken before those matrices left weyl_group)
+    (["verify", "--datum-file", "data/triality_d4.json", "--q", "2", "--fast"], 0,
+     "1cfbc16189da3065e7aeb16ac1c0cd8f860ff1e967808c9aae122b90f58bf28e"),
 ]
 
 

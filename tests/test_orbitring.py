@@ -7,6 +7,7 @@ from dualalg.balgebra import BElement
 from dualalg.errors import NonIntegral
 from dualalg.orbitring import InvariantElement, OrbitCache, combine, multiply
 from dualalg.rootdata import FrobeniusData, build_standard, chamber, weyl_group
+from test_rootdata import cartan_solve, reference_weyl_group
 
 
 # -- e-basis reference product ------------------------------------------------
@@ -80,7 +81,7 @@ def test_orbit_size_divides_weyl_order():
 @pytest.mark.parametrize("fam,n", [("Sp", 4), ("GL", 3), ("SO", 8)])
 def test_orbit_matches_weyl_group_images(fam, n):
     rd = build_standard(fam, n)
-    weyl = weyl_group(rd)
+    weyl = reference_weyl_group(rd, 10 ** 6)
     rng = random.Random(17)
     for _ in range(10):
         lam = tuple(rng.randint(-3, 3) for _ in range(rd.rank))
@@ -91,7 +92,7 @@ def test_chamber_walk_is_orbit_invariant():
     # the walk from any point of an orbit ends at the same dominant weight,
     # the start of orbit() and the kappa of every product term
     rd = build_standard("SO", 10)
-    weyl = weyl_group(rd)
+    weyl = reference_weyl_group(rd, 10 ** 6)
     cache = OrbitCache(rd)
     rng = random.Random(19)
     for _ in range(50):
@@ -217,29 +218,6 @@ def test_height_examples():
     assert c.height((1, -1)) == 2
 
 
-def cartan_solve(rd, pairings):
-    """Rational m with sum_i m_i <alpha_i, alpha_j^vee> = pairings[j], by
-    Gauss-Jordan elimination over Q: the coefficients of the derived-part
-    projection in the simple roots.  The library's former height routine,
-    kept as the independent reference for the integer height."""
-    n = rd.nroots
-    a = [[Fraction(rd.cartan[j][i]) for j in range(n)] for i in range(n)]
-    b = [Fraction(x) for x in pairings]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] -= f * b[col]
-    return tuple(b)
-
-
 HEIGHT_DATA = [("SL", 3), ("Sp", 4), ("GL", 3), ("SO", 8), ("SO", 10), ("G2", None), ("Torus", 3)]
 
 
@@ -274,7 +252,7 @@ def test_height_descent_property():
     for fam, n in [("SL", 3), ("Sp", 4), ("SO", 8)]:
         rd = build_standard(fam, n)
         cache = OrbitCache(rd)
-        weyl = weyl_group(rd)
+        weyl = reference_weyl_group(rd, 10 ** 6)
         rng = random.Random(5)
         for _ in range(100):
             lam = chamber(tuple(rng.randint(-4, 4) for _ in range(rd.rank)), rd.walls)

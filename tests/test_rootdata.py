@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,13 +15,15 @@ from dualalg.rootdata import (
     is_q_restricted,
     prime_power_split,
     weyl_group,
+    weyl_walk,
 )
 
 
 # -- matrix-product reference closure -----------------------------------------
 # The library's former weyl_group: breadth-first closure of the simple
 # reflections by full IntMatrix products.  Kept here as the slow, independent
-# oracle for the rank-one closure on plain tuples.
+# oracle for the closure on the orbit of rho and for weyl_walk, and as the
+# source of W's matrices for the tests that act by them.
 
 
 def reflection_matrix(rd, i):
@@ -50,10 +53,33 @@ def reference_weyl_group(rd, cap):
     return elems
 
 
+def cartan_solve(rd, pairings):
+    """Rational m with sum_i m_i <alpha_i, alpha_j^vee> = pairings[j], by
+    Gauss-Jordan elimination over Q: the coefficients of the derived-part
+    projection in the simple roots.  The library's former height routine,
+    kept as the independent reference for the integer height and for rho."""
+    n = rd.nroots
+    a = [[Fraction(rd.cartan[j][i]) for j in range(n)] for i in range(n)]
+    b = [Fraction(x) for x in pairings]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        b[col] *= inv
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                b[r] -= f * b[col]
+    return tuple(b)
+
+
 def roots(rd):
     """The roots as the Weyl images of the simple roots: every root is
     W-conjugate to a simple root."""
-    return {w.apply(a) for w in weyl_group(rd) for a in rd.simple_roots}
+    return {w.apply(a) for w in reference_weyl_group(rd, 10 ** 6) for a in rd.simple_roots}
 
 
 def test_gl2_datum():
@@ -127,9 +153,10 @@ def test_weyl_sizes():
 
 
 def test_weyl_identity_first():
+    # the identity's element is the pairing vector of rho itself
     for fam, n in [("GL", 2), ("SO", 8)]:
         rd = build_standard(fam, n)
-        assert weyl_group(rd)[0] == IntMatrix.identity(rd.rank)
+        assert weyl_group(rd)[0] == (1,) * rd.nroots
 
 
 def test_weyl_cap():
@@ -150,9 +177,18 @@ WEYL_CASES = [
 
 @pytest.mark.parametrize("fam,n,cartan", WEYL_CASES, ids=[f"{c[0]}{c[1] or ''}" for c in WEYL_CASES])
 def test_weyl_group_matches_matrix_product_reference(fam, n, cartan):
+    # weyl[j] is the pairing vector of w_j*rho, with w_j the j-th matrix of
+    # the reference and rho = sum m_i alpha_i, <rho, alpha_j^vee> = 1, over Q;
+    # the walk from 1 builds the reference's matrices in the same order
     rd = build_standard(fam, n, cartan=cartan)
     got = weyl_group(rd)
-    assert list(got) == reference_weyl_group(rd, cap=10 ** 6)
+    ref = reference_weyl_group(rd, cap=10 ** 6)
+    m = cartan_solve(rd, (1,) * rd.nroots)
+    rho = tuple(sum((c * a[k] for c, a in zip(m, rd.simple_roots)), Fraction(0))
+                for k in range(rd.rank))
+    assert list(got) == [rd.pairings(w.apply(rho)) for w in ref]
+    walked = weyl_walk(IntMatrix.identity(rd.rank).entries, rd.simple, got.left)
+    assert [IntMatrix.of_rows(w) for w in walked] == ref
     order = len(got)
     assert len(weyl_group(rd, cap=order)) == order
     for cap in {1, order // 2, order - 1} & set(range(1, order)):
@@ -165,7 +201,7 @@ def test_weyl_group_matches_matrix_product_reference(fam, n, cartan):
 
 def test_weyl_group_axioms_small():
     rd = build_standard("SL", 3)
-    weyl = weyl_group(rd)
+    weyl = reference_weyl_group(rd, 10 ** 6)
     mats = {w.entries for w in weyl}
     for a in weyl:
         for b in weyl:
@@ -212,7 +248,7 @@ def test_chamber_matches_full_orbit_scan(name):
     # by their inverse transposes; W is closed under inverses, so those are
     # the transposes of its matrices.
     rd = chamber_datum(name)
-    weyl = weyl_group(rd)
+    weyl = reference_weyl_group(rd, 10 ** 6)
     on_x = (rd.walls, weyl, rd.pairings)
     on_y = (rd.cowalls, [w.transpose() for w in weyl],
             lambda y: tuple(sum(a * x for a, x in zip(alpha, y)) for alpha in rd.simple_roots))
@@ -253,7 +289,7 @@ def test_highest_roots_reference(fam, n):
     else:
         rd = build_standard(fam, n)
     cache = OrbitCache(rd)
-    weyl = weyl_group(rd)
+    weyl = reference_weyl_group(rd, 10 ** 6)
     ident = IntMatrix.identity(rd.rank)
     want = []
     for comp in components(rd):

@@ -9,12 +9,14 @@ the fault can reach through the command line, `verify` exits 2 with
 import copy
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from dualalg import balgebra, verification
 from dualalg.balgebra import GENERIC_SC, BContext, build_context, structure_constants
 from dualalg.cli import main
+from dualalg.intlinalg import IntMatrix
 from dualalg.orbitring import InvariantElement, OrbitCache
 from dualalg.rootdata import FrobeniusData, build_standard
 
@@ -116,7 +118,8 @@ def test_sl2_regression_fails(ctx, monkeypatch, capsys):
 
 def test_suite_takes_each_basis_trace_once(monkeypatch):
     # check_trace_integrality and the Gram matrix read one list of basis
-    # traces: one trace_form call per basis vector, and one for the unit
+    # traces, taken in one sweep: u*to_x formed once per class representative
+    # and each basis orbit read once; trace_form is called for the unit alone
     rd = build_standard("GL", 3)
     c = build_context(rd, FrobeniusData(rd, 3, 1), GENERIC_SC)
     calls = []
@@ -126,10 +129,33 @@ def test_suite_takes_each_basis_trace_once(monkeypatch):
         calls.append(x)
         return real(ctx, x)
 
+    maps = []
+    real_mul = IntMatrix.__mul__
+
+    def mul(self, other):
+        if other is c._to_x:
+            maps.append(self)
+        return real_mul(self, other)
+
+    orbit_reads = Counter()
+    real_orbit = c._wcache.orbit
+
+    def orbit(lam):
+        orbit_reads[lam] += 1
+        return real_orbit(lam)
+
     monkeypatch.setattr(balgebra, "trace_form", counted)
     monkeypatch.setattr(verification, "trace_form", counted)
+    monkeypatch.setattr(IntMatrix, "__mul__", mul)
     report = verification.run_suite(c, seed=1)
     assert report["passed"] is True
     assert "gram_discriminant_p_power" in [check["name"] for check in report["checks"]]
     assert len(c.basis) == 18
-    assert len(calls) == len(c.basis) + 1
+    assert len(calls) == 1
+    reps = [u for u, _, _, _ in c.sector_data()[1] if u is not None]
+    assert maps == reps
+    # the sweep alone, on a context whose evaluations are already taken
+    c._traces = None
+    monkeypatch.setattr(c._wcache, "orbit", orbit)
+    balgebra.basis_traces(c)
+    assert orbit_reads == dict.fromkeys(c._wbasis, 1)

@@ -44,7 +44,7 @@ from .errors import (
     StrategyInapplicable,
 )
 from .intlinalg import IntMatrix, SmithForm, det, rank_mod_p, snf
-from .oracles import TorusPoint, enumerate_points, evaluate, sector_average, sector_divisors
+from .oracles import TorusPoint, enumerate_points, evaluate, sector_divisors
 from .orbitring import InvariantElement, OrbitCache, combine, multiply
 from .rootdata import UNAVAILABLE, FrobeniusData, RootDatum, weyl_group
 
@@ -123,15 +123,15 @@ class BContext:
     # -- shared plumbing -------------------------------------------------
 
     def sector_data(self):
-        """(divisor lcm, per-sector (u, diag, order, class size)) from
-        sector_divisors."""
+        """(divisor lcm, per-class (w_index, u, diag, class size), class
+        count) from sector_divisors."""
         if self._sector_data is None:
             self._sector_data = sector_divisors(self.rd, self.frob, self.weyl)
         return self._sector_data
 
     def class_count(self):
-        """The |W|-average of the sector orders in sector_data()."""
-        return sector_average(self.sector_data()[1])
+        """The |W|-average of the sector orders, read from sector_data()."""
+        return self.sector_data()[2]
 
     def points(self):
         if self._points is None:
@@ -496,12 +496,11 @@ def basis_traces(ctx: BContext):
     """[tr(b_0), ..., tr(b_{n-1})] in one sweep, kept in ctx._traces.  tr(b)
     averages over W the characters of b's orbit trivial on each twisted fixed
     torus, checked integral for each b.  The count is the same on F-conjugate
-    sectors, so each class representative, its u*to_x formed once, counts with
-    its class size; each of the ring's basis orbits is read once."""
+    sectors, so each class row of sector_data, its u*to_x formed once, counts
+    with its class size; each of the ring's basis orbits is read once."""
     if ctx._traces is None:
         ring = ctx.ring()
-        maps = [(u * ring._to_x, d, size) for u, d, _, size in ctx.sector_data()[1]
-                if u is not None]
+        maps = [(u * ring._to_x, d, size) for _, u, d, size in ctx.sector_data()[1]]
         traces = []
         for i, lam in enumerate(ring._wbasis):
             hits = 0

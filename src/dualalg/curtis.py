@@ -114,10 +114,8 @@ class TorusIndexing:
         self.group = group
         self.q = q
         if group == GL2:
-            self.split_order = (q - 1) ** 2
             self.twisted_order = q * q - 1
         elif group == PGL2:
-            self.split_order = q - 1
             self.twisted_order = q + 1
         else:
             raise ValueError(f"unknown group {group!r}")

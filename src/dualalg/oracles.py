@@ -11,9 +11,9 @@ sector matrix is built once, in sector_divisors, from its first parent's in
 Weyl order by one simple reflection and with no matrix product, and its
 Bareiss determinant taken; the class count averages those over all of W.
 Up to the W-action a sector depends only on the F-conjugacy class of w, read
-off the reflection tables of weyl_group, so the Smith normal form is taken,
-and the point walk and the trace form run, once per class, on its first
-sector in Weyl order.
+off the reflection tables of weyl_group, so the table sector_divisors hands
+on has one row per class: the Smith normal form is taken, and the point walk
+and the trace form run, once per class, on its first sector in Weyl order.
 Every sector's determinant is compared with the SNF diagonal of its class.
 
 Points are realized concretely: a prime ell with ell = 1 mod every elementary
@@ -41,18 +41,9 @@ from .rootdata import (FrobeniusData, RootDatum, _is_prime, _sparse, chamber, we
 
 
 def class_count(rd: RootDatum, frob: FrobeniusData):
-    """(1/|W|) * sum over w of |det(F*w - id)|, checked integral."""
-    return sector_average(sector_divisors(rd, frob)[1])
-
-
-def sector_average(per_sector):
-    """The |W|-average of the sector orders |det(F*w - id)| held in the table
-    from sector_divisors; NonIntegral if the division is not exact."""
-    total = sum(order for _, _, order, _ in per_sector)
-    count, rem = divmod(total, len(per_sector))
-    if rem:
-        raise NonIntegral(f"sector sum {total} not divisible by |W| = {len(per_sector)}")
-    return count
+    """(1/|W|) * sum over w of |det(F*w - id)|, checked integral: the count
+    from sector_divisors."""
+    return sector_divisors(rd, frob)[2]
 
 
 class TorusPoint:
@@ -104,11 +95,12 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
     SNF diagonal and W-images of each other's fixed points.  The
     representative of a class is its first sector in Weyl order.
 
-    Returns (divisors_lcm, per_sector) with per_sector[i] = (u, diag, |det A_i|,
-    class size) on a representative and (None, diag, |det A_i|, 0) elsewhere.
-    Every sector's |det| is compared with the product of its class's SNF
-    diagonal: CrossCheckFailed naming the sector on a mismatch, or when a
-    conjugate of a sector lies in an earlier class.
+    Returns (divisors_lcm, classes, count): classes[k] = (w_index, u, diag,
+    class size) for the class whose first sector is w_index, in Weyl order of
+    those, and count = sum over all w of |det A_w| / |W| (NonIntegral if the
+    division is not exact).  Every sector's |det| is compared with the
+    product of its class's SNF diagonal: CrossCheckFailed naming the sector
+    on a mismatch, or when a conjugate of a sector lies in an earlier class.
     """
     if weyl is None:
         weyl = weyl_group(rd)
@@ -116,7 +108,9 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
     for a, b in frob.simple_permutation.items():
         moves[b] = rd.simple[a]
     rep_of = [None] * len(weyl)
-    per_sector = []
+    diags = {}
+    classes = []
+    total = 0
     l = 1
     for i, fw in enumerate(weyl_walk(frob.f_matrix.entries, moves, weyl.left)):
         # A = F*w - id: one diagonal entry changes per row
@@ -125,22 +119,24 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
         order = abs(det(a))
         if order == 0:
             raise NonIntegral("sector matrix is singular; q >= 2 should prevent this")
+        total += order
         if rep_of[i] is None:
             d, u, _ = snf(a)
-            diag = tuple(d[k, k] for k in range(rd.rank))
-            size = _close_class(i, weyl, frob.simple_permutation, rep_of)
-            per_sector.append((u, diag, order, size))
+            diag = diags[i] = tuple(d[k, k] for k in range(rd.rank))
+            classes.append((i, u, diag, _close_class(i, weyl, frob.simple_permutation, rep_of)))
             for x in diag:
                 l = l * x // gcd(l, x)
         else:
-            diag = per_sector[rep_of[i]][1]
-            per_sector.append((None, diag, order, 0))
+            diag = diags[rep_of[i]]
         if prod(diag) != order:
             raise CrossCheckFailed(
                 f"sector {i}: SNF diagonal {list(diag)} of sector {rep_of[i]} has product "
                 f"{prod(diag)}, |det(F*w - id)| = {order}"
             )
-    return l, per_sector
+    count, rem = divmod(total, len(weyl))
+    if rem:
+        raise NonIntegral(f"sector sum {total} not divisible by |W| = {len(weyl)}")
+    return l, classes, count
 
 
 def _close_class(i, weyl, sigma, rep_of):
@@ -233,46 +229,36 @@ def enumerate_points(rd: RootDatum, frob: FrobeniusData, ell=None, *, sectors=No
 
     A point is held as its exponent vector L mod l (l the lcm of all
     elementary divisors): its value on the j-th basis weight is zeta^(L_j),
-    zeta = g^((ell-1)/l).  The sector with SNF u*(F*w - id)*v = diag(d) is
-    walked as a mixed-radix counter over 0 <= c_i < d_i, each moving digit
-    adding its step (l/d_i)*(row i of u); a wrap adds it too, as d_i steps
-    vanish mod l.  Each walked point gets its exact orbit key (orbit_key),
-    and a point whose key is new is kept as its orbit's representative, the
-    first point of the orbit found in sector order.  The number of orbits
-    must equal the class count, the |W|-average of the sector orders in the
-    same table, else CrossCheckFailed.  ``sectors`` (the output of
-    sector_divisors) is computed here unless a caller passes it in.
+    zeta = g^((ell-1)/l).  The class whose first sector has SNF
+    u*(F*w - id)*v = diag(d) is walked as one product over 0 <= c_i < d_i of
+    the steps c_i*(l/d_i)*(row i of u) mod l, built digit by digit with digit
+    0 varying fastest.  Each walked point gets its exact orbit key
+    (orbit_key), and a point whose key is new is kept as its orbit's
+    representative, the first point of the orbit walked in class order.  The
+    number of orbits must equal the class count of the same table, else
+    CrossCheckFailed.  ``sectors`` (the output of sector_divisors) is computed
+    here unless a caller passes it in.
     """
     if sectors is None:
         sectors = sector_divisors(rd, frob)
-    l, per_sector = sectors
+    l, classes, count = sectors
     ell = _pick_ell(l, frob.p, ell)
     lattice = key_lattice(rd, l)
     reps = []
     seen = set()
-    for w_index, (u, diag, _, _) in enumerate(per_sector):
-        if u is None:
-            continue
-        digits = [(d, tuple(l // d * x % l for x in row))
-                  for d, row in zip(diag, u.entries) if d > 1]
-        counter = [0] * len(digits)
-        cur = (0,) * rd.rank
-        for _ in range(prod(diag)):
+    for w_index, u, diag, _ in classes:
+        walk = [(0,) * rd.rank]
+        for d, row in zip(diag, u.entries):
+            step = [l // d * x for x in row]
+            walk = [tuple([(x + c * y) % l for x, y in zip(cur, step)])
+                    for c in range(d) for cur in walk]
+        for cur in walk:
             key = orbit_key(cur, lattice)
             if key not in seen:
                 seen.add(key)
                 reps.append((cur, w_index))
-            for i, (d, step) in enumerate(digits):
-                cur = tuple([(x + y) % l for x, y in zip(cur, step)])
-                counter[i] += 1
-                if counter[i] < d:
-                    break
-                counter[i] = 0
-    expected_orbits = sector_average(per_sector)
-    if len(reps) != expected_orbits:
-        raise CrossCheckFailed(
-            f"orbit fusion found {len(reps)} orbits, class_count = {expected_orbits}"
-        )
+    if len(reps) != count:
+        raise CrossCheckFailed(f"orbit fusion found {len(reps)} orbits, class_count = {count}")
     zeta = pow(GF(ell).generator(), (ell - 1) // l, ell)
     points = [TorusPoint(key, zeta, l, ell, w_index) for key, w_index in reps]
     points.sort(key=lambda pt: pt.values)

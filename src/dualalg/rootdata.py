@@ -263,7 +263,7 @@ def parents(left):
         yield col.index(p), p
 
 
-def weyl_group(rd: RootDatum, cap=None):
+def weyl_group(rd: RootDatum):
     """Full Weyl group by closure of the simple reflections, as a WeylGroup.
 
     The closure runs on the pairing vector of rho, the all-ones vector, with
@@ -272,15 +272,14 @@ def weyl_group(rd: RootDatum, cap=None):
     w_j * s_a = s_b * (w_p * s_a) for w_j = s_b * w_p, so do those of the
     right table.  weyl_walk builds matrices of W where they are read.
 
-    Raises CapExceeded before materializing more than ``cap`` elements
-    (default DUALALG_WEYL_CAP env var or 10^6).
+    Raises CapExceeded before materializing more than DUALALG_WEYL_CAP
+    elements (env var, default 10^6).
     """
-    if cap is None:
-        raw = os.environ.get("DUALALG_WEYL_CAP", DEFAULT_WEYL_CAP)
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise DualalgError(f"DUALALG_WEYL_CAP must be an integer, got {raw!r}") from None
+    raw = os.environ.get("DUALALG_WEYL_CAP", DEFAULT_WEYL_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise DualalgError(f"DUALALG_WEYL_CAP must be an integer, got {raw!r}") from None
     rho = (1,) * rd.nroots
     orbit = [rho]
     index = {rho: 0}

@@ -530,8 +530,8 @@ def test_corrupted_sector_conjugation_exits_2(monkeypatch, capsys):
     # sector 0: sector 1 would join the class of sector 0 after it was closed
     real = weyl_group
 
-    def corrupted(rd, cap=None):
-        weyl = real(rd, cap)
+    def corrupted(rd):
+        weyl = real(rd)
         weyl.right = [[row[0]] * len(weyl) for row in weyl.left]
         return weyl
 
@@ -547,10 +547,11 @@ def test_corrupted_sector_conjugation_exits_2(monkeypatch, capsys):
 
 def test_orbit_key_once_per_walked_point(monkeypatch, capsys):
     # points SO(8) q=2: the orbit fusion keys each point walked on a class
-    # representative exactly once, and closes no orbit
+    # row exactly once, and closes no orbit
     rd = build_standard("SO", 8)
-    _, table = oracles.sector_divisors(rd, FrobeniusData(rd, 2, 1))
-    walked = sum(prod(diag) for u, diag, _, _ in table if u is not None)
+    _, table, _ = oracles.sector_divisors(rd, FrobeniusData(rd, 2, 1))
+    assert len(table) == 13
+    walked = sum(prod(diag) for _, _, diag, _ in table)
     calls = Counter()
     real = oracles.orbit_key
 
@@ -630,8 +631,13 @@ def test_oracle_semisimplicity_mismatch_exits_2(monkeypatch, capsys):
 def test_math_failure_exits_2_with_typed_error(monkeypatch, capsys):
     # one class too many makes the orbit-fusion cross-check in the point
     # enumeration fail: a mathematical mismatch, not a usage error
-    real = oracles.sector_average
-    patch_everywhere(monkeypatch, real, lambda table: real(table) + 1)
+    real = oracles.sector_divisors
+
+    def one_too_many(*args):
+        l, classes, count = real(*args)
+        return l, classes, count + 1
+
+    patch_everywhere(monkeypatch, real, one_too_many)
     code = main(["rank", "--group", "GL", "--n", "2", "--q", "3"])
     captured = capsys.readouterr()
     assert code == 2
@@ -639,6 +645,55 @@ def test_math_failure_exits_2_with_typed_error(monkeypatch, capsys):
     assert err["type"] == "CrossCheckFailed"
     assert "class_count = 7" in err["detail"]
     assert captured.err == f"error: {err['detail']}\n"
+
+
+def nonintegral_exit(argv, capsys):
+    """Run argv, which must exit 2 with a typed NonIntegral error and no
+    traceback; return the error's detail."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "NonIntegral"
+    assert captured.err == f"error: {err['detail']}\n"
+    assert "Traceback" not in captured.err
+    return err["detail"]
+
+
+def test_singular_sector_matrix_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(oracles, "det", lambda m: 0)
+    detail = nonintegral_exit(["rank", "--group", "GL", "--n", "2", "--q", "3"], capsys)
+    assert detail == "sector matrix is singular; q >= 2 should prevent this"
+
+
+def test_sector_sum_not_divisible_exits_2(monkeypatch, capsys):
+    # SL(2) q=3: sectors F - 1 = (2) and -F - 1 = (-4), sum 6 over |W| = 2.
+    # The identity sector read as det 3 with SNF diagonal (3), which passes
+    # its own check, makes the sum 7
+    real_det, real_snf = oracles.det, oracles.snf
+    identity = IntMatrix([[2]])
+    monkeypatch.setattr(oracles, "det", lambda m: 3 if m == identity else real_det(m))
+    monkeypatch.setattr(oracles, "snf", lambda m: ((IntMatrix([[3]]), IntMatrix([[1]]),
+                                                    IntMatrix([[1]])) if m == identity
+                                                   else real_snf(m)))
+    detail = nonintegral_exit(["rank", "--group", "SL", "--n", "2", "--q", "3"], capsys)
+    assert detail == "sector sum 7 not divisible by |W| = 2"
+
+
+def test_trace_sum_not_divisible_exits_2(monkeypatch, capsys):
+    # SL(2) q=3 has two classes of one sector each; the identity class
+    # counted twice makes the unit's trace sum 3 over |W| = 2
+    real = oracles.sector_divisors
+
+    def doubled(*args):
+        l, classes, count = real(*args)
+        (i, u, diag, size), *rest = classes
+        return l, [(i, u, diag, size + 1)] + rest, count
+
+    patch_everywhere(monkeypatch, real, doubled)
+    detail = nonintegral_exit(["verify", "--group", "SL", "--n", "2", "--q", "3", "--fast"],
+                              capsys)
+    assert detail == "trace sum 3 of basis element 0 not divisible by |W|"
 
 
 def test_verify_builds_structure_tensor_once(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 from dualalg import oracles
 from dualalg.errors import BadPrime, CapExceeded, CrossCheckFailed
 from dualalg.finitefield import GF, _factorize
-from dualalg.intlinalg import IntMatrix, snf
+from dualalg.intlinalg import IntMatrix, det, snf
 from dualalg.matrixgroups import (
     MatrixGroupSpec,
     _generators,
@@ -192,13 +192,16 @@ def reference_points(rd, frob, ell, weyl, expected_orbits):
 
 
 def test_torus_fixed_counts():
-    # |T^{wF}| = |det(F*w - id)|, read off the sector table (identity first)
+    # |T^{wF}| = |det(F*w - id)|, the product of each class's SNF diagonal in
+    # the class table (identity first), and the count their |W|-average
     rd = build_standard("Torus", 1)
-    _, table = sector_divisors(rd, FrobeniusData(rd, 2, 2))
-    assert [order for _, _, order, _ in table] == [3]
+    _, table, count = sector_divisors(rd, FrobeniusData(rd, 2, 2))
+    assert [prod(diag) for _, _, diag, _ in table] == [3]
+    assert count == 3
     gl = build_standard("GL", 2)
-    _, table = sector_divisors(gl, FrobeniusData(gl, 3, 1))
-    assert [order for _, _, order, _ in table] == [4, 8]  # q^2 - 1 for the swap
+    _, table, count = sector_divisors(gl, FrobeniusData(gl, 3, 1))
+    assert [prod(diag) for _, _, diag, _ in table] == [4, 8]  # q^2 - 1 for the swap
+    assert count == 6
 
 
 def test_class_counts():
@@ -243,14 +246,13 @@ def test_enumerate_points_with_handed_in_sector_data():
     rd = build_standard("Sp", 4)
     frob = FrobeniusData(rd, 3, 1)
     own = enumerate_points(rd, frob)
-    l, table = sector_divisors(rd, frob, weyl_group(rd))
-    given = enumerate_points(rd, frob, sectors=(l, table))
+    l, table, count = sector_divisors(rd, frob, weyl_group(rd))
+    given = enumerate_points(rd, frob, sectors=(l, table, count))
     assert [pt.values for pt in own] == [pt.values for pt in given]
-    # the expected orbit count is the average of the table's orders, so a
-    # table whose orders disagree with its walk fails the fusion check
-    forged = [(u, diag, order + 1, size) for u, diag, order, size in table]
+    # the expected orbit count is the table's class count, so a count that
+    # disagrees with the walk fails the fusion check
     with pytest.raises(CrossCheckFailed, match="orbit fusion"):
-        enumerate_points(rd, frob, sectors=(l, forged))
+        enumerate_points(rd, frob, sectors=(l, table, count + 1))
 
 
 def test_evaluate_unit_and_orbit_independence():
@@ -525,23 +527,24 @@ def class_datum(label, fam, n):
 def test_sector_classes(label, fam, n, tau, classes):
     rd = class_datum(label, fam, n)
     frob = FrobeniusData(rd, 2, 1, tau)
-    l, table = sector_divisors(rd, frob)
-    reps = [i for i, (u, _, _, _) in enumerate(table) if u is not None]
-    assert len(reps) == classes
+    l, table, count = sector_divisors(rd, frob)
+    assert len(table) == classes
     weyl = reference_closure(rd, 10 ** 6)[0]
     assert sum(size for _, _, _, size in table) == len(weyl)
-    assert all(size == 0 for u, _, _, size in table if u is None)
-    # the classes found on W itself: each has its least index as the table's
-    # representative and its length as the size there
+    # the classes found on W itself, in order of their least index: each row
+    # is its least index and its length
     want = reference_classes(rd, frob, weyl)
-    assert sorted(c[0] for c in want) == reps
-    assert all(table[c[0]][3] == len(c) for c in want)
-    # every sector's own SNF diagonal is its representative's
+    assert [(i, size) for i, _, _, size in table] == [(c[0], len(c)) for c in want]
+    # every sector's own SNF diagonal is its class row's
     ref_l, ref_table = reference_sector_table(rd, frob, weyl)
     assert ref_l == l
-    for c in want:
+    for (_, _, diag, _), c in zip(table, want):
         for i in c:
-            assert ref_table[i][1] == table[i][1] == table[c[0]][1]
+            assert ref_table[i][1] == diag
+    # the count is the |W|-average of every sector's own determinant
+    one = IntMatrix.identity(rd.rank)
+    orders = [abs(det(frob.f_matrix * w - one)) for w in weyl]
+    assert count * len(weyl) == sum(orders)
 
 
 @pytest.mark.parametrize("label,fam,n,tau,classes", CLASS_CASES, ids=[c[0] for c in CLASS_CASES])
@@ -583,7 +586,7 @@ def reference_closure(rd, cap):
 
 
 @pytest.mark.parametrize("label,fam,n,tau,classes", CLASS_CASES, ids=[c[0] for c in CLASS_CASES])
-def test_weyl_reflection_tables(label, fam, n, tau, classes):
+def test_weyl_reflection_tables(monkeypatch, label, fam, n, tau, classes):
     # the closure on the orbit of rho against the closure on the matrices:
     # as many elements, the same parents and tables, and the cap
     rd = class_datum(label, fam, n)
@@ -594,8 +597,9 @@ def test_weyl_reflection_tables(label, fam, n, tau, classes):
     assert weyl.left == left
     assert weyl.right == right
     for cap in (1, len(weyl) // 2, len(weyl) - 1):
+        monkeypatch.setenv("DUALALG_WEYL_CAP", str(cap))
         with pytest.raises(CapExceeded):
-            weyl_group(rd, cap=cap)
+            weyl_group(rd)
         with pytest.raises(CapExceeded):
             reference_closure(rd, cap)
 

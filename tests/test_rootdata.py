@@ -117,11 +117,12 @@ def principal_minors(c):
     return out
 
 
-def test_validate_is_exact_on_3x3_cartan_matrices():
+def test_validate_is_exact_on_3x3_cartan_matrices(monkeypatch):
     # every 3x3 matrix with diagonal 2 and off-diagonal entries in
     # {0, -1, -2, -3}: accepted exactly when the zero pattern is symmetric
     # and every principal minor is positive, and then W is finite
     accepted = 0
+    monkeypatch.setenv("DUALALG_WEYL_CAP", str(10 ** 4))
     for code in range(4 ** 6):
         off = [-((code >> (2 * k)) & 3) for k in range(6)]
         c = [[2, off[0], off[1]], [off[2], 2, off[3]], [off[4], off[5], 2]]
@@ -133,7 +134,7 @@ def test_validate_is_exact_on_3x3_cartan_matrices():
             assert not finite, c
             continue
         assert finite, c
-        assert len(weyl_group(rd, cap=10 ** 4)) <= 48
+        assert len(weyl_group(rd)) <= 48
         assert len(rd.highest_roots()) == len(components(rd))
         accepted += 1
     assert accepted == 31
@@ -159,9 +160,10 @@ def test_weyl_identity_first():
         assert weyl_group(rd)[0] == (1,) * rd.nroots
 
 
-def test_weyl_cap():
+def test_weyl_cap(monkeypatch):
+    monkeypatch.setenv("DUALALG_WEYL_CAP", "10")
     with pytest.raises(CapExceeded):
-        weyl_group(build_standard("SO", 8), cap=10)
+        weyl_group(build_standard("SO", 8))
 
 
 WEYL_CASES = [
@@ -176,7 +178,7 @@ WEYL_CASES = [
 
 
 @pytest.mark.parametrize("fam,n,cartan", WEYL_CASES, ids=[f"{c[0]}{c[1] or ''}" for c in WEYL_CASES])
-def test_weyl_group_matches_matrix_product_reference(fam, n, cartan):
+def test_weyl_group_matches_matrix_product_reference(monkeypatch, fam, n, cartan):
     # weyl[j] is the pairing vector of w_j*rho, with w_j the j-th matrix of
     # the reference and rho = sum m_i alpha_i, <rho, alpha_j^vee> = 1, over Q;
     # the walk from 1 builds the reference's matrices in the same order
@@ -190,10 +192,12 @@ def test_weyl_group_matches_matrix_product_reference(fam, n, cartan):
     walked = weyl_walk(IntMatrix.identity(rd.rank).entries, rd.simple, got.left)
     assert [IntMatrix.of_rows(w) for w in walked] == ref
     order = len(got)
-    assert len(weyl_group(rd, cap=order)) == order
+    monkeypatch.setenv("DUALALG_WEYL_CAP", str(order))
+    assert len(weyl_group(rd)) == order
     for cap in {1, order // 2, order - 1} & set(range(1, order)):
+        monkeypatch.setenv("DUALALG_WEYL_CAP", str(cap))
         with pytest.raises(CapExceeded):
-            weyl_group(rd, cap=cap)
+            weyl_group(rd)
     if order > 1:
         with pytest.raises(CapExceeded):
             reference_weyl_group(rd, order - 1)

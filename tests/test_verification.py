@@ -118,7 +118,7 @@ def test_sl2_regression_fails(ctx, monkeypatch, capsys):
 
 def test_suite_takes_each_basis_trace_once(monkeypatch):
     # check_trace_integrality and the Gram matrix read one list of basis
-    # traces, taken in one sweep: u*to_x formed once per class representative
+    # traces, taken in one sweep: u*to_x formed once per class row
     # and each basis orbit read once; trace_form is called for the unit alone
     rd = build_standard("GL", 3)
     c = build_context(rd, FrobeniusData(rd, 3, 1), GENERIC_SC)
@@ -152,7 +152,7 @@ def test_suite_takes_each_basis_trace_once(monkeypatch):
     assert "gram_discriminant_p_power" in [check["name"] for check in report["checks"]]
     assert len(c.basis) == 18
     assert len(calls) == 1
-    reps = [u for u, _, _, _ in c.sector_data()[1] if u is not None]
+    reps = [u for _, u, _, _ in c.sector_data()[1]]
     assert maps == reps
     # the sweep alone, on a context whose evaluations are already taken
     c._traces = None

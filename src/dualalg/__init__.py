@@ -23,7 +23,6 @@ from .rootdata import (
     FrobeniusData,
     RootDatum,
     build_standard,
-    is_q_restricted,
     weyl_group,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "gram_discriminant",
     "hnf",
     "in_image",
-    "is_q_restricted",
     "multiply",
     "multiply_b",
     "normal_form",

@@ -92,9 +92,6 @@ class CyclotomicInt:
     def __hash__(self):
         return hash((self.p, self.coeffs))
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def __mod__(self, n):
         """Coefficientwise residue mod n: zero iff n divides the element, the
         power basis being a Z-basis of Z[zeta_p]."""

@@ -34,7 +34,7 @@ from math import gcd, prod
 
 from .errors import BadPrime, CrossCheckFailed, NonIntegral
 from .finitefield import GF
-from .intlinalg import IntMatrix, det, snf
+from .intlinalg import IntMatrix, SmithForm, det, snf
 from .orbitring import OrbitCache
 from .rootdata import (FrobeniusData, RootDatum, _is_prime, _sparse, chamber, weyl_group,
                        weyl_walk)
@@ -112,7 +112,7 @@ def sector_divisors(rd: RootDatum, frob: FrobeniusData, weyl=None):
     classes = []
     total = 0
     l = 1
-    for i, fw in enumerate(weyl_walk(frob.f_matrix.entries, moves, weyl.left)):
+    for i, fw in enumerate(weyl_walk(frob.f_matrix.entries, moves, weyl)):
         # A = F*w - id: one diagonal entry changes per row
         a = IntMatrix.of_rows(tuple(row[:r] + (row[r] - 1,) + row[r + 1:]
                                     for r, row in enumerate(fw)))
@@ -180,17 +180,47 @@ def _pick_ell(l, p, ell=None):
 
 
 def key_lattice(rd: RootDatum, l):
-    """The data of orbit_key at modulus l, from rd.alcove_data(): (l, central,
-    shifts, walls) with ``central`` the pairs (phi_k, l*y_k), ``shifts`` the
-    l*z, and ``walls`` the chamber walls (beta, beta^vee, offset) of the
-    closed l-scaled alcove {offset + <beta, L> >= 0}: rd.cowalls (the simple
-    roots with offset 0), then -theta, -theta^vee with offset l for each
-    highest root theta."""
-    central, cosets, highest = rd.alcove_data()
-    central = [(_sparse(phi), _sparse([l * x for x in y])) for phi, y in central]
-    shifts = [tuple(l * x for x in z) for z in cosets]
+    """The data of orbit_key at modulus l: (l, central, shifts, walls).
+
+    ``central`` pairs each basis functional phi_k of rd.central_lattice(),
+    sparse, with l*y_k for a y_k in Y such that phi_j . y_k = delta_jk (Phi
+    is saturated, so one SmithForm of Phi solves for all).  ``shifts`` are
+    l*z for z over the cosets of Y_ss/Q^vee, Y_ss = Y cap ker Phi and Q^vee
+    the coroot lattice, from rd.coroot_form, u*C*v = diag(d) of the coroot
+    rows C: row i of u*C is d_i*b_i with b_1, ... a basis of Y_ss, and the
+    cosets are the sums of c_i*b_i with 0 <= c_i < d_i.  ``walls`` are the
+    chamber walls (beta, beta^vee, offset) of the closed l-scaled alcove
+    {offset + <beta, L> >= 0}: rd.cowalls (the simple roots with offset 0),
+    then -theta, -theta^vee with offset l for each highest root theta.
+    CrossCheckFailed when a central functional cannot be lifted, when a row
+    of u*C is no multiple of its d_i, or when some b_i leaves ker Phi.
+    """
+    phi = rd.central_lattice()
+    central = []
+    if phi:
+        phi_form = SmithForm(IntMatrix(phi))
+        for k, row in enumerate(phi):
+            ok, y = phi_form.solve(tuple(int(j == k) for j in range(len(phi))))
+            if not ok:
+                raise CrossCheckFailed(f"central functional {list(row)} cannot be lifted to Y")
+            central.append((_sparse(row), _sparse([l * x for x in y])))
+    shifts = [(0,) * rd.rank]
+    if rd.nroots:
+        form = rd.coroot_form
+        for row, di in zip((form.u * form.m).entries, form.diag):
+            if di == 0 or any(x % di for x in row):
+                raise CrossCheckFailed(
+                    f"coroot SNF row {list(row)} is not {di} times a vector of Y")
+            b = tuple(x // di for x in row)
+            for f in phi:
+                if sum(x * y for x, y in zip(f, b)):
+                    raise CrossCheckFailed(
+                        f"coroot direction {list(b)} lies outside Y_ss: it pairs "
+                        f"nonzero with central functional {list(f)}"
+                    )
+            shifts = [tuple(x + j * l * y for x, y in zip(z, b)) for j in range(di) for z in shifts]
     walls = rd.cowalls + tuple((_sparse([-x for x in theta]), _sparse([-x for x in theta_v]), l)
-                               for theta, theta_v in highest)
+                               for theta, theta_v in rd.highest_roots())
     return l, central, shifts, walls
 
 

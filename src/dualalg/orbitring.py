@@ -54,10 +54,6 @@ class InvariantElement:
         return InvariantElement({tuple(lam): coeff})
 
     @staticmethod
-    def zero():
-        return InvariantElement()
-
-    @staticmethod
     def one(rank):
         return InvariantElement({(0,) * rank: 1})
 

@@ -23,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     DualalgError,
     InvalidCartan,
-    NotDominant,
 )
 from .finitefield import _factorize
 from .intlinalg import IntMatrix, SmithForm, det
@@ -121,46 +120,6 @@ class RootDatum:
                 found[theta] = chamber(a_v, self.cowalls)
         return sorted(found.items())
 
-    def alcove_data(self):
-        """Lattice data for reducing points of Y into the closed alcove:
-        (central, cosets, highest_roots).
-
-        ``central`` pairs each basis functional phi_k of central_lattice()
-        with a y_k in Y such that phi_j . y_k = delta_jk (Phi is saturated,
-        so one SmithForm of Phi solves for all).  ``cosets`` represent Y_ss/Q^vee,
-        Y_ss = Y cap ker Phi and Q^vee the coroot lattice, from coroot_form,
-        u*C*v = diag(d) of the coroot rows C: row i of u*C is d_i*b_i with b_1,
-        ... a basis of Y_ss, and the cosets are the sums of c_i*b_i with 0 <= c_i < d_i.
-        CrossCheckFailed when a central functional cannot be lifted, when a
-        row of u*C is no multiple of its d_i, or when some b_i leaves ker Phi.
-        """
-        phi = self.central_lattice()
-        central = []
-        if phi:
-            phi_form = SmithForm(IntMatrix(phi))
-            for k, row in enumerate(phi):
-                ok, y = phi_form.solve(tuple(int(j == k) for j in range(len(phi))))
-                if not ok:
-                    raise CrossCheckFailed(f"central functional {list(row)} cannot be lifted to Y")
-                central.append((row, y))
-        cosets = [(0,) * self.rank]
-        if self.nroots:
-            form = self.coroot_form
-            for row, di in zip((form.u * form.m).entries, form.diag):
-                if di == 0 or any(x % di for x in row):
-                    raise CrossCheckFailed(
-                        f"coroot SNF row {list(row)} is not {di} times a vector of Y"
-                    )
-                b = tuple(x // di for x in row)
-                for f in phi:
-                    if pairing(f, b):
-                        raise CrossCheckFailed(
-                            f"coroot direction {list(b)} lies outside Y_ss: it pairs "
-                            f"nonzero with central functional {list(f)}"
-                        )
-                cosets = [tuple(x + j * y for x, y in zip(z, b)) for j in range(di) for z in cosets]
-        return central, cosets, self.highest_roots()
-
     def fundamental_weight_lifts(self):
         """Weights with <w_i, alpha_j^vee> = delta_ij, or UNAVAILABLE.
 
@@ -219,12 +178,6 @@ def chamber(v, walls):
     return tuple(cur)
 
 
-def pairing(lam, covec):
-    if len(lam) != len(covec):
-        raise DimensionMismatch("pairing length")
-    return sum(x * y for x, y in zip(lam, covec))
-
-
 def _reflect_rows(m, root, coroot):
     """s * M = M - alpha (alpha^vee^T M) on a tuple of row tuples; only the
     rows where alpha != 0 change."""
@@ -240,27 +193,18 @@ def _reflect_rows(m, root, coroot):
 
 class WeylGroup(tuple):
     """The elements of W as the pairing vectors of w*rho, in closure order
-    with the identity first, and the multiplication tables of the simple
-    reflections: ``left[a][j]`` is the index of s_a * w_j, ``right[a][j]``
-    that of w_j * s_a."""
+    with the identity first, the spanning tree of the closure and the
+    multiplication tables of the simple reflections: ``parents`` lists (b, p)
+    for each w_j after the identity, first reached as s_b * w_p, and
+    ``left[a][j]`` is the index of s_a * w_j, ``right[a][j]`` that of
+    w_j * s_a."""
 
-    def __new__(cls, elems, left, right):
+    def __new__(cls, elems, parents, left, right):
         self = super().__new__(cls, elems)
+        self.parents = parents
         self.left = left
         self.right = right
         return self
-
-
-def parents(left):
-    """(b, p) for each w_j after the identity, in closure order, from the left
-    table of a WeylGroup: w_j was first reached as s_b * w_p.  The closure
-    walks p in increasing order, so p is the least index s_b * w_j takes over
-    b, and p never decreases along the order."""
-    cols = zip(*left)
-    next(cols, None)
-    for col in cols:
-        p = min(col)
-        yield col.index(p), p
 
 
 def weyl_group(rd: RootDatum):
@@ -268,9 +212,10 @@ def weyl_group(rd: RootDatum):
 
     The closure runs on the pairing vector of rho, the all-ones vector, with
     s_b acting by p -> p - p_b * cartan[b].  W acts freely on it, so the orbit
-    is the group, in closure order, and its lookups give the left table; as
-    w_j * s_a = s_b * (w_p * s_a) for w_j = s_b * w_p, so do those of the
-    right table.  weyl_walk builds matrices of W where they are read.
+    is the group, in closure order, its first reaches the parents and its
+    lookups the left table; as w_j * s_a = s_b * (w_p * s_a) for
+    w_j = s_b * w_p, so do those of the right table.  weyl_walk builds
+    matrices of W where they are read.
 
     Raises CapExceeded before materializing more than DUALALG_WEYL_CAP
     elements (env var, default 10^6).
@@ -283,10 +228,11 @@ def weyl_group(rd: RootDatum):
     rho = (1,) * rd.nroots
     orbit = [rho]
     index = {rho: 0}
+    parents = []
     rows = [_sparse(row) for row in rd.cartan]
     left = [[] for _ in rows]
     # orbit grows while it is walked, so the walk is breadth-first
-    for v in orbit:
+    for j, v in enumerate(orbit):
         for b, row in enumerate(rows):
             c = v[b]
             nxt = list(v)
@@ -297,40 +243,34 @@ def weyl_group(rd: RootDatum):
             if k is None:
                 k = index[nxt] = len(orbit)
                 orbit.append(nxt)
+                parents.append((b, j))
                 if len(orbit) > cap:
                     raise CapExceeded(f"Weyl group exceeds cap {cap}")
             left[b].append(k)
     del index
     right = [[row[0]] for row in left]
-    for b, p in parents(left):
+    for b, p in parents:
         for row in right:
             row.append(left[b][row[p]])
-    return WeylGroup(orbit, left, right)
+    return WeylGroup(orbit, parents, left, right)
 
 
-def weyl_walk(start, moves, left):
+def weyl_walk(start, moves, weyl):
     """M*w_j as row tuples for each w_j in closure order, from ``start`` = M
-    and the left table of a WeylGroup.  ``moves[b]`` is the (root, coroot) of
-    M*s_b*M^-1, so M*w_j = (M*s_b*M^-1)*(M*w_p) for w_j = s_b*w_p is one
-    rank-one update of its parent's, kept only from the current parent on
-    (parents never decrease along the order)."""
+    and the parents of the WeylGroup ``weyl``.  ``moves[b]`` is the (root,
+    coroot) of M*s_b*M^-1, so M*w_j = (M*s_b*M^-1)*(M*w_p) for w_j = s_b*w_p
+    is one rank-one update of its parent's, kept only from the current parent
+    on (the closure walks parents in order, so they never decrease)."""
     yield start
     live = deque([start])
     base = 0
-    for b, p in parents(left):
+    for b, p in weyl.parents:
         for _ in range(p - base):
             live.popleft()
         base = p
         m = _reflect_rows(live[0], *moves[b])
         live.append(m)
         yield m
-
-
-def is_q_restricted(rd: RootDatum, frob, lam):
-    b = rd.pairings(lam)
-    if any(x < 0 for x in b):
-        raise NotDominant(str(lam))
-    return all(x < frob.q for x in b)
 
 
 class FrobeniusData:

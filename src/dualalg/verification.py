@@ -79,7 +79,7 @@ def check_height_descent(cache, weyl, rng, samples=1000):
     """ht(w*lam) < ht(lam) for dominant lam with nonzero derived part, w drawn
     from the matrices of W in closure order."""
     ident = IntMatrix.identity(cache.rd.rank).entries
-    elems = [IntMatrix.of_rows(m) for m in weyl_walk(ident, cache.rd.simple, weyl.left)]
+    elems = [IntMatrix.of_rows(m) for m in weyl_walk(ident, cache.rd.simple, weyl)]
     tested = 0
     for _ in range(samples):
         lam = random_dominant_weight(cache, rng, 6)

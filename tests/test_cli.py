@@ -567,14 +567,26 @@ def test_orbit_key_once_per_walked_point(monkeypatch, capsys):
     assert calls["orbit_key"] == walked
 
 
-@pytest.mark.parametrize("group,n,central,detail", [
+def _doubled_coroot_diagonal(m):
+    form = intlinalg.SmithForm(m)
+    form.diag = tuple(2 * d for d in form.diag)
+    return form
+
+
+@pytest.mark.parametrize("group,n,target,patch,detail", [
     # (2, 2) is even on all of Y, so no y in Y has (2, 2).y = 1
-    ("GL", "2", [(2, 2)], "central functional [2, 2] cannot be lifted to Y"),
+    ("GL", "2", (RootDatum, "central_lattice"), lambda self: [(2, 2)],
+     "central functional [2, 2] cannot be lifted to Y"),
     # SL(3) has no central weight; a false one pairs nonzero with a coroot
-    ("SL", "3", [(1, 0)], "coroot direction [1, 0] lies outside Y_ss"),
-], ids=["unliftable", "coroot-outside"])
-def test_bad_alcove_lattice_exits_2(group, n, central, detail, monkeypatch, capsys):
-    monkeypatch.setattr(RootDatum, "central_lattice", lambda self: central)
+    ("SL", "3", (RootDatum, "central_lattice"), lambda self: [(1, 0)],
+     "coroot direction [1, 0] lies outside Y_ss"),
+    # rootdata's one SmithForm is the coroot form; with its diagonal doubled,
+    # row (1, -1) of u*C is no multiple of 2
+    ("GL", "2", (rootdata, "SmithForm"), _doubled_coroot_diagonal,
+     "coroot SNF row [1, -1] is not 2 times a vector of Y"),
+], ids=["unliftable", "coroot-outside", "coroot-row-indivisible"])
+def test_bad_alcove_lattice_exits_2(group, n, target, patch, detail, monkeypatch, capsys):
+    monkeypatch.setattr(*target, patch)
     code = main(["points", "--group", group, "--n", n, "--q", "3"])
     captured = capsys.readouterr()
     assert code == 2

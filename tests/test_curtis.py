@@ -230,7 +230,7 @@ def test_cyclotomic_arithmetic():
     total = CyclotomicInt.zero(p)
     for k in range(p):
         total = total + CyclotomicInt.root_power(p, k)
-    assert total.is_zero()  # sum of all p-th roots of unity
+    assert total == CyclotomicInt.zero(p)  # sum of all p-th roots of unity
 
 
 def test_eside_tables():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualalg.errors import CapExceeded, DualalgError, InvalidCartan, NotDominant
+from dualalg.errors import CapExceeded, DualalgError, InvalidCartan
 from dualalg.intlinalg import IntMatrix
 from dualalg.orbitring import OrbitCache
 from dualalg.rootdata import (
@@ -12,7 +12,6 @@ from dualalg.rootdata import (
     build_standard,
     chamber,
     datum_from_json,
-    is_q_restricted,
     prime_power_split,
     weyl_group,
     weyl_walk,
@@ -189,7 +188,7 @@ def test_weyl_group_matches_matrix_product_reference(monkeypatch, fam, n, cartan
     rho = tuple(sum((c * a[k] for c, a in zip(m, rd.simple_roots)), Fraction(0))
                 for k in range(rd.rank))
     assert list(got) == [rd.pairings(w.apply(rho)) for w in ref]
-    walked = weyl_walk(IntMatrix.identity(rd.rank).entries, rd.simple, got.left)
+    walked = weyl_walk(IntMatrix.identity(rd.rank).entries, rd.simple, got)
     assert [IntMatrix.of_rows(w) for w in walked] == ref
     order = len(got)
     monkeypatch.setenv("DUALALG_WEYL_CAP", str(order))
@@ -325,18 +324,6 @@ def test_fundamental_weight_lifts():
     assert lifts != UNAVAILABLE
     for i, w in enumerate(lifts):
         assert list(sp.pairings(w)) == [int(i == j) for j in range(sp.nroots)]
-
-
-def test_is_q_restricted():
-    rd = build_standard("SL", 2)
-    frob = FrobeniusData(rd, 3, 1)
-    assert is_q_restricted(rd, frob, (2,))
-    assert not is_q_restricted(rd, frob, (3,))
-    with pytest.raises(NotDominant):
-        is_q_restricted(rd, frob, (-1,))
-    gl = build_standard("GL", 2)
-    frob = FrobeniusData(gl, 3, 1)
-    assert is_q_restricted(gl, frob, (4, 2))
 
 
 def test_frobenius_properties():

@@ -31,7 +31,7 @@ hiding it.  See the project README for the full analysis.
 from __future__ import annotations
 
 import itertools
-from operator import index
+from operator import index, mul
 
 from .errors import (
     ContextMismatch,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .intlinalg import IntMatrix, SmithForm, det, rank_mod_p, snf
 from .oracles import TorusPoint, enumerate_points, evaluate, sector_divisors
-from .orbitring import InvariantElement, OrbitCache, combine, multiply
+from .orbitring import InvariantElement, OrbitCache, combine, multiply, product
 from .rootdata import UNAVAILABLE, FrobeniusData, RootDatum, weyl_group
 
 GENERIC_SC = "GenericSC"
@@ -189,8 +189,11 @@ class BContext:
         ident = IntMatrix.identity(rd.rank).entries
         w_rd = RootDatum(rd.rank, [to_w.apply(a) for a in rd.simple_roots], ident[:m], rd.label)
         self._wcache = OrbitCache(w_rd)
-        # tau(e_a) is column a of _wtau
-        self._wtau = to_w * frob.tau * to_x
+        # the reduction's partners (q*e_a, tau(e_a)) of each w_a = e_a, with
+        # tau(e_a) column a of to_w * tau * to_x
+        wtau = to_w * frob.tau * to_x
+        self._steps = [(tuple(frob.q if i == a else 0 for i in range(rd.rank)), wtau.col(a))
+                       for a in range(m)]
         f = (to_w * frob.f_matrix * to_x).entries
         if any(any(row[m:]) for row in f[:m]):
             raise NonIntegral("F does not preserve the central lattice")
@@ -426,16 +429,14 @@ def _reduce_canonical(ctx: BContext, key) -> BElement:
         replacement = replacements.get(cur)
         if replacement is None:
             lam_p = cur[:alpha] + (cur[alpha] - q,) + cur[alpha + 1:]
-            e_a = tuple(int(i == alpha) for i in range(len(cur)))
-            q_e = tuple(q * x for x in e_a)
-            p1 = multiply(cache, InvariantElement.r(lam_p), InvariantElement.r(q_e))
-            if p1.coeffs.get(cur) != 1:
+            q_e, tau_e = ctx._steps[alpha]
+            p1 = product(cache, lam_p, q_e)
+            if p1.get(cur) != 1:
                 raise NonTermination(
-                    f"leading coefficient of r({cur}) is {p1.coeffs.get(cur)}"
+                    f"leading coefficient of r({cur}) is {p1.get(cur)}"
                 )
-            tau_e = ctx._wtau.apply(e_a)
-            p2 = multiply(cache, InvariantElement.r(lam_p), InvariantElement.r(tau_e))
-            replacement = combine(((p2.coeffs, 1), (p1.coeffs, -1), ({cur: 1}, 1)))
+            p2 = product(cache, lam_p, tau_e)
+            replacement = combine(((p2, 1), (p1, -1), ({cur: 1}, 1)))
             h_cur = cache.height(cur)
             for term in replacement:
                 if not cache.height(term) < h_cur:
@@ -523,7 +524,7 @@ def gram_matrix(ctx: BContext):
     tensor = structure_constants(ctx, limit=n)
     traces = basis_traces(ctx)
     return IntMatrix(
-        [[sum(c * t for c, t in zip(tensor[i][j], traces)) for j in range(n)] for i in range(n)]
+        [[sum(map(mul, tensor[i][j], traces)) for j in range(n)] for i in range(n)]
     )
 
 

@@ -6,7 +6,10 @@ representative.  A product r(lam) r(mu) is computed from one orbit: every
 nu in the smaller of W lam, W mu is added to the other weight, the sum is
 walked into the dominant chamber, and the hits per dominant weight kappa,
 scaled by the larger orbit size over |W kappa|, give the coefficient of
-r(kappa) (Stembridge 2001; Humphreys 1990).  No e-basis expansion is formed.
+r(kappa) (Stembridge 2001; Humphreys 1990).  No e-basis expansion is formed,
+and the swept orbit is the only one built: each orbit size is |W| / |W_J|,
+W_J the parabolic stabilizer of the dominant weight (Humphreys 1990, Thm
+1.12).
 
 The height of a weight lam is the integer <lam, 2 rho^vee>, twice the
 coefficient sum of its derived-part projection in the simple-root basis
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 from operator import index
 
-from .errors import NonIntegral
+from .errors import NonIntegral, NotDominant
 from .intlinalg import IntMatrix, SmithForm
-from .rootdata import RootDatum, chamber
+from .rootdata import RootDatum, chamber, rho_closure
 
 
 def combine(terms):
@@ -63,9 +66,6 @@ class InvariantElement:
     def __sub__(self, other):
         return InvariantElement(combine(((self.coeffs, 1), (other.coeffs, -1))))
 
-    def scale(self, c):
-        return InvariantElement(combine(((self.coeffs, c),)))
-
     def __eq__(self, other):
         return isinstance(other, InvariantElement) and self.coeffs == other.coeffs
 
@@ -83,7 +83,7 @@ class InvariantElement:
 
 
 class OrbitCache:
-    """Per-datum cache of W-orbits and heights.
+    """Per-datum cache of W-orbits, orbit sizes and heights.
 
     Reflections act on plain tuples as rank-one updates
     s_i(lam) = lam - <lam, alpha_i^vee> alpha_i, read from the datum's table
@@ -94,6 +94,8 @@ class OrbitCache:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self._orbits = {}
+        self._sizes = {}
+        self._parabolic = {}
         self._heights = {}
         self._height_form = None
 
@@ -131,6 +133,36 @@ class OrbitCache:
         self._orbits[lam] = orb
         return orb
 
+    def size(self, lam):
+        """|W lam| for dominant ``lam``: the length of its orbit if built,
+        else |W| / |W_J| with W_J the stabilizer, generated by the simple
+        reflections of J = {i : <lam, alpha_i^vee> = 0}; NotDominant on a
+        negative pairing.  |W_J| is the rho_closure of the Cartan matrix on
+        J, once per J, and |W| that of J = all."""
+        lam = tuple(lam)
+        got = self._sizes.get(lam)
+        if got is not None:
+            return got
+        pairs = self.rd.pairings(lam)
+        if min(pairs, default=0) < 0:
+            raise NotDominant(str(lam))
+        orb = self._orbits.get(lam)
+        if orb is not None:
+            got = len(orb)
+        else:
+            got = self._parabolic_order(range(len(pairs))) // self._parabolic_order(
+                i for i, p in enumerate(pairs) if p == 0)
+        self._sizes[lam] = got
+        return got
+
+    def _parabolic_order(self, j):
+        j = tuple(j)
+        got = self._parabolic.get(j)
+        if got is None:
+            cartan = self.rd.cartan
+            got = self._parabolic[j] = len(rho_closure([[cartan[a][b] for b in j] for a in j])[0])
+        return got
+
     def height(self, lam):
         """The integer <lam, 2 rho^vee> = sum_i c_i <lam, alpha_i^vee>, where
         2 rho^vee = sum_i c_i alpha_i^vee is the sum of the positive coroots,
@@ -152,35 +184,42 @@ class OrbitCache:
         return h
 
 
-def multiply(cache: OrbitCache, a: InvariantElement, b: InvariantElement):
-    """Exact product re-expressed in the r-basis, one orbit sweep per term pair.
+def product(cache: OrbitCache, lam, mu):
+    """r(lam) r(mu) for dominant lam, mu as {kappa: coefficient of r(kappa)}.
 
-    For dominant kappa the coefficient of r(kappa) in r(lam) r(mu) is
-    |W lam| * #{nu in W mu : dom(lam + nu) = kappa} / |W kappa|; the smaller
-    of the two orbits is the one swept.  Raises NonIntegral if a division is
-    not exact."""
-    orbit = cache.orbit
+    For dominant kappa the coefficient is
+    |W lam| * #{nu in W mu : dom(lam + nu) = kappa} / |W kappa|, with the
+    roles swapped when W lam is the smaller orbit: the smaller one is swept,
+    and it is the only orbit built.  Raises NonIntegral if a division is not
+    exact."""
+    size = cache.size
+    size_lam, size_mu = size(lam), size(mu)
+    if size_mu <= size_lam:
+        fixed, swept, big = lam, mu, size_lam
+    else:
+        fixed, swept, big = mu, lam, size_mu
     walls = cache.rd.walls
+    hits = {}
+    for nu in cache.orbit(swept):
+        kappa = chamber([x + y for x, y in zip(fixed, nu)], walls)
+        hits[kappa] = hits.get(kappa, 0) + 1
     out = {}
-    for lam, c1 in a.coeffs.items():
-        orb_lam = orbit(lam)
-        for mu, c2 in b.coeffs.items():
-            orb_mu = orbit(mu)
-            if len(orb_mu) <= len(orb_lam):
-                fixed, swept, size = lam, orb_mu, len(orb_lam)
-            else:
-                fixed, swept, size = mu, orb_lam, len(orb_mu)
-            hits = {}
-            for nu in swept:
-                kappa = chamber([x + y for x, y in zip(fixed, nu)], walls)
-                hits[kappa] = hits.get(kappa, 0) + 1
-            c = c1 * c2
-            for kappa, h in hits.items():
-                coeff, rem = divmod(size * h, len(orbit(kappa)))
-                if rem:
-                    raise NonIntegral(
-                        f"coefficient of r({list(kappa)}) in r({list(lam)}) * r({list(mu)}) "
-                        f"is {size * h}/{len(orbit(kappa))}"
-                    )
-                out[kappa] = out.get(kappa, 0) + c * coeff
-    return InvariantElement(out)
+    for kappa, h in hits.items():
+        coeff, rem = divmod(big * h, size(kappa))
+        if rem:
+            raise NonIntegral(
+                f"coefficient of r({list(kappa)}) in r({list(lam)}) * r({list(mu)}) "
+                f"is {big * h}/{size(kappa)}"
+            )
+        out[kappa] = coeff
+    return out
+
+
+def multiply(cache: OrbitCache, a: InvariantElement, b: InvariantElement):
+    """Exact product re-expressed in the r-basis: the combine of the product
+    of each term pair.  Each pair builds only the orbit it sweeps, the
+    smaller one; every orbit size comes from parabolic orders."""
+    return InvariantElement(combine(
+        (product(cache, lam, mu), c1 * c2)
+        for lam, c1 in a.coeffs.items() for mu, c2 in b.coeffs.items()
+    ))

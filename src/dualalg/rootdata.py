@@ -210,12 +210,29 @@ class WeylGroup(tuple):
 def weyl_group(rd: RootDatum):
     """Full Weyl group by closure of the simple reflections, as a WeylGroup.
 
-    The closure runs on the pairing vector of rho, the all-ones vector, with
-    s_b acting by p -> p - p_b * cartan[b].  W acts freely on it, so the orbit
-    is the group, in closure order, its first reaches the parents and its
-    lookups the left table; as w_j * s_a = s_b * (w_p * s_a) for
-    w_j = s_b * w_p, so do those of the right table.  weyl_walk builds
-    matrices of W where they are read.
+    The closure is rho_closure on the Cartan rows: W acts freely on the
+    pairing vector of rho, so that orbit is the group, in closure order, its
+    first reaches the parents and its lookups the left table; as
+    w_j * s_a = s_b * (w_p * s_a) for w_j = s_b * w_p, so do those of the
+    right table.  weyl_walk builds matrices of W where they are read.
+    """
+    orbit, parents, left = rho_closure(rd.cartan)
+    right = [[row[0]] for row in left]
+    for b, p in parents:
+        for row in right:
+            row.append(left[b][row[p]])
+    return WeylGroup(orbit, parents, left, right)
+
+
+def rho_closure(cartan):
+    """(orbit, parents, left) of the all-ones vector, the pairings of rho,
+    under the reflections s_b: p -> p - p_b * cartan[b] of a Cartan matrix,
+    by breadth-first closure.  The orbit is in closure order with rho first,
+    ``parents`` lists (b, p) for each later element, first reached as s_b
+    applied to element p, and ``left[b][j]`` is the index of s_b applied to
+    element j.  The reflection group acts freely on rho, so the orbit has
+    its order: |W| on the Cartan matrix of a datum, |W_J| on its J rows and
+    columns.
 
     Raises CapExceeded before materializing more than DUALALG_WEYL_CAP
     elements (env var, default 10^6).
@@ -225,11 +242,11 @@ def weyl_group(rd: RootDatum):
         cap = int(raw)
     except ValueError:
         raise DualalgError(f"DUALALG_WEYL_CAP must be an integer, got {raw!r}") from None
-    rho = (1,) * rd.nroots
+    rho = (1,) * len(cartan)
     orbit = [rho]
     index = {rho: 0}
     parents = []
-    rows = [_sparse(row) for row in rd.cartan]
+    rows = [_sparse(row) for row in cartan]
     left = [[] for _ in rows]
     # orbit grows while it is walked, so the walk is breadth-first
     for j, v in enumerate(orbit):
@@ -247,12 +264,7 @@ def weyl_group(rd: RootDatum):
                 if len(orbit) > cap:
                     raise CapExceeded(f"Weyl group exceeds cap {cap}")
             left[b].append(k)
-    del index
-    right = [[row[0]] for row in left]
-    for b, p in parents:
-        for row in right:
-            row.append(left[b][row[p]])
-    return WeylGroup(orbit, parents, left, right)
+    return orbit, parents, left
 
 
 def weyl_walk(start, moves, weyl):

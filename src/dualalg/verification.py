@@ -10,6 +10,7 @@ important signal the tool can emit and is never downgraded to a warning.
 from __future__ import annotations
 
 import random
+from operator import mul
 
 from .balgebra import (
     GENERIC_SC,
@@ -123,14 +124,12 @@ def check_evaluation_homomorphism(ctx):
     tensor = structure_constants(ctx)
     pts = ctx.points()
     n = len(ctx.basis)
-    evals = ctx.evaluations()
+    cols = list(zip(*ctx.evaluations()))
     ell = pts[0].ell
     for i in range(n):
         for j in range(i, n):
-            for pidx, pt in enumerate(pts):
-                lhs = evals[i][pidx] * evals[j][pidx] % ell
-                rhs = sum(tensor[i][j][k] * evals[k][pidx] for k in range(n)) % ell
-                if lhs != rhs:
+            for col in cols:
+                if col[i] * col[j] % ell != sum(map(mul, tensor[i][j], col)) % ell:
                     return {
                         "name": "evaluation_homomorphism",
                         "passed": False,

@@ -396,7 +396,7 @@ def test_so_even_products_match_the_so_datum_product():
         assert multiply_b(ctx, x, y) == reference_so_product(ctx, x, y), (x, y)
 
 
-@pytest.mark.parametrize("n,q", [(4, 3), (6, 2), (8, 2), (4, 5)])
+@pytest.mark.parametrize("n,q", [(4, 3), (6, 2), (8, 2), (4, 5), (10, 2)])
 def test_so_even_products_and_normal_forms_match_evaluation(n, q):
     # the independent oracle for the SOEven structure constants, which verify
     # checks against evaluation only on GenericSC: every basis product and

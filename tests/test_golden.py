@@ -130,6 +130,12 @@ GOLDEN = [
     # closure order (taken before those matrices left weyl_group)
     (["verify", "--datum-file", "data/triality_d4.json", "--q", "2", "--fast"], 0,
      "1cfbc16189da3065e7aeb16ac1c0cd8f860ff1e967808c9aae122b90f58bf28e"),
+    # SOEven products and reductions over |W| = 192 (taken before orbit
+    # sizes came from parabolic orders and products built only the swept orbit)
+    (["structure", "--group", "SO", "--n", "8", "--q", "2"], 0,
+     "56b630f96d1c4b810ada7a26da1f91ab11c5b848c031c79618db0edf77905ebe"),
+    (["verify", "--group", "SO", "--n", "8", "--q", "2", "--fast", "--seed", "1"], 2,
+     "c2820c10524919305254db2ed0eb799fc3e542d4f4499917fac1ecb19159706d"),
 ]
 
 

@@ -1,12 +1,22 @@
+import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from dualalg.balgebra import BElement
-from dualalg.errors import NonIntegral
-from dualalg.orbitring import InvariantElement, OrbitCache, combine, multiply
-from dualalg.rootdata import FrobeniusData, build_standard, chamber, weyl_group
+from dualalg.errors import NonIntegral, NotDominant
+from dualalg.orbitring import InvariantElement, OrbitCache, combine, multiply, product
+from dualalg.rootdata import (
+    FrobeniusData,
+    RootDatum,
+    build_standard,
+    chamber,
+    datum_from_json,
+    weyl_group,
+)
 from test_rootdata import cartan_solve, reference_weyl_group
 
 
@@ -132,14 +142,112 @@ def test_multiply_matches_e_basis_reference(fam, n, bound, pairs):
         assert multiply(cache, a, b) == reference_multiply(cache, a, b), (a, b)
 
 
+# -- orbit sizes from parabolic orders ------------------------------------------
+
+SIZE_DATA = [("SL", 3), ("Sp", 4), ("GL", 3), ("G2", None), ("SO", 8), ("SO", 10), ("3D4", None)]
+SIZE_IDS = [f"{fam}{n or ''}" for fam, n in SIZE_DATA]
+
+
+def size_datum(fam, n):
+    if fam == "G2":
+        return build_standard("FromCartan", cartan=((2, -1), (-3, 2)), label="G2")
+    if fam == "3D4":
+        path = pathlib.Path(__file__).parent / "data" / "triality_d4.json"
+        return datum_from_json(json.loads(path.read_text()))[0]
+    return build_standard(fam, n)
+
+
+def dominant_weights(rd, count, bound, seed):
+    rng = random.Random(seed)
+    return {chamber(tuple(rng.randint(-bound, bound) for _ in range(rd.rank)), rd.walls)
+            for _ in range(count)}
+
+
+@pytest.mark.parametrize("fam,n", SIZE_DATA, ids=SIZE_IDS)
+def test_size_matches_orbit_length(fam, n):
+    # |W| / |W_J| on a cache that has built no orbit, against the orbit itself
+    rd = size_datum(fam, n)
+    sizes, orbits = OrbitCache(rd), OrbitCache(rd)
+    weights = dominant_weights(rd, 40, 3, f"size{fam}{n}") | {(0,) * rd.rank}
+    for lam in sorted(weights):
+        assert sizes.size(lam) == len(orbits.orbit(lam)), lam
+    assert sizes._orbits == {}
+    # a size read from a built orbit agrees as well
+    for lam in sorted(weights):
+        assert orbits.size(lam) == len(orbits.orbit(lam)), lam
+
+
+@pytest.mark.parametrize("fam,n", SIZE_DATA, ids=SIZE_IDS)
+def test_size_of_a_regular_weight_is_the_weyl_order(fam, n):
+    rd = size_datum(fam, n)
+    regular = [lam for lam in dominant_weights(rd, 400, 8, f"regular{fam}{n}")
+               if min(rd.pairings(lam)) > 0]
+    assert regular
+    order = len(weyl_group(rd))
+    cache = OrbitCache(rd)
+    for lam in regular:
+        assert cache.size(lam) == order, lam
+
+
+@pytest.mark.parametrize("fam,n", SIZE_DATA, ids=SIZE_IDS)
+def test_parabolic_order_is_the_weyl_order_of_the_sub_datum(fam, n):
+    # |W_J| from the closure on the J rows and columns of the Cartan matrix,
+    # against the Weyl group of the datum with only the simple roots in J
+    rd = size_datum(fam, n)
+    cache = OrbitCache(rd)
+    for k in range(rd.nroots + 1):
+        for j in itertools.combinations(range(rd.nroots), k):
+            sub = RootDatum(rd.rank, [rd.simple_roots[i] for i in j],
+                            [rd.simple_coroots[i] for i in j])
+            assert cache._parabolic_order(j) == len(weyl_group(sub)), j
+
+
+def test_size_rejects_a_non_dominant_weight():
+    cache = OrbitCache(build_standard("Sp", 4))
+    with pytest.raises(NotDominant):
+        cache.size((1, -2))
+    # also when the orbit of that weight has been built
+    cache.orbit((1, -2))
+    with pytest.raises(NotDominant):
+        cache.size((1, -2))
+    assert cache.size((2, 1)) == len(cache.orbit((2, 1)))
+
+
+@pytest.mark.parametrize("fam,n,bound,pairs", DIFFERENTIAL)
+def test_product_matches_e_basis_reference(fam, n, bound, pairs):
+    rd = build_standard(fam, n)
+    cache, ref = OrbitCache(rd), OrbitCache(rd)
+    rng = random.Random(f"product{fam}{n}")
+    for _ in range(pairs):
+        lam, mu = (chamber(tuple(rng.randint(-bound, bound) for _ in range(rd.rank)), rd.walls)
+                   for _ in range(2))
+        want = reference_multiply(ref, InvariantElement.r(lam), InvariantElement.r(mu))
+        assert InvariantElement(product(cache, lam, mu)) == want, (lam, mu)
+
+
+def test_product_builds_only_the_swept_orbit():
+    # on SO(10) the orbits of the kappa in a product are far larger than the
+    # swept one; building them only for their sizes took structure SO 10
+    # q=2 past a gigabyte.  |W (1, 0, 0, 0, 0)| = 10, |W (1, 1, 0, 0, 0)| =
+    # 40, and the other two are 960 and 1,920 (regular)
+    rd = build_standard("SO", 10)
+    for lam, mu, swept in [((1, 0, 0, 0, 0), (3, 2, 1, 1, 0), (1, 0, 0, 0, 0)),
+                           ((4, 3, 2, 1, 0), (1, 1, 0, 0, 0), (1, 1, 0, 0, 0))]:
+        cache = OrbitCache(rd)
+        out = product(cache, lam, mu)
+        assert len(out) > 1
+        assert list(cache._orbits) == [swept], (lam, mu)
+
+
 def test_multiply_raises_on_inexact_division():
+    # a wrong |W (2,)| = 3 on SL(2) (it is 2) makes the divisor of r(2) in
+    # r(1) * r(1) inexact
     class CorruptCache(OrbitCache):
-        def orbit(self, lam):
-            orb = super().orbit(lam)
-            return orb | {(99,)} if tuple(lam) == (2,) else orb
+        def size(self, lam):
+            return 3 if tuple(lam) == (2,) else super().size(lam)
 
     r = InvariantElement.r
-    with pytest.raises(NonIntegral, match=r"r\(\[2\]\) in r\(\[1\]\) \* r\(\[1\]\)"):
+    with pytest.raises(NonIntegral, match=r"r\(\[2\]\) in r\(\[1\]\) \* r\(\[1\]\) is 2/3$"):
         multiply(CorruptCache(build_standard("SL", 2)), r((1,)), r((1,)))
 
 
@@ -169,7 +277,7 @@ def test_combine_cancels_scales_and_drops_zeros():
     a, b = InvariantElement(x), InvariantElement(y)
     assert a + b == InvariantElement({(1, 0): 1, (0, 0): -1, (2, 0): 5})
     assert a - a == InvariantElement() and (a - a).is_zero()
-    assert a.scale(0).coeffs == {}
+    assert combine([(a.coeffs, 0)]) == {}
     assert (r((1, 0)) + r((1, 0), -1)).coeffs == {}
 
 

@@ -134,11 +134,10 @@ class OrbitCache:
         return orb
 
     def size(self, lam):
-        """|W lam| for dominant ``lam``: the length of its orbit if built,
-        else |W| / |W_J| with W_J the stabilizer, generated by the simple
-        reflections of J = {i : <lam, alpha_i^vee> = 0}; NotDominant on a
-        negative pairing.  |W_J| is the rho_closure of the Cartan matrix on
-        J, once per J, and |W| that of J = all."""
+        """|W lam| for dominant ``lam``: |W| / |W_J| with W_J the stabilizer,
+        generated by the simple reflections of J = {i : <lam, alpha_i^vee> =
+        0}; NotDominant on a negative pairing.  |W_J| is the rho_closure of
+        the Cartan matrix on J, once per J, and |W| that of J = all."""
         lam = tuple(lam)
         got = self._sizes.get(lam)
         if got is not None:
@@ -146,13 +145,8 @@ class OrbitCache:
         pairs = self.rd.pairings(lam)
         if min(pairs, default=0) < 0:
             raise NotDominant(str(lam))
-        orb = self._orbits.get(lam)
-        if orb is not None:
-            got = len(orb)
-        else:
-            got = self._parabolic_order(range(len(pairs))) // self._parabolic_order(
-                i for i, p in enumerate(pairs) if p == 0)
-        self._sizes[lam] = got
+        order = self._parabolic_order(range(len(pairs)))
+        got = self._sizes[lam] = order // self._parabolic_order(i for i, p in enumerate(pairs) if p == 0)
         return got
 
     def _parabolic_order(self, j):

@@ -293,7 +293,9 @@ class _SOCover:
     coroot.  x -> (x, 0) commutes with every reflection (the extra coordinate
     is 0 on its image), so orbit sums map to orbit sums of the same size,
     products commute with it and the Frobenius-difference ideal maps into the
-    cover's.  _to_w is x -> (x, 0) -> (b, c), _to_x back, _wbasis the box.
+    cover's.  Its Cartan matrix is the datum's (the extra coordinate is 0 on
+    every root), so the two Weyl groups agree.  _to_w is x -> (x, 0) -> (b, c),
+    _to_x back, _wbasis the box.
     """
 
     def __init__(self, ctx: BContext):
@@ -306,11 +308,6 @@ class _SOCover:
         cover_frob = FrobeniusData(cover_rd, ctx.frob.p, ctx.frob.r)
         self.ctx_id = ctx.ctx_id
         self.cover_ctx = cover = BContext(cover_rd, cover_frob, GENERIC_SC)
-        if len(cover.weyl) != len(ctx.weyl):
-            raise CrossCheckFailed(
-                f"cover Weyl group has order {len(cover.weyl)}, "
-                f"the datum's has {len(ctx.weyl)}"
-            )
         self._to_w = IntMatrix([row[:n] for row in cover._to_w.entries])
         self._to_x = IntMatrix(cover._to_x.entries[:n])
         self._wbasis = [self._to_w.apply(lam) for lam in ctx.basis]

@@ -26,7 +26,6 @@ from .balgebra import (
 )
 from .curtis import (
     GL2,
-    PGL2,
     columns_in_parity_lattice,
     eside_parity_holds,
     homomorphism_check,
@@ -213,14 +212,13 @@ def cmd_structure(args):
 
 
 def cmd_curtis(args):
-    group = {"GL2": GL2, "PGL2": PGL2}[args.group]
     _resolve_q(args)
     q = args.q
     head = {"version": VERSION, "group": args.group, "q": q}
     if args.check == "saturation":
-        sat = saturation_check(group, q)
+        sat = saturation_check(args.group, q)
         payload = {**head, "saturated_over_Z": sat}
-        if q % 2 == 1 and group == GL2:
+        if q % 2 == 1 and args.group == GL2:
             _, cert = nonsaturation_witness(q)
             payload["nonsat_witness_over_Z_1_over_p"] = (
                 cert["half_integral_coeffs"]
@@ -230,16 +228,16 @@ def cmd_curtis(args):
         _emit(payload, args)
         return EXIT_OK if sat else EXIT_MISMATCH
     if args.check == "homomorphism":
-        ok = homomorphism_check(group, q)
+        ok = homomorphism_check(args.group, q)
         _emit({**head, "homomorphism": ok}, args)
         return EXIT_OK if ok else EXIT_MISMATCH
     if args.check == "eside":
-        if group != GL2:
+        if args.group != GL2:
             raise DualalgError(f"--check eside: the E-side tables are GL2 only, not {args.group}")
         ok = eside_parity_holds(q)
         _emit({**head, "eside_parity": ok}, args)
         return EXIT_OK if ok else EXIT_MISMATCH
-    m1, ms = phi_matrix(group, q)
+    m1, ms = phi_matrix(args.group, q)
     if args.format == "csv":
         rows = [list(r) for r in m1.entries] + [[]] + [list(r) for r in ms.entries]
         _emit_csv(rows, args)
@@ -248,7 +246,7 @@ def cmd_curtis(args):
             **head,
             "split_matrix": [list(r) for r in m1.entries],
             "twisted_matrix": [list(r) for r in ms.entries],
-            "columns_in_parity_lattice": columns_in_parity_lattice(group, q, m1, ms),
+            "columns_in_parity_lattice": columns_in_parity_lattice(args.group, q, m1, ms),
         }, args)
     return EXIT_OK
 

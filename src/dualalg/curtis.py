@@ -5,13 +5,17 @@ over cyclotomic integers.
 
 The transfer map Phi sends an orbit sum r(lam) in the quotient ring to the
 pair of group-algebra elements obtained by reducing each orbit weight modulo
-(F*w - id) for the two twist sectors; concretely, for the split sector the
-class of (m1, m2) is (m1, m2) mod q-1 indexing diag(z^m1, z^m2), and for the
-twisted sector it is m1 + q*m2 mod q^2-1 indexing the norm-one-parametrized
-torus.  These coordinates reproduce the published coefficient tables row for
-row, with one correction: in the twisted table the first hit for middle rows
-is at column (v, u), not (1, u); the printed (1, u) fails both the column-mass
-and the ring-homomorphism constraints, so it is treated as a misprint.
+(F*w - id) for the two twist sectors.  Each sector keys weights by one rule
+for both groups: the split class of lam is lam mod q-1 in each coordinate
+(on GL2, (m1, m2) indexes diag(z^m1, z^m2)), and the twisted class is
+<t, lam> mod N, indexing the norm-one-parametrized torus.  TorusIndexing
+holds the three values that depend on the group: the twisted form t, (1, q)
+on GL2 and (1,) on PGL2; the twisted order N, q^2-1 and q+1; and the central
+weights whose keys pair up in the central parity.  These coordinates
+reproduce the published coefficient tables row for row, with one
+correction: in the twisted table the first hit for middle rows is at column
+(v, u), not (1, u); the printed (1, u) fails both the column-mass and the
+ring-homomorphism constraints, so it is treated as a misprint.
 """
 
 from __future__ import annotations
@@ -105,54 +109,47 @@ class CyclotomicInt:
 
 
 class TorusIndexing:
-    """Discrete-log coordinates for the two twist sectors."""
+    """Discrete-log coordinates for the two twist sectors.
+
+    One rule per sector: a weight lam has split key lam mod q-1 in each
+    coordinate and twisted key <t, lam> mod N.  Three values depend on the
+    group: the twisted form t, (1, q) for GL2 and (1,) for PGL2; the twisted
+    order N, q^2-1 and q+1; and the central weights, (a, a) for 0 <= a < q-1
+    on GL2 and (0,) alone on PGL2.
+    """
 
     def __init__(self, group, q):
-        self.group = group
         self.q = q
         if group == GL2:
-            self.twisted_order = q * q - 1
+            self.twisted_form, self.twisted_order = (1, q), q * q - 1
+            self.central_weights = [(a, a) for a in range(q - 1)]
         elif group == PGL2:
-            self.twisted_order = q + 1
+            self.twisted_form, self.twisted_order = (1,), q + 1
+            self.central_weights = [(0,)]
         else:
             raise ValueError(f"unknown group {group!r}")
 
     def split_keys(self):
-        q = self.q
-        if self.group == GL2:
-            return [(a, b) for a in range(q - 1) for b in range(q - 1)]
-        return list(range(q - 1))
+        return list(itertools.product(range(self.q - 1), repeat=len(self.twisted_form)))
 
     def twisted_keys(self):
         return list(range(self.twisted_order))
 
     def split_of_weight(self, lam):
-        q = self.q
-        if self.group == GL2:
-            return (lam[0] % (q - 1), lam[1] % (q - 1))
-        return lam[0] % (q - 1)
+        return tuple(m % (self.q - 1) for m in lam)
 
     def twisted_of_weight(self, lam):
-        q = self.q
-        if self.group == GL2:
-            return (lam[0] + q * lam[1]) % (q * q - 1)
-        return lam[0] % (q + 1)
+        return sum(t * m for t, m in zip(self.twisted_form, lam)) % self.twisted_order
 
     def split_mul(self, k1, k2):
-        q = self.q
-        if self.group == GL2:
-            return ((k1[0] + k2[0]) % (q - 1), (k1[1] + k2[1]) % (q - 1))
-        return (k1 + k2) % (q - 1)
+        return self.split_of_weight(a + b for a, b in zip(k1, k2))
 
     def twisted_mul(self, k1, k2):
         return (k1 + k2) % self.twisted_order
 
     def central_pairs(self):
         """(split key, twisted key) pairs running over the central subgroup."""
-        q = self.q
-        if self.group == GL2:
-            return [((a, a), (q + 1) * a % (q * q - 1)) for a in range(q - 1)]
-        return [(0, 0)]
+        return [(self.split_of_weight(z), self.twisted_of_weight(z)) for z in self.central_weights]
 
 
 def datum_for(group):
@@ -212,10 +209,10 @@ def phi_matrix(group, q):
     return IntMatrix(m1), IntMatrix(ms)
 
 
-def convolve(ti: TorusIndexing, which, f, g):
-    """Group-algebra convolution of coefficient dicts in one sector."""
+def convolve(mul, f, g):
+    """Group-algebra convolution of coefficient dicts in the sector whose key
+    product is mul (TorusIndexing.split_mul or twisted_mul)."""
     out = {}
-    mul = ti.split_mul if which == "split" else ti.twisted_mul
     for k1, c1 in f.items():
         for k2, c2 in g.items():
             k = mul(k1, k2)
@@ -235,12 +232,12 @@ def _stacked_columns(m1, ms):
     return [tuple(m1.col(j)) + tuple(ms.col(j)) for j in range(m1.cols)]
 
 
-def _parity_condition_rows(group, q, nsplit, ntwisted):
-    ti = TorusIndexing(group, q)
+def _parity_condition_rows(ti: TorusIndexing):
     skeys = {k: i for i, k in enumerate(ti.split_keys())}
+    nsplit = len(skeys)
     rows = []
     for ks, kt in ti.central_pairs():
-        v = [0] * (nsplit + ntwisted)
+        v = [0] * (nsplit + ti.twisted_order)
         v[skeys[ks]] = 1
         v[nsplit + kt] -= 1
         rows.append(v)
@@ -250,7 +247,7 @@ def _parity_condition_rows(group, q, nsplit, ntwisted):
 def columns_in_parity_lattice(group, q, m1, ms):
     """True iff every column of the transfer matrices (m1 over ms, as built
     by phi_matrix) pairs evenly with every central-pair row."""
-    rows = _parity_condition_rows(group, q, m1.rows, ms.rows)
+    rows = _parity_condition_rows(TorusIndexing(group, q))
     return all(sum(a * b for a, b in zip(row, col)) % 2 == 0
                for col in _stacked_columns(m1, ms) for row in rows)
 
@@ -261,7 +258,7 @@ def saturation_check(group, q):
     n = m1.rows + ms.rows
     image = lattice_hnf(_stacked_columns(m1, ms), n)
     sat = saturation_rows([list(r) for r in image.entries], n)
-    parity = _parity_condition_rows(group, q, m1.rows, ms.rows)
+    parity = _parity_condition_rows(TorusIndexing(group, q))
     # sublattice of sat where all parity forms are even
     satm = [list(r) for r in sat]
     cmat = [[sum(p[k] * row[k] for k in range(n)) % 2 for row in satm] for p in parity]
@@ -389,8 +386,8 @@ def homomorphism_check(group, q):
         prod = multiply(cache, InvariantElement.r(lam1), InvariantElement.r(lam2))
         nf = normal_form(ctx, prod)
         f1, fs = phi_of_invariant(group, q, ctx.lift(nf), cache)
-        g1 = convolve(ti, "split", images[ij1][0], images[ij2][0])
-        gs = convolve(ti, "twisted", images[ij1][1], images[ij2][1])
+        g1 = convolve(ti.split_mul, images[ij1][0], images[ij2][0])
+        gs = convolve(ti.twisted_mul, images[ij1][1], images[ij2][1])
         for side, got, want in (("split", f1, g1), ("twisted", fs, gs)):
             if got != want:
                 raise CrossCheckFailed(

@@ -460,6 +460,14 @@ def test_so_even_box_in_cover_coordinates():
             assert cover._wbasis[i] == cover.cover_ctx._to_w.apply(lam + (0,)), (n, q, i)
 
 
+def test_so_even_cover_has_the_datum_cartan_matrix():
+    # the roots' extra coordinate is 0, so the last coroot's -1 pairs to 0:
+    # the cover's Weyl group, read from its Cartan matrix, is the datum's
+    for n in (4, 6, 8, 10):
+        ctx = make_ctx("SO", n, 2, strategy=SO_EVEN)
+        assert ctx.cover().cover_ctx.rd.cartan == ctx.rd.cartan, n
+
+
 # -- weight-keyed reference reduction ------------------------------------------
 # The library reduces in the coordinates (b, c) of X = sum Z w_i + X0, memoizes
 # each reduction under the canonical weight (b, 0) and moves the central part

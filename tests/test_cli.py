@@ -616,7 +616,7 @@ def test_corrupted_homomorphism_check_exits_2_under_optimize():
         "import sys\n"
         "import dualalg.curtis as curtis\n"
         "from dualalg.cli import main\n"
-        "curtis.convolve = lambda ti, which, f, g: {}\n"
+        "curtis.convolve = lambda mul, f, g: {}\n"
         "sys.exit(main(['curtis', '--group', 'GL2', '--q', '3', '--check', 'homomorphism']))\n"
     )
     proc = subprocess.run(

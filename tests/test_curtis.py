@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -103,6 +104,77 @@ def test_matrix_column_parity_fails_on_raised_central_entry():
         entries = [list(r) for r in m1.entries]
         entries[sidx[(1, 1)]][0] += 1
         assert not columns_in_parity_lattice(GL2, q, IntMatrix(entries), ms)
+
+
+class ReferenceTorusIndexing:
+    """The library's former per-group sector formulas, kept as the reference:
+    PGL2 keys its split sector by an int, GL2 by a pair."""
+
+    def __init__(self, group, q):
+        self.group = group
+        self.q = q
+        self.twisted_order = q * q - 1 if group == GL2 else q + 1
+
+    def split_keys(self):
+        q = self.q
+        if self.group == GL2:
+            return [(a, b) for a in range(q - 1) for b in range(q - 1)]
+        return list(range(q - 1))
+
+    def twisted_keys(self):
+        return list(range(self.twisted_order))
+
+    def split_of_weight(self, lam):
+        q = self.q
+        if self.group == GL2:
+            return (lam[0] % (q - 1), lam[1] % (q - 1))
+        return lam[0] % (q - 1)
+
+    def twisted_of_weight(self, lam):
+        q = self.q
+        if self.group == GL2:
+            return (lam[0] + q * lam[1]) % (q * q - 1)
+        return lam[0] % (q + 1)
+
+    def split_mul(self, k1, k2):
+        q = self.q
+        if self.group == GL2:
+            return ((k1[0] + k2[0]) % (q - 1), (k1[1] + k2[1]) % (q - 1))
+        return (k1 + k2) % (q - 1)
+
+    def twisted_mul(self, k1, k2):
+        return (k1 + k2) % self.twisted_order
+
+    def central_pairs(self):
+        q = self.q
+        if self.group == GL2:
+            return [((a, a), (q + 1) * a % (q * q - 1)) for a in range(q - 1)]
+        return [(0, 0)]
+
+
+def as_tuple(key):
+    return key if isinstance(key, tuple) else (key,)
+
+
+@pytest.mark.parametrize("group", [GL2, PGL2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_torus_indexing_matches_per_group_reference(group, q):
+    ti, ref = TorusIndexing(group, q), ReferenceTorusIndexing(group, q)
+    skeys = [as_tuple(k) for k in ref.split_keys()]
+    tkeys = ref.twisted_keys()
+    assert ti.split_keys() == skeys
+    assert ti.twisted_keys() == tkeys
+    assert ti.central_pairs() == [(as_tuple(ks), kt) for ks, kt in ref.central_pairs()]
+    for lam in itertools.product(range(-2 * q, 2 * q + 1), repeat=datum_for(group).rank):
+        assert ti.split_of_weight(lam) == as_tuple(ref.split_of_weight(lam)), lam
+        assert ti.twisted_of_weight(lam) == ref.twisted_of_weight(lam), lam
+    ref_skeys = ref.split_keys()
+    for k1, r1 in zip(skeys, ref_skeys):
+        for k2, r2 in zip(skeys, ref_skeys):
+            assert ti.split_mul(k1, k2) == as_tuple(ref.split_mul(r1, r2)), (k1, k2)
+    for k1 in tkeys:
+        for k2 in tkeys:
+            assert ti.twisted_mul(k1, k2) == ref.twisted_mul(k1, k2), (k1, k2)
 
 
 def test_parity_counterexamples():
@@ -260,7 +332,7 @@ def test_trace_form_matches_identity_coefficient():
         for q in qs:
             p, r = prime_power_split(q)
             ctx = build_context(rd, FrobeniusData(rd, p, r), GENERIC_SC)
-            ident_split = (0, 0) if group == GL2 else 0
+            ident_split = (0, 0) if group == GL2 else (0,)
             for i in range(len(ctx.basis)):
                 x = BElement({i: 1}, ctx.ctx_id)
                 f1, fs = phi_of_invariant(group, q, ctx.lift(x), ctx.cache)

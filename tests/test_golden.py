@@ -136,6 +136,12 @@ GOLDEN = [
      "56b630f96d1c4b810ada7a26da1f91ab11c5b848c031c79618db0edf77905ebe"),
     (["verify", "--group", "SO", "--n", "8", "--q", "2", "--fast", "--seed", "1"], 2,
      "c2820c10524919305254db2ed0eb799fc3e542d4f4499917fac1ecb19159706d"),
+    # PGL2 under every --check and --format (taken before its split keys
+    # became 1-tuples): its CSV tables and the GL2-only E-side refusal
+    (["curtis", "--group", "PGL2", "--q", "7", "--format", "csv"], 0,
+     "131f77d85c5c8a847ad3576ec864cabb558642ada9ef03992430680113f209f3"),
+    (["curtis", "--group", "PGL2", "--q", "5", "--check", "eside"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
@@ -156,19 +162,27 @@ def _option_value(argv, flag, default):
 
 def test_golden_covers_every_subcommand_check_and_format():
     """Every subcommand, every curtis --check value (none included) and every
-    --format of each subcommand that takes one has at least one golden row."""
+    --format of each subcommand that takes one has at least one golden row;
+    for curtis, under each --group choice."""
     parser = make_parser()
     subparsers = next(a for a in parser._actions if a.dest == "command").choices
     assert set(subparsers) <= {argv[0] for argv, _, _ in GOLDEN}
     checked = []
     for name, sp in subparsers.items():
+        groups = [None]
+        if name == "curtis":
+            groups = next(a for a in sp._actions if a.dest == "group").choices
         for action in sp._actions:
             if action.dest == "format" or (name == "curtis" and action.dest == "check"):
                 flag, default = action.option_strings[0], action.default
                 values = set(action.choices) | {default}
-                have = {_option_value(argv, flag, default) for argv, _, _ in GOLDEN
-                        if argv[0] == name}
-                missing = values - have
-                assert not missing, f"{name} {flag}: no golden row for {sorted(map(str, missing))}"
+                for group in groups:
+                    have = {_option_value(argv, flag, default) for argv, _, _ in GOLDEN
+                            if argv[0] == name
+                            and group in (None, _option_value(argv, "--group", None))}
+                    missing = values - have
+                    assert not missing, (
+                        f"{name} {flag} (group {group}): no golden row for {sorted(map(str, missing))}"
+                    )
                 checked.append((name, flag))
     assert {("curtis", "--check"), ("curtis", "--format"), ("structure", "--format")} <= set(checked)

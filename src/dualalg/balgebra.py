@@ -18,14 +18,15 @@ coordinate moved, as e(0, c) is an invariant unit.
 SOEven (the even special orthogonal datum): the published basis box
 S1 | S2 | S2' is materialized as stated.  The published reduction sketch
 cannot rewrite every weight (a band of two-sided weights admits no dominant
-decomposition lam = kappa + q*mu at all), so every orbit sum is built by
-the GenericSC route in the coordinates (b, c) of a rank+1 datum whose
-derived group is simply-connected ("z-extension" cover); coordinates w.r.t.
-the box are then the canonical integer solution of an exact linear system,
-and every solve is certified or fails loudly.  Note: the point count of this
-datum is q^n, which contradicts the published box size 2q^n - 2q^(n-1) +
-q^(n-2); the package computes both and surfaces the mismatch rather than
-hiding it.  See the project README for the full analysis.
+decomposition lam = kappa + q*mu at all), so the context builds the
+GenericSC ring of a rank+1 datum whose derived group is simply-connected
+(the "z-extension" cover, so_even_cover) and reduces every orbit sum there,
+entering each weight x as (x, 0); coordinates w.r.t. the box are then the
+canonical integer solution of an exact linear system, and every solve is
+certified or fails loudly.  Note: the point count of this datum is q^n,
+which contradicts the published box size 2q^n - 2q^(n-1) + q^(n-2); the
+package computes both and surfaces the mismatch rather than hiding it.  See
+the project README for the full analysis.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ class BContext:
 
     Immutable after construction except the memo cache, the central-shift
     offsets read with it, the lazily computed oracle data (the sector table,
-    points, evaluation matrices), the structure-constant tensor and the basis
-    traces, each computed at most once per context: idempotent
-    write-once-per-key caches.
+    points, evaluation matrices), the structure-constant tensor, the basis
+    traces and the SOEven change of basis, each computed at most once per
+    context: idempotent write-once-per-key caches.
     ``cache`` holds orbits in X only, for curtis and verification.
     """
 
@@ -113,8 +114,10 @@ class BContext:
         self._structure = None
         self._traces = None
         self._shifts = {}
+        self._cover = None
         if strategy == GENERIC_SC:
-            self._init_generic_sc()
+            self._init_ring(rd, frob)
+            self.basis = [self._to_x.apply(w) for w in self._wbasis]
         elif strategy == SO_EVEN:
             self._init_so_even()
         else:
@@ -142,38 +145,36 @@ class BContext:
         """Values of every basis orbit sum (rows) at every point (columns), from
         the ring's orbits in (b, c): <E, to_x*w> = <to_x^T*E, w> for exponents E."""
         if self._evaluations is None:
-            ring = self.ring()
-            to_xt = ring._to_x.transpose()
+            to_xt = self._to_x.transpose()
             pts = [TorusPoint(to_xt.apply(p.exponents), p.zeta, p.l, p.ell, p.w_index)
                    for p in self.points()]
-            self._evaluations = [[evaluate(ring._wcache, InvariantElement.r(w), pt) for pt in pts]
-                                 for w in ring._wbasis]
+            self._evaluations = [[evaluate(self._wcache, InvariantElement.r(w), pt) for pt in pts]
+                                 for w in self._wbasis]
         return self._evaluations
 
     def lift(self, x: BElement):
         """Representative invariant element using the stored basis weights."""
+        if x.ctx_id != self.ctx_id:
+            raise ContextMismatch("element belongs to a different context")
         return InvariantElement(combine(({self.basis[i]: 1}, c) for i, c in x.coeffs.items()))
 
     def unit(self):
         return normal_form(self, InvariantElement.one(self.rd.rank))
 
-    def ring(self):
-        """Where every orbit sum is built: this context, or SOEven's cover."""
-        return self.cover() if self.strategy == SO_EVEN else self
+    # -- the ring ---------------------------------------------------------
 
-    # -- GenericSC -------------------------------------------------------
-
-    def _init_generic_sc(self):
-        """The change of basis to_x = (w_1 ... w_m | z_1 ... z_k) from the
-        coordinates (b, c) of X = sum Z w_i + X0 to those of X, its inverse
-        to_w, whose first m rows are the simple coroots, and a private copy
-        of the datum and of its orbit cache, and tau, in (b, c).
+    def _init_ring(self, rd, frob):
+        """The ring every orbit sum is built in, for a datum rd with
+        simply-connected derived group: the change of basis to_x = (w_1 ...
+        w_m | z_1 ... z_k) from the coordinates (b, c) of X = sum Z w_i + X0
+        to those of X, its inverse to_w, whose first m rows are the simple
+        coroots, and a private copy of the datum and of its orbit cache, and
+        tau, in (b, c).
 
         All ring arithmetic runs on that copy: b holds the pairings of a weight
-        and c its central part, so w_a is the unit vector e_a.  The basis is
-        the box [0, q)^m times representatives of X0 / (F - id) X0, and
-        ``basis`` holds it in X for everything else that reads it."""
-        rd, frob = self.rd, self.frob
+        and c its central part, so w_a is the unit vector e_a.  The ring's
+        basis, ``_wbasis``, is the box [0, q)^m times representatives of
+        X0 / (F - id) X0."""
         lifts = rd.fundamental_weight_lifts()
         if lifts == UNAVAILABLE:
             raise StrategyInapplicable(
@@ -214,7 +215,6 @@ class BContext:
         self._central_diag = diag
         self._central_u = u
         self._wbasis = [b + c for b in itertools.product(range(frob.q), repeat=m) for c in reps]
-        self.basis = [to_x.apply(w) for w in self._wbasis]
 
     def _central_rep_index(self, c):
         """Index of the representative of the class of central coordinates c
@@ -228,22 +228,32 @@ class BContext:
     # -- SOEven ----------------------------------------------------------
 
     def _init_so_even(self):
-        rd = self.rd
+        """The ring of so_even_cover(rd), with to_w cut down to x -> (x, 0)
+        -> (b, c) and to_x to its first n rows, and the published box as
+        basis, in X and (as ``_wbasis``) in (b, c)."""
+        rd, frob = self.rd, self.frob
         n = rd.rank
         if not _looks_like_so_even(rd):
             raise StrategyInapplicable("SOEven needs the even special orthogonal datum")
-        if self.frob.tau != IntMatrix.identity(n):
+        if frob.tau != IntMatrix.identity(n):
             raise StrategyInapplicable("SOEven is implemented for the split case only")
-        q = self.frob.q
-        self.basis = so_even_basis_weights(n, q)
-        self._cover = None
+        cover_rd = so_even_cover(rd)
+        self._init_ring(cover_rd, FrobeniusData(cover_rd, frob.p, frob.r))
+        self._to_w = IntMatrix([row[:n] for row in self._to_w.entries])
+        self._to_x = IntMatrix(self._to_x.entries[:n])
+        self.basis = so_even_basis_weights(n, frob.q)
+        self._wbasis = [self._to_w.apply(lam) for lam in self.basis]
 
     def cover(self):
-        """Lazily built simply-connected-derived cover context and transfer data."""
+        """The SOEven change of basis: the matrix whose columns are the ring
+        normal forms of the box, factorized once (its SmithForm, holding the
+        kernel) on the first normal form or product."""
         if self.strategy != SO_EVEN:
             raise StrategyInapplicable("cover() is an SOEven facility")
         if self._cover is None:
-            self._cover = _SOCover(self)
+            size = self.frob.q ** self.rd.nroots * len(self._central_reps)
+            cols = [_dense(_reduce_w(self, {w: 1}), size) for w in self._wbasis]
+            self._cover = SmithForm(IntMatrix(list(zip(*cols))))
         return self._cover
 
 
@@ -284,57 +294,27 @@ def so_even_claimed_rank(n, q):
     return 2 * q ** n - 2 * q ** (n - 1) + q ** (n - 2)
 
 
-class _SOCover:
-    """The ring an SOEven context builds its orbit sums in: a rank+1 datum
-    with simply-connected derived group, plus the exact change-of-basis solve.
+def so_even_cover(rd: RootDatum):
+    """The rank+1 datum with simply-connected derived group that an SOEven
+    context builds its ring on.
 
-    The cover has character lattice Z^(n+1); the first n coordinates carry the
-    same simple roots, and the extra coordinate enters only the last simple
+    Its character lattice is Z^(n+1); the first n coordinates carry the same
+    simple roots, and the extra coordinate enters only the last simple
     coroot.  x -> (x, 0) commutes with every reflection (the extra coordinate
     is 0 on its image), so orbit sums map to orbit sums of the same size,
     products commute with it and the Frobenius-difference ideal maps into the
     cover's.  Its Cartan matrix is the datum's (the extra coordinate is 0 on
-    every root), so the two Weyl groups agree.  _to_w is x -> (x, 0) -> (b, c),
-    _to_x back, _wbasis the box.
+    every root), so the two Weyl groups agree.
     """
-
-    def __init__(self, ctx: BContext):
-        rd = ctx.rd
-        n = rd.rank
-        roots = [tuple(a) + (0,) for a in rd.simple_roots]
-        coroots = [tuple(av) + (0,) for av in rd.simple_coroots[:-1]]
-        coroots.append(tuple(rd.simple_coroots[-1]) + (-1,))
-        cover_rd = RootDatum(n + 1, roots, coroots, label=rd.label + "-cover")
-        cover_frob = FrobeniusData(cover_rd, ctx.frob.p, ctx.frob.r)
-        self.ctx_id = ctx.ctx_id
-        self.cover_ctx = cover = BContext(cover_rd, cover_frob, GENERIC_SC)
-        self._to_w = IntMatrix([row[:n] for row in cover._to_w.entries])
-        self._to_x = IntMatrix(cover._to_x.entries[:n])
-        self._wbasis = [self._to_w.apply(lam) for lam in ctx.basis]
-        self._wcache = cover._wcache
-        cols = [_dense(_normal_form_w(cover, {w: 1}), len(cover.basis)) for w in self._wbasis]
-        # one factorization for the kernel and every solve in solve()
-        self._form = SmithForm(IntMatrix(list(zip(*cols))))
-        self.kernel = self._form.kernel
-
-    def solve(self, nf: BElement):
-        """Box coordinates of the cover normal form nf: the solution of
-        m * c = nf over Z, m the change-of-basis matrix, from its one held
-        factorization, reduced modulo the kernel lattice for determinism.
-        Raises ReductionUnsolvable if the box does not span nf."""
-        ok, c = self._form.solve(_dense(nf, len(self.cover_ctx.basis)))
-        if not ok:
-            raise ReductionUnsolvable(
-                "SOEven box does not span this element in the cover; "
-                "the published basis cannot express it"
-            )
-        c = self._form.reduce(c)
-        return BElement({i: v for i, v in enumerate(c) if v}, self.ctx_id)
+    roots = [tuple(a) + (0,) for a in rd.simple_roots]
+    coroots = [tuple(av) + (0,) for av in rd.simple_coroots[:-1]]
+    coroots.append(tuple(rd.simple_coroots[-1]) + (-1,))
+    return RootDatum(rd.rank + 1, roots, coroots, label=rd.label + "-cover")
 
 
-def _dense(x: BElement, size):
+def _dense(coeffs, size):
     out = [0] * size
-    for k, v in x.coeffs.items():
+    for k, v in coeffs.items():
         out[k] = v
     return out
 
@@ -349,38 +329,52 @@ def rank(ctx: BContext) -> int:
 
 def normal_form(ctx: BContext, x: InvariantElement) -> BElement:
     """Image of an invariant element in the quotient, in basis coordinates,
-    reduced in the (b, c) of ctx.ring()."""
-    ring = ctx.ring()
+    reduced in the ring's (b, c)."""
     m = ctx.rd.nroots
     coeffs = {}
     for lam, c in x.coeffs.items():
-        w = ring._to_w.apply(lam)
+        w = ctx._to_w.apply(lam)
         if any(b < 0 for b in w[:m]):
             raise NotDominant(str(lam))
         coeffs[w] = c
-    return _normal_form_w(ring, coeffs)
+    return _normal_form_w(ctx, coeffs)
 
 
-def _normal_form_w(ring, coeffs):
-    """Normal form of the sum of c*r(w) over {w: c}, each w = (b, z) a
-    dominant weight in fundamental-weight coordinates: the memo entry of the
-    canonical weight (b, 0), reduced if new, shifted by z.  For an SOEven
-    cover, the cover's normal form solved against the box."""
-    if isinstance(ring, _SOCover):
-        return ring.solve(_normal_form_w(ring.cover_ctx, coeffs))
-    m = ring.rd.nroots
+def _normal_form_w(ctx: BContext, coeffs):
+    """Normal form of the sum of c*r(w) over {w: c}, each w a dominant
+    weight in (b, c): the ring's reduction as it stands (GenericSC) or
+    solved against the box (SOEven), reduced modulo the kernel lattice for
+    determinism.  Raises ReductionUnsolvable if the box does not span it."""
+    nf = _reduce_w(ctx, coeffs)
+    if ctx.strategy == GENERIC_SC:
+        return BElement(nf, ctx.ctx_id)
+    form = ctx.cover()
+    ok, c = form.solve(_dense(nf, form.m.rows))
+    if not ok:
+        raise ReductionUnsolvable(
+            "SOEven box does not span this element in the cover; "
+            "the published basis cannot express it"
+        )
+    return BElement(dict(enumerate(form.reduce(c))), ctx.ctx_id)
+
+
+def _reduce_w(ctx: BContext, coeffs):
+    """Coefficients in the ring's own basis of the sum of c*r(w) over
+    {w: c}, each w = (b, z) a dominant weight in (b, c): the memo entry of
+    the canonical weight (b, 0), reduced if new, shifted by z."""
+    m = ctx.rd.nroots
     terms = []
     for w, c in coeffs.items():
         z = w[m:]
         key = w[:m] + (0,) * len(z)
-        entry = ring.memo.get(key)
+        entry = ctx.memo.get(key)
         if entry is None:
-            entry = _reduce_canonical(ring, key)
-        terms.append((_shifted(ring, entry, z) if any(z) else entry.coeffs, c))
-    return BElement(combine(terms), ring.ctx_id)
+            entry = _reduce_canonical(ctx, key)
+        terms.append((_shifted(ctx, entry, z) if any(z) else entry, c))
+    return combine(terms)
 
 
-def _shifted(ctx: BContext, entry: BElement, z):
+def _shifted(ctx: BContext, entry, z):
     """Coefficients of the normal form of r(w + (0, z)) from the memo entry
     of r(w): e(0, z) is an invariant unit, so each basis index (box, ci)
     moves to (box, index of the class of _central_reps[ci] + z).  The
@@ -393,10 +387,10 @@ def _shifted(ctx: BContext, entry: BElement, z):
         ]
         ctx._shifts[z] = delta
     nc = len(delta)
-    return {i + delta[i % nc]: v for i, v in entry.coeffs.items()}
+    return {i + delta[i % nc]: v for i, v in entry.items()}
 
 
-def _reduce_canonical(ctx: BContext, key) -> BElement:
+def _reduce_canonical(ctx: BContext, key):
     """Memoized reduction of the orbit sum of a canonical weight (b, 0).
 
     A weight with some b_a >= q is rewritten through the products of
@@ -421,7 +415,7 @@ def _reduce_canonical(ctx: BContext, key) -> BElement:
             idx = 0
             for x in cur[:m]:
                 idx = idx * q + x
-            memo[cur] = BElement({idx * nc: 1}, ctx.ctx_id)
+            memo[cur] = {idx * nc: 1}
             continue
         replacement = replacements.get(cur)
         if replacement is None:
@@ -447,7 +441,7 @@ def _reduce_canonical(ctx: BContext, key) -> BElement:
             stack.append(cur)
             stack.extend(pending)
             continue
-        memo[cur] = _normal_form_w(ctx, replacement)
+        memo[cur] = _reduce_w(ctx, replacement)
     return memo[key]
 
 
@@ -455,12 +449,11 @@ def multiply_b(ctx: BContext, x: BElement, y: BElement) -> BElement:
     """The product of the basis lifts in the ring's (b, c), reduced there."""
     if x.ctx_id != ctx.ctx_id or y.ctx_id != ctx.ctx_id:
         raise ContextMismatch("operands belong to a different context")
-    ring = ctx.ring()
     a, b = (
-        InvariantElement(combine(({ring._wbasis[i]: 1}, c) for i, c in e.coeffs.items()))
+        InvariantElement(combine(({ctx._wbasis[i]: 1}, c) for i, c in e.coeffs.items()))
         for e in (x, y)
     )
-    return _normal_form_w(ring, multiply(ring._wcache, a, b).coeffs)
+    return _normal_form_w(ctx, multiply(ctx._wcache, a, b).coeffs)
 
 
 def structure_constants(ctx: BContext, limit=64):
@@ -476,7 +469,7 @@ def structure_constants(ctx: BContext, limit=64):
             bi = BElement({i: 1}, ctx.ctx_id)
             for j in range(i, n):
                 bj = BElement({j: 1}, ctx.ctx_id)
-                tensor[i][j] = tensor[j][i] = _dense(multiply_b(ctx, bi, bj), n)
+                tensor[i][j] = tensor[j][i] = _dense(multiply_b(ctx, bi, bj).coeffs, n)
         ctx._structure = tensor
     return ctx._structure
 
@@ -497,12 +490,11 @@ def basis_traces(ctx: BContext):
     sectors, so each class row of sector_data, its u*to_x formed once, counts
     with its class size; each of the ring's basis orbits is read once."""
     if ctx._traces is None:
-        ring = ctx.ring()
-        maps = [(u * ring._to_x, d, size) for _, u, d, size in ctx.sector_data()[1]]
+        maps = [(u * ctx._to_x, d, size) for _, u, d, size in ctx.sector_data()[1]]
         traces = []
-        for i, lam in enumerate(ring._wbasis):
+        for i, lam in enumerate(ctx._wbasis):
             hits = 0
-            for w in ring._wcache.orbit(lam):
+            for w in ctx._wcache.orbit(lam):
                 for ux, diag, size in maps:
                     y = ux.apply(w)
                     if all(yi % d == 0 for yi, d in zip(y, diag)):

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from dualalg import balgebra, verification
 from dualalg.balgebra import (
     GENERIC_SC,
     SO_EVEN,
+    BContext,
     BElement,
+    basis_traces,
     build_context,
     evaluation_rank,
     gram_discriminant,
@@ -21,6 +24,7 @@ from dualalg.balgebra import (
     reducedness_certificate,
     so_even_basis_weights,
     so_even_claimed_rank,
+    so_even_cover,
     structure_constants,
     trace_form,
 )
@@ -43,6 +47,7 @@ from dualalg.rootdata import (
     prime_power_split,
     weyl_group,
 )
+from test_cli import patch_everywhere
 from test_rootdata import reference_weyl_group
 
 R = InvariantElement.r
@@ -54,6 +59,14 @@ def make_ctx(fam, n, q, strategy=GENERIC_SC, tau=None):
     p, r = prime_power_split(q)
     frob = FrobeniusData(rd, p, r, tau)
     return build_context(rd, frob, strategy)
+
+
+def so_even_cover_ctx(size, q):
+    """The GenericSC context on the cover datum that an SOEven context of
+    SO(size) builds its ring on."""
+    rd = so_even_cover(build_standard("SO", size))
+    p, r = prime_power_split(q)
+    return build_context(rd, FrobeniusData(rd, p, r), GENERIC_SC)
 
 
 def unitary_gl2(q):
@@ -71,10 +84,10 @@ def test_gl2_basis_matches_published_box():
 
 
 def test_each_normal_form_builds_one_element(monkeypatch):
-    """Sums go through orbitring.combine: a cold normal form of one orbit sum
-    builds one BElement per new memo entry plus the one it returns, canonical
-    weights or not (not themselves memo keys), and normal_form on a warm
-    context builds one in all."""
+    """Sums go through orbitring.combine and memo entries are plain
+    coefficient dicts: every normal_form builds one BElement, the one it
+    returns, whether it fills the memo with new entries (canonical weights or
+    not, which are not themselves memo keys) or reads a warm one."""
     ctx = make_ctx("GL", 3, 3)
     x = InvariantElement({(7, 2, 0): 1, (4, 4, -3): -2, (6, 3, 0): 3})
     built = []
@@ -92,8 +105,10 @@ def test_each_normal_form_builds_one_element(monkeypatch):
         normal_form(ctx, R(lam))
         assert len(ctx.memo) > before
         shifted += lam not in ctx.memo
-        assert len(built) == len(ctx.memo) - before + 1
+        assert len(built) == 1
     assert shifted > 0
+    assert len(ctx.memo) > len(x.coeffs)
+    assert all(type(entry) is dict for entry in ctx.memo.values())
     built.clear()
     got = normal_form(ctx, x)
     assert len(built) == 1
@@ -152,6 +167,14 @@ def test_context_mismatch_raises():
     b = make_ctx("SL", 2, 3)
     with pytest.raises(ContextMismatch):
         multiply_b(a, a.unit(), b.unit())
+
+
+def test_lift_refuses_an_element_of_another_context():
+    # basis index 1 of GL(2) q=3 is not basis index 1 of GL(3) q=3
+    gl3, gl2 = make_ctx("GL", 3, 3), make_ctx("GL", 2, 3)
+    with pytest.raises(ContextMismatch):
+        gl3.lift(BElement({1: 1}, gl2.ctx_id))
+    assert gl3.lift(BElement({1: 1}, gl3.ctx_id)) == R(gl3.basis[1])
 
 
 def test_rank_formulas_generic():
@@ -455,9 +478,9 @@ def test_evaluations_match_the_x_orbit_reference():
 def test_so_even_box_in_cover_coordinates():
     for n, q in [(4, 3), (8, 2)]:
         ctx = make_ctx("SO", n, q, strategy=SO_EVEN)
-        cover = ctx.cover()
+        cover = so_even_cover_ctx(n, q)
         for i, lam in enumerate(ctx.basis):
-            assert cover._wbasis[i] == cover.cover_ctx._to_w.apply(lam + (0,)), (n, q, i)
+            assert ctx._wbasis[i] == cover._to_w.apply(lam + (0,)), (n, q, i)
 
 
 def test_so_even_cover_has_the_datum_cartan_matrix():
@@ -465,7 +488,53 @@ def test_so_even_cover_has_the_datum_cartan_matrix():
     # the cover's Weyl group, read from its Cartan matrix, is the datum's
     for n in (4, 6, 8, 10):
         ctx = make_ctx("SO", n, 2, strategy=SO_EVEN)
-        assert ctx.cover().cover_ctx.rd.cartan == ctx.rd.cartan, n
+        assert so_even_cover_ctx(n, 2).rd.cartan == ctx.rd.cartan, n
+        assert ctx._wcache.rd.cartan == ctx.rd.cartan, n
+
+
+SO_RING_CASES = [(4, 3), (6, 2), (8, 2), (4, 5)]
+
+
+def test_so_even_context_is_its_cover_ring():
+    # an SOEven context reduces on the ring of so_even_cover itself: the
+    # reduction partners, central representatives and Cartan matrix of the
+    # GenericSC context on the cover, with to_w and to_x cut down along
+    # x -> (x, 0); the evaluation matrix and the traces need no change of basis
+    for size, q in SO_RING_CASES:
+        ctx = make_ctx("SO", size, q, strategy=SO_EVEN)
+        cover = so_even_cover_ctx(size, q)
+        n = ctx.rd.rank
+        assert ctx._steps == cover._steps, (size, q)
+        assert ctx._central_reps == cover._central_reps, (size, q)
+        assert ctx._wcache.rd.cartan == cover._wcache.rd.cartan, (size, q)
+        ident = IntMatrix.identity(n + 1).entries
+        for x in ident[:n]:
+            assert ctx._to_w.apply(x[:n]) == cover._to_w.apply(x), (size, q, x)
+        for w in ident:
+            assert ctx._to_x.apply(w) == cover._to_x.apply(w)[:n], (size, q, w)
+        evaluation_rank(ctx)
+        basis_traces(ctx)
+        assert ctx._cover is None, (size, q)
+        normal_form(ctx, R(ctx.basis[-1]))
+        assert ctx._cover is not None, (size, q)
+
+
+def test_so_even_suite_builds_one_context(monkeypatch):
+    # SO(4) q=3: one Weyl closure and one context id for the whole suite
+    calls = []
+    real = balgebra.weyl_group
+
+    def counted(rd):
+        calls.append(rd.label)
+        return real(rd)
+
+    patch_everywhere(monkeypatch, real, counted)
+    monkeypatch.setattr(BContext, "_next_id", itertools.count())
+    ctx = make_ctx("SO", 4, 3, strategy=SO_EVEN)
+    verification.run_suite(ctx, seed=1)
+    assert ctx._cover is not None
+    assert len(calls) == 1
+    assert next(BContext._next_id) == 1
 
 
 # -- weight-keyed reference reduction ------------------------------------------
@@ -538,8 +607,8 @@ def differential_contexts():
         for q in (2, 3, 4):
             yield f"GL{n}q{q}", make_ctx("GL", n, q)
     yield "unitary-GL2q3", unitary_gl2(3)
-    yield "SO4q3-cover", make_ctx("SO", 4, 3, strategy=SO_EVEN).cover().cover_ctx
-    yield "SO8q2-cover", make_ctx("SO", 8, 2, strategy=SO_EVEN).cover().cover_ctx
+    yield "SO4q3-cover", so_even_cover_ctx(4, 3)
+    yield "SO8q2-cover", so_even_cover_ctx(8, 2)
 
 
 def test_reduction_matches_weight_keyed_reference():
@@ -578,8 +647,8 @@ def fundamental_coordinate_contexts():
     for fam, n, q in FUNDAMENTAL_COORDINATE_CASES:
         yield f"{fam}{n}q{q}", make_ctx(fam, n, q)
     yield "unitary-GL2q5", unitary_gl2(5)
-    yield "SO4q3-cover", make_ctx("SO", 4, 3, strategy=SO_EVEN).cover().cover_ctx
-    yield "SO8q2-cover", make_ctx("SO", 8, 2, strategy=SO_EVEN).cover().cover_ctx
+    yield "SO4q3-cover", so_even_cover_ctx(4, 3)
+    yield "SO8q2-cover", so_even_cover_ctx(8, 2)
 
 
 def test_fundamental_weight_coordinates():

@@ -142,6 +142,11 @@ GOLDEN = [
      "131f77d85c5c8a847ad3576ec864cabb558642ada9ef03992430680113f209f3"),
     (["curtis", "--group", "PGL2", "--q", "5", "--check", "eside"], 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # an SOEven cover ring with q - 1 = 4 central classes, so that central
+    # shifts move basis indices inside the cover (taken before the cover
+    # ring was built on the SOEven context itself)
+    (["verify", "--group", "SO", "--n", "4", "--q", "5", "--fast"], 2,
+     "cc36d241858b0d1822c0c0a52a9f1a5a991a93dfbaba4b4d197fe0a25c551ee8"),
 ]
 
 

@@ -202,3 +202,40 @@ def test_every_definition_is_named_elsewhere():
         tree = ast.parse(reader.read_text(), filename=str(reader))
         strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
         assert name in strings | {n for _, n, _ in _references(tree)}, qual
+
+
+SRC_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # a trailing comment does not hide code
+
+
+def f(x):
+    """Docstring."""
+    s = """a string,
+not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """One-line docstring."""
+
+    y = 1
+'''
+
+
+def test_src_lines_counts_code_without_comments_or_docstrings(tmp_path):
+    # tools/src_lines.py: physical lines, and code lines with blank lines,
+    # comments and docstrings left out; a multi-line string that is not a
+    # docstring counts on both of its lines
+    (tmp_path / "mod.py").write_text(SRC_LINES_FIXTURE)
+    (tmp_path / "__init__.py").write_text("")
+    script = PERFBENCH.parent / "tools" / "src_lines.py"
+    res = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    rows = [line.split() for line in res.stdout.splitlines()]
+    assert rows == [["module", "physical", "code"], ["__init__.py", "0", "0"],
+                    ["mod.py", "19", "8"], ["total", "19", "8"]]

@@ -20,7 +20,6 @@ from .balgebra import (
     SO_EVEN,
     _looks_like_so_even,
     build_context,
-    rank,
     so_even_claimed_rank,
     structure_constants,
 )
@@ -43,7 +42,7 @@ from .errors import (
 from .matrixgroups import MatrixGroupSpec, brute_force_ss_classes
 from .oracles import class_count, enumerate_points
 from .rootdata import FrobeniusData, build_standard, datum_from_json, prime_power_split
-from .verification import run_suite
+from .verification import check_rank_identities, run_suite
 
 VERSION = "1"
 
@@ -109,16 +108,16 @@ def cmd_rank(args):
     rd, frob = _build_datum(args)
     strategy = _strategy_for(rd)
     ctx = build_context(rd, frob, strategy)
-    cc = ctx.class_count()
-    pts = ctx.points()
+    check = check_rank_identities(ctx)
+    counts = check["details"]
     payload = {
         "version": VERSION,
         "label": rd.label,
         "q": frob.q,
         "strategy": strategy,
-        "rank": {"value": rank(ctx), "source": "basis"},
-        "class_count": {"value": cc, "source": "formula"},
-        "point_count": {"value": len(pts), "source": "point_count"},
+        "rank": {"value": counts["basis_size"], "source": "basis"},
+        "class_count": {"value": counts["class_count"], "source": "formula"},
+        "point_count": {"value": counts["point_count"], "source": "point_count"},
         "weyl_order": len(ctx.weyl),
     }
     if strategy == SO_EVEN:
@@ -126,10 +125,9 @@ def cmd_rank(args):
             "value": so_even_claimed_rank(rd.rank, frob.q),
             "source": "published_formula",
         }
-    ok = rank(ctx) == cc == len(pts)
-    payload["consistent"] = ok
+    payload["consistent"] = check["passed"]
     _emit(payload, args)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_OK if check["passed"] else EXIT_MISMATCH
 
 
 def cmd_verify(args):

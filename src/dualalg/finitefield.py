@@ -4,11 +4,17 @@ irreducible polynomial found by exhaustive search.
 Elements are encoded as integers in [0, p^r): the base-p digits are the
 polynomial coefficients, lowest degree first.  This keeps field elements
 hashable and makes matrix enumeration over the field a plain integer loop.
-Intended for the tiny fields (q <= 25 or so) used by the conjugacy oracle and
-the closed-form Curtis tables; nothing here aims at cryptographic sizes.
+A prime field computes mod p.  An extension field builds three tables of
+O(q) entries once: the powers of its smallest-encoded generator g, their
+discrete logs, and the Zech logs log(1 + g^k), so that every product, sum,
+power and inverse is a table lookup (Lidl & Niederreiter, *Finite Fields*,
+1997).  Sized for the conjugacy oracle and the Curtis tables (q up to a few
+thousand); nothing here aims at cryptographic sizes.
 """
 
 from __future__ import annotations
+
+from .errors import CrossCheckFailed
 
 
 class GF:
@@ -16,11 +22,12 @@ class GF:
         self.p = p
         self.r = r
         self.q = p ** r
-        # F_p[x] arithmetic for the modulus search and products runs over F_p
-        self._prime = GF(p) if r > 1 else self
-        self.modulus = self._find_irreducible() if r > 1 else (0, 1)
-        self._mul_table = None
         self._generator = None
+        if r > 1:
+            # F_p[x] arithmetic for the modulus search and the power walk
+            self._prime = GF(p)
+            self.modulus = self._find_irreducible()
+            self._build_log_tables()
 
     # encoding helpers ----------------------------------------------------
 
@@ -37,7 +44,7 @@ class GF:
             coeffs = _digits_fixed(low, p, r) + [1]
             if self._poly_irreducible(coeffs):
                 return tuple(coeffs)
-        raise RuntimeError("no irreducible polynomial found")
+        raise CrossCheckFailed(f"GF({self.q}): no monic irreducible of degree {r} over F_{p}")
 
     def _poly_irreducible(self, coeffs):
         """Check irreducibility by trial division over F_p (tiny degrees)."""
@@ -50,29 +57,6 @@ class GF:
                     return False
         return True
 
-    # field operations -----------------------------------------------------
-
-    def add(self, a, b):
-        if self.r == 1:
-            return (a + b) % self.p
-        da, db = _digits_fixed(a, self.p, self.r), _digits_fixed(b, self.p, self.r)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
-
-    def sub(self, a, b):
-        if self.r == 1:
-            return (a - b) % self.p
-        da, db = _digits_fixed(a, self.p, self.r), _digits_fixed(b, self.p, self.r)
-        return self._encode([(x - y) % self.p for x, y in zip(da, db)])
-
-    def mul(self, a, b):
-        if self.r == 1:
-            return a * b % self.p
-        if self._mul_table is None and self.q <= 4096:
-            self._build_mul_table()
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_raw(a, b)
-
     def _mul_raw(self, a, b):
         p = self.p
         da, db = _digits_fixed(a, p, self.r), _digits_fixed(b, p, self.r)
@@ -81,19 +65,56 @@ class GF:
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _poly_rem(self._prime, prod, self.modulus)
-        rem += [0] * (self.r - len(rem))
-        return self._encode(rem[: self.r])
+        return self._encode(_poly_rem(self._prime, prod, self.modulus))
 
-    def _build_mul_table(self):
-        q = self.q
-        table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_raw(a, b)
-                table[a * q + b] = v
-                table[b * q + a] = v
-        self._mul_table = table
+    def _build_log_tables(self):
+        """_exp[k] = g^k for k < 2(q - 1), g the smallest-encoded generator
+        (the first element whose power walk closes after q - 1 steps); _log
+        its inverse; _zech[k] = log(1 + g^k), None where 1 + g^k = 0."""
+        p, n = self.p, self.q - 1
+        for g in range(2, self.q):
+            exp = [1, g]
+            while exp[-1] != 1:
+                exp.append(self._mul_raw(exp[-1], g))
+            if len(exp) == n + 1:
+                break
+        else:
+            raise CrossCheckFailed(f"GF({self.q}): no generator of the multiplicative group")
+        del exp[-1]
+        self._generator = g
+        self._exp = exp * 2
+        self._log = [0] * self.q
+        for k, x in enumerate(exp):
+            self._log[x] = k
+        # adding 1 raises only the lowest base-p digit
+        self._zech = [self._log[y] if y else None for y in (x - x % p + (x + 1) % p for x in exp)]
+
+    # field operations -----------------------------------------------------
+    # An extension field adds through a + b = g^la * (1 + g^(lb - la)); a
+    # negative lb - la indexes _zech from its end, which is lb - la mod q - 1.
+
+    def add(self, a, b):
+        if self.r == 1:
+            return (a + b) % self.p
+        if not (a and b):
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
+
+    def sub(self, a, b):
+        """a - b = a + (p - 1) * b: p - 1 encodes -1, which is g^((q-1)/2) in
+        odd characteristic and 1 in characteristic 2."""
+        if self.r == 1:
+            return (a - b) % self.p
+        return self.add(a, self.mul(self.p - 1, b))
+
+    def mul(self, a, b):
+        if self.r == 1:
+            return a * b % self.p
+        if not (a and b):
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
@@ -103,25 +124,19 @@ class GF:
     def pow(self, a, e):
         if a == 0:
             return 1 if e == 0 else 0
-        e %= self.q - 1
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if self.r == 1:
+            return pow(a, e % (self.q - 1), self.p)
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def generator(self):
-        """Smallest-encoded generator of the multiplicative group."""
+        """Smallest-encoded generator of the multiplicative group: the base of
+        an extension field's tables, searched for in a prime field."""
         if self._generator is None:
             n = self.q - 1
             fac = _factorize(n)
-            for g in range(1, self.q):  # 1 only for q = 2, where F_2^x is trivial
-                if all(self.pow(g, n // f) != 1 for f in fac):
-                    self._generator = g
-                    break
+            # 1 only for q = 2, where F_2^x is trivial
+            self._generator = next(g for g in range(1, self.q)
+                                   if all(self.pow(g, n // f) != 1 for f in fac))
         return self._generator
 
 
@@ -170,24 +185,18 @@ def _trim(a):
 
 def _poly_rem(field: GF, a, b):
     """Remainder of a by b over the field, coefficient lists low degree
-    first; over a prime field the coefficients are plain ints mod p."""
+    first."""
     a = list(a)
     db = len(b) - 1
     inv_lead = field.inv(b[-1])
-    p = field.p if field.r == 1 else None
     while len(a) - 1 >= db and any(a):
         if a[-1] == 0:
             a.pop()
             continue
         shift = len(a) - 1 - db
-        if p:
-            f = a[-1] * inv_lead % p
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % p
-        else:
-            f = field.mul(a[-1], inv_lead)
-            for i, c in enumerate(b):
-                a[shift + i] = field.sub(a[shift + i], field.mul(f, c))
+        f = field.mul(a[-1], inv_lead)
+        for i, c in enumerate(b):
+            a[shift + i] = field.sub(a[shift + i], field.mul(f, c))
         a.pop()
     return _trim(a)
 

@@ -141,7 +141,7 @@ def element_order(field, m, n, bound):
         if acc == ident:
             return k
         acc = _mat_mul(field, acc, m, n)
-    raise RuntimeError("order exceeds group order bound")
+    raise CrossCheckFailed(f"order of {m} over GF({field.q}) exceeds the group order {bound}")
 
 
 def minimal_polynomial(field, m, n):
@@ -160,7 +160,7 @@ def minimal_polynomial(field, m, n):
                             acc[i][j] = field.add(acc[i][j], field.mul(ck, powers[k][i][j]))
             if all(all(x == 0 for x in row) for row in acc):
                 return coeffs
-    raise RuntimeError("no minimal polynomial of degree <= n")
+    raise CrossCheckFailed(f"no minimal polynomial of degree <= {n} for {m} over GF({field.q})")
 
 
 def brute_force_ss_classes(spec: MatrixGroupSpec):

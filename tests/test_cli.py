@@ -9,7 +9,7 @@ from math import prod
 import pytest
 
 import dualalg
-from dualalg import balgebra, intlinalg, matrixgroups, oracles, rootdata
+from dualalg import balgebra, finitefield, intlinalg, matrixgroups, oracles, rootdata
 from dualalg.cli import main
 from dualalg.intlinalg import IntMatrix
 from dualalg.orbitring import InvariantElement
@@ -364,6 +364,19 @@ def test_datum_file_label_must_be_a_string(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "label must be a string, got 5" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_field_without_modulus_is_a_typed_error(monkeypatch, capsys):
+    # a degree-2 modulus search over F_2 that finds nothing: GF(4) raises
+    # CrossCheckFailed, which the command line reports as JSON with exit 2
+    monkeypatch.setattr(finitefield.GF, "_poly_irreducible", lambda self, coeffs: False)
+    code = main(["oracle", "--group", "GL", "--n", "2", "--q", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "CrossCheckFailed"
+    assert "GF(4)" in error["detail"]
     assert "Traceback" not in captured.err
 
 

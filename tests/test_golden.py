@@ -147,6 +147,13 @@ GOLDEN = [
     # ring was built on the SOEven context itself)
     (["verify", "--group", "SO", "--n", "4", "--q", "5", "--fast"], 2,
      "cc36d241858b0d1822c0c0a52a9f1a5a991a93dfbaba4b4d197fe0a25c551ee8"),
+    # extension-field arithmetic in odd characteristic, where sub negates
+    # through g^((q-1)/2), and in GF(2^10) (taken before GF(p^r) read log and
+    # Zech tables in place of a q x q product table)
+    (["oracle", "--group", "GL", "--n", "2", "--q", "9"], 0,
+     "37bf35782f610bd60e36bafa54a9a8ab7a8f9c3d07441ae38275be6a77f5980f"),
+    (["curtis", "--group", "GL2", "--q", "32", "--check", "eside"], 0,
+     "74d821213192c1766f6a3395828a71b4358ce9f1db9d3fa442b2ad218ef65271"),
 ]
 
 

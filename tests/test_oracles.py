@@ -335,9 +335,10 @@ def reference_poly_mod(p, a, b):
 
 
 def test_extension_fields_match_reference_division():
-    # modulus search and products over F_p[x] against the old division
-    # routine: every pair while q <= 4096, where mul reads its table, and 300
-    # random pairs above that bound, where mul runs _mul_raw with no table
+    # modulus search and every field operation over F_p[x] against the old
+    # division routine, on every pair while q <= 4096 and on 300 random pairs
+    # above; the generator against the smallest element whose power cycle has
+    # length q - 1
     rng = random.Random(20261019)
     for p, r in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (3, 8), (2, 13)]:
         field = GF(p, r)
@@ -346,22 +347,46 @@ def test_extension_fields_match_reference_division():
         def digits(a):
             return [a // p ** k % p for k in range(r)]
 
+        def encode(ds):
+            return sum(c % p * p ** k for k, c in enumerate(ds))
+
         def irreducible(coeffs):
             return all(reference_poly_mod(p, coeffs, digits(k)[:d] + [1])
                        for d in range(1, r // 2 + 1) for k in range(p ** d))
 
         want = next(tuple(digits(low) + [1]) for low in range(q) if irreducible(digits(low) + [1]))
         assert field.modulus == want, (p, r)
-        pairs = (itertools.product(range(q), repeat=2) if q <= 4096
-                 else [(rng.randrange(q), rng.randrange(q)) for _ in range(300)])
-        for a, b in pairs:
+
+        def mul(a, b):
             prod = [0] * (2 * r - 1)
             for i, x in enumerate(digits(a)):
                 for j, y in enumerate(digits(b)):
                     prod[i + j] += x * y
-            rem = reference_poly_mod(p, [c % p for c in prod], list(want)) + [0] * r
-            assert field.mul(a, b) == sum(c * p ** k for k, c in enumerate(rem[:r])), (p, r, a, b)
-        assert (field._mul_table is None) == (q > 4096), (p, r)
+            return encode(reference_poly_mod(p, [c % p for c in prod], list(want)))
+
+        def power(a, e):
+            out = 1
+            for bit in bin(e)[2:]:
+                out = mul(out, out)
+                if bit == "1":
+                    out = mul(out, a)
+            return out
+
+        pairs = (itertools.product(range(q), repeat=2) if q <= 4096
+                 else [(rng.randrange(q), rng.randrange(q)) for _ in range(300)])
+        for a, b in pairs:
+            assert field.mul(a, b) == mul(a, b), (p, r, a, b)
+            assert field.add(a, b) == encode([x + y for x, y in zip(digits(a), digits(b))]), (p, r, a, b)
+            assert field.sub(a, b) == encode([x - y for x, y in zip(digits(a), digits(b))]), (p, r, a, b)
+            assert field.pow(a, b) == power(a, b), (p, r, a, b)
+            if a:
+                assert field.inv(a) == power(a, q - 2) and mul(a, field.inv(a)) == 1, (p, r, a)
+
+        def cycle_length(g):
+            # the cycle g, g^2, ... closes at the least d | q - 1 with g^d = 1
+            return next(d for d in range(1, q) if (q - 1) % d == 0 and power(g, d) == 1)
+
+        assert field.generator() == next(g for g in range(1, q) if cycle_length(g) == q - 1), (p, r)
 
 
 def test_point_determinism():

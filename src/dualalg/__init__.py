@@ -16,7 +16,7 @@ from .balgebra import (
     structure_constants,
     trace_form,
 )
-from .intlinalg import IntMatrix, det, hnf, in_image, snf
+from .intlinalg import IntMatrix, det, in_image, snf
 from .oracles import TorusPoint, class_count, enumerate_points, evaluate
 from .orbitring import InvariantElement, OrbitCache, multiply
 from .rootdata import (
@@ -44,7 +44,6 @@ __all__ = [
     "enumerate_points",
     "evaluate",
     "gram_discriminant",
-    "hnf",
     "in_image",
     "multiply",
     "multiply_b",

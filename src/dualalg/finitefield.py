@@ -70,14 +70,20 @@ class GF:
     def _build_log_tables(self):
         """_exp[k] = g^k for k < 2(q - 1), g the smallest-encoded generator
         (the first element whose power walk closes after q - 1 steps); _log
-        its inverse; _zech[k] = log(1 + g^k), None where 1 + g^k = 0."""
+        its inverse; _zech[k] = log(1 + g^k), None where 1 + g^k = 0.  An
+        element on a walked cycle that closed early lies in a proper subgroup,
+        so it is no generator and is not walked."""
         p, n = self.p, self.q - 1
+        in_subgroup = set()
         for g in range(2, self.q):
+            if g in in_subgroup:
+                continue
             exp = [1, g]
             while exp[-1] != 1:
                 exp.append(self._mul_raw(exp[-1], g))
             if len(exp) == n + 1:
                 break
+            in_subgroup.update(exp)
         else:
             raise CrossCheckFailed(f"GF({self.q}): no generator of the multiplicative group")
         del exp[-1]

@@ -2,15 +2,17 @@
 image-lattice membership, kernels and lattice comparisons.
 
 Everything runs on arbitrary-precision Python integers; no floating point is
-used anywhere.  The normal forms return unimodular transforms so callers can
-re-multiply and assert the factor identities (``u*m == h`` and ``u*m*v == d``).
+used anywhere.  The Smith normal form returns its unimodular transforms, so
+callers can re-multiply and assert the factor identity ``u*m*v == d``; the
+Hermite normal form of a lattice needs and keeps none.
 
 Conventions:
 
-* HNF is row-style upper echelon with positive pivots; entries above a pivot
-  are reduced into ``[0, pivot)``.  Zero rows sink to the bottom.  The HNF of
-  a generating set of row vectors is therefore a canonical form of the lattice
-  they span, so lattice equality is bit-exact comparison of HNFs.
+* HNF (``lattice_hnf``) is row-style upper echelon with positive pivots;
+  entries above a pivot are reduced into ``[0, pivot)`` and zero rows are
+  dropped.  The HNF of a generating set of row vectors is therefore a
+  canonical form of the lattice they span, so lattice equality is bit-exact
+  comparison of HNFs.
 * SNF is ``u*m*v = d`` with ``d`` diagonal, nonnegative, and each diagonal
   entry dividing the next.  Pivoting is on the minimal absolute value, which
   keeps coefficient growth tame at the matrix sizes used here.
@@ -50,10 +52,6 @@ class IntMatrix:
     @staticmethod
     def identity(n):
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(r, c):
-        return IntMatrix([[0] * c for _ in range(r)])
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -130,67 +128,6 @@ def det(m: IntMatrix):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def hnf(m: IntMatrix):
-    """Row-style Hermite normal form.
-
-    Returns ``(h, u)`` with ``u`` unimodular, ``u*m = h``, ``h`` upper echelon
-    with positive pivots and reduced entries above each pivot.
-    """
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-
-    def addrow(dst, src, c):
-        ar, br = a[dst], a[src]
-        for k in range(ncols):
-            ar[k] += c * br[k]
-        ur, vr = u[dst], u[src]
-        for k in range(nrows):
-            ur[k] += c * vr[k]
-
-    def swaprows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        # clear below pivot_row in this column by gcd steps
-        while True:
-            best = None
-            for i in range(pivot_row, nrows):
-                if a[i][col] != 0 and (best is None or abs(a[i][col]) < abs(a[best][col])):
-                    best = i
-            if best is None:
-                break
-            if best != pivot_row:
-                swaprows(pivot_row, best)
-            done = True
-            for i in range(pivot_row + 1, nrows):
-                if a[i][col] != 0:
-                    addrow(i, pivot_row, -(a[i][col] // a[pivot_row][col]))
-                    if a[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if pivot_row < nrows and a[pivot_row][col] != 0:
-            if a[pivot_row][col] < 0:
-                a[pivot_row] = [-x for x in a[pivot_row]]
-                u[pivot_row] = [-x for x in u[pivot_row]]
-            pivots.append((pivot_row, col))
-            pivot_row += 1
-    # reduce entries above each pivot into [0, pivot)
-    for prow, pcol in pivots:
-        p = a[prow][pcol]
-        for i in range(prow):
-            q = a[i][pcol] // p
-            if q:
-                addrow(i, prow, -q)
-    return IntMatrix(a), IntMatrix(u)
 
 
 def snf(m: IntMatrix):
@@ -279,7 +216,7 @@ def snf(m: IntMatrix):
                 u[i + 1] = [p * s2 - q * s for s, s2 in zip(ui, uj)]
                 a[i][i], a[i + 1][i + 1] = g, p * dj
                 changed = True
-    return IntMatrix(a), IntMatrix(u), IntMatrix(v)
+    return tuple(IntMatrix.of_rows(tuple(map(tuple, x))) for x in (a, u, v))
 
 
 def _xgcd(a, b):
@@ -368,15 +305,60 @@ def kernel_basis(m: IntMatrix):
 
 
 def lattice_hnf(generators, ncols):
-    """Canonical HNF matrix of the lattice spanned by the given row vectors."""
-    rows = [list(g) for g in generators]
-    if not rows:
-        return IntMatrix.zero(0, ncols)
-    h, _ = hnf(IntMatrix(rows))
-    nonzero = [row for row in h.entries if any(row)]
-    if not nonzero:
-        return IntMatrix.zero(0, ncols)
-    return IntMatrix(nonzero)
+    """Canonical HNF of the lattice spanned by the given row vectors: their
+    row-style Hermite normal form with its zero rows dropped.
+
+    Each column's pivot comes from repeated division steps on the entry of
+    least absolute value, is made positive, and every entry above it is then
+    reduced into ``[0, pivot)``.
+    """
+    m = IntMatrix(generators)
+    if m.rows and m.cols != ncols:
+        raise DimensionMismatch(f"generators of length {m.cols}, expected {ncols}")
+    a = [list(row) for row in m.entries]
+    nrows = m.rows
+    pivot_row = 0
+    pivots = []
+    for col in range(ncols):
+        if pivot_row >= nrows:
+            break
+        # clear below pivot_row in this column by gcd steps; the rows from
+        # pivot_row on are zero left of col
+        while True:
+            best = None
+            for i in range(pivot_row, nrows):
+                if a[i][col] != 0 and (best is None or abs(a[i][col]) < abs(a[best][col])):
+                    best = i
+            if best is None:
+                break
+            a[pivot_row], a[best] = a[best], a[pivot_row]
+            top = a[pivot_row]
+            done = True
+            for i in range(pivot_row + 1, nrows):
+                row = a[i]
+                if row[col] != 0:
+                    c = row[col] // top[col]
+                    for k in range(col, ncols):
+                        row[k] -= c * top[k]
+                    if row[col] != 0:
+                        done = False
+            if done:
+                break
+        if a[pivot_row][col] != 0:
+            if a[pivot_row][col] < 0:
+                a[pivot_row] = [-x for x in a[pivot_row]]
+            pivots.append((pivot_row, col))
+            pivot_row += 1
+    # reduce entries above each pivot into [0, pivot)
+    for prow, pcol in pivots:
+        top = a[prow]
+        for i in range(prow):
+            c = a[i][pcol] // top[pcol]
+            if c:
+                row = a[i]
+                for k in range(pcol, ncols):
+                    row[k] -= c * top[k]
+    return IntMatrix.of_rows(tuple(map(tuple, a[:pivot_row])))
 
 
 def lattices_equal(gens_a, gens_b, ncols):

@@ -73,13 +73,16 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_inv(field, m, n):
-    """m^-1 = m^(k-1) from the order k of m, as FrobeniusData takes tau^-1."""
+def _mat_inv(field, m, n, bound):
+    """m^-1 = m^(k-1) from the order k of m, as FrobeniusData takes tau^-1;
+    the powers are walked only up to the group order ``bound``."""
     ident = _identity(n)
     acc, prev = m, ident
-    while acc != ident:
+    for _ in range(bound):
+        if acc == ident:
+            return prev
         acc, prev = _mat_mul(field, acc, m, n), acc
-    return prev
+    raise CrossCheckFailed(f"order of generator {m} over GF({field.q}) exceeds the group order {bound}")
 
 
 def enumerate_group(spec: MatrixGroupSpec):
@@ -175,7 +178,7 @@ def brute_force_ss_classes(spec: MatrixGroupSpec):
     p = field.p
     order = len(elems)
     gens = _generators(spec, field)
-    gen_invs = [_mat_inv(field, g, n) for g in gens]
+    gen_invs = [_mat_inv(field, g, n, order) for g in gens]
     unvisited = set(elems)
     class_reps = []
     class_sizes = []

@@ -380,6 +380,28 @@ def test_field_without_modulus_is_a_typed_error(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_unbounded_generator_order_is_a_typed_error(monkeypatch, capsys):
+    # a Zech table built by raising the top base-p digit in place of the
+    # lowest: GF(4)'s sums go wrong, no generator of GL(2, 4) returns to the
+    # identity, and the inverse walk stops at the group order with exit 2
+    real = finitefield.GF._build_log_tables
+
+    def mutant(self):
+        real(self)
+        top = self.p ** (self.r - 1)
+        self._zech = [self._log[y] if y else None
+                      for y in ((x + top) % self.q for x in self._exp[:self.q - 1])]
+
+    monkeypatch.setattr(finitefield.GF, "_build_log_tables", mutant)
+    code = main(["oracle", "--group", "GL", "--n", "2", "--q", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "CrossCheckFailed"
+    assert "generator" in error["detail"] and "GF(4)" in error["detail"]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["rank", "--group", "SO", "--n", "8", "--q", "2"],
     ["points", "--group", "SO", "--n", "8", "--q", "2"],
@@ -401,9 +423,9 @@ def test_oracle_pipeline_runs_once_per_command(argv, monkeypatch, capsys):
 
 
 def count_normal_form_calls(monkeypatch):
-    """Counter of snf and hnf calls made after this point."""
+    """Counter of snf and lattice_hnf calls made after this point."""
     calls = Counter()
-    for fn in (intlinalg.snf, intlinalg.hnf):
+    for fn in (intlinalg.snf, intlinalg.lattice_hnf):
         def counted(*args, _fn=fn):
             calls[_fn.__name__] += 1
             return _fn(*args)

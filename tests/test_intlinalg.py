@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualalg import intlinalg
+from dualalg import balgebra, intlinalg
 from dualalg.errors import CrossCheckFailed, DimensionMismatch, NonSquare
 from dualalg.intlinalg import (
     IntMatrix,
     SmithForm,
     det,
-    hnf,
     in_image,
     kernel_basis,
     lattice_hnf,
@@ -51,30 +50,65 @@ def is_unimodular(u: IntMatrix):
     return abs(det(u)) == 1
 
 
-def test_hnf_identity():
+def assert_lattice_hnf(gens, h: IntMatrix):
+    """h is in HNF shape with as many rows as the rank, and certified solves
+    go both ways: every generator lies in the row span of h and every row of
+    h in the span of the generators."""
+    assert is_hnf_shape(h)
+    assert h.rows == sum(1 for d in SmithForm(IntMatrix(gens)).diag if d)
+    if h.rows == 0:
+        return
+    for span, vectors in ((h.transpose(), gens), (IntMatrix(gens).transpose(), h.entries)):
+        form = SmithForm(span)
+        for b in vectors:
+            ok, x = form.solve(b)
+            assert ok and span.apply(x) == tuple(b), (gens, h.entries, b)
+
+
+def test_lattice_hnf_identity():
     m = IntMatrix.identity(2)
-    h, u = hnf(m)
-    assert h == m and u == m
+    assert lattice_hnf(m.entries, 2) == m
 
 
-def test_hnf_known_matrix():
+def test_lattice_hnf_known_matrix():
     # elementary row operations give the echelon form [[1,2],[0,2]]; reducing
     # the entry above the second pivot into [0,2) canonicalizes it to
     # [[1,0],[0,2]], which is what the shape predicate demands
-    m = IntMatrix([[1, 2], [3, 4]])
-    h, u = hnf(m)
+    h = lattice_hnf([[1, 2], [3, 4]], 2)
     assert h == IntMatrix([[1, 0], [0, 2]])
     assert lattices_equal([[1, 2], [3, 4]], [[1, 2], [0, 2]], 2)
-    assert u * m == h
-    assert is_unimodular(u)
-    assert is_hnf_shape(h)
+    assert_lattice_hnf([[1, 2], [3, 4]], h)
 
 
-def test_hnf_zero():
-    m = IntMatrix.zero(2, 2)
-    h, u = hnf(m)
-    assert h == m
-    assert is_unimodular(u)
+def test_lattice_hnf_zero():
+    # zero rows are dropped, so the zero lattice has an empty HNF
+    assert lattice_hnf([[0, 0], [0, 0]], 2).entries == ()
+    assert lattice_hnf([], 2).entries == ()
+
+
+def test_lattice_hnf_rejects_a_generator_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match="length 3, expected 2"):
+        lattice_hnf([[1, 2, 3]], 2)
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        lattice_hnf([[1, 2], [3]], 2)
+
+
+# The canonical HNF of the SO(4) q=3 cover matrix's kernel, recorded before
+# the HNF lost its unimodular transform; every SO(4) q=3 normal form is
+# reduced modulo these rows.
+SO4_Q3_COVER_KERNEL = [
+    (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, -1, 0, 0),
+    (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1, 0, 0),
+    (0, 0, 0, 0, 0, 0, 1, 0, -1, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1),
+]
+
+
+def test_so4_q3_cover_kernel_pinned():
+    rd = build_standard("SO", 4)
+    form = balgebra.build_context(rd, FrobeniusData(rd, 3, 1), balgebra.SO_EVEN).cover()
+    assert form.kernel == SO4_Q3_COVER_KERNEL
+    assert all(form.m.apply(k) == (0,) * form.m.rows for k in form.kernel)
 
 
 def snf_shape_ok(d: IntMatrix):
@@ -259,12 +293,8 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 @settings(max_examples=80, deadline=None)
 @given(small_matrices)
-def test_hnf_factor_identity(entries):
-    m = IntMatrix(entries)
-    h, u = hnf(m)
-    assert u * m == h
-    assert is_unimodular(u)
-    assert is_hnf_shape(h)
+def test_lattice_hnf_spans_its_generators(entries):
+    assert_lattice_hnf(entries, lattice_hnf(entries, len(entries[0])))
 
 
 @settings(max_examples=80, deadline=None)

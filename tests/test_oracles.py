@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import gcd, prod
@@ -308,8 +309,9 @@ def test_generator_inverses():
             ident = _identity(n)
             for q in (2, 3, 4):
                 field = GF(*prime_power_split(q))
-                for g in _generators(MatrixGroupSpec(fam, n, q), field):
-                    gi = _mat_inv(field, g, n)
+                spec = MatrixGroupSpec(fam, n, q)
+                for g in _generators(spec, field):
+                    gi = _mat_inv(field, g, n, spec.order())
                     assert _mat_mul(field, g, gi, n) == ident, (fam, n, q, g)
                     assert _mat_mul(field, gi, g, n) == ident, (fam, n, q, g)
 
@@ -334,13 +336,16 @@ def reference_poly_mod(p, a, b):
     return a
 
 
+EXTENSION_FIELDS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (3, 8), (2, 13)]
+
+
 def test_extension_fields_match_reference_division():
     # modulus search and every field operation over F_p[x] against the old
     # division routine, on every pair while q <= 4096 and on 300 random pairs
     # above; the generator against the smallest element whose power cycle has
     # length q - 1
     rng = random.Random(20261019)
-    for p, r in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (3, 8), (2, 13)]:
+    for p, r in EXTENSION_FIELDS:
         field = GF(p, r)
         q = p ** r
 
@@ -387,6 +392,35 @@ def test_extension_fields_match_reference_division():
             return next(d for d in range(1, q) if (q - 1) % d == 0 and power(g, d) == 1)
 
         assert field.generator() == next(g for g in range(1, q) if cycle_length(g) == q - 1), (p, r)
+
+
+# (generator, sha256 of repr(_exp)) per field of EXTENSION_FIELDS, recorded
+# while the generator walk still walked every candidate's whole cycle
+PINNED_LOG_TABLES = {
+    (2, 2): (2, "421b667a818da865284c26b817fd582d2e4cbb871e149496fc672b2bcd1de5a9"),
+    (2, 3): (2, "5d9e4c5177d942bab8b49608896fd604a8527fb2455a5e9a4c2191a64307623e"),
+    (2, 4): (2, "ffb31c0f8432a5804db35279f94c7c1b3ae56e8bac1fa84290aa2ae426ac92e0"),
+    (3, 2): (4, "9f246e97ae2a8206026e381bcf8a3ff1c0366c6a9196a839abc0ea5b87e9055d"),
+    (3, 3): (3, "a9a8f3457847dcf14ff9f2d7f784f3eab9b54b189d5bd7140012a3324fd4e73e"),
+    (5, 2): (6, "99252198fcca5e29d11c7980985f44e7b4699da31bcb1c02c32ad2af812fed11"),
+    (3, 8): (38, "d5dcceece81cfb65131d34f83df51847441cc577ab7135ad6b99ef5b9f505af0"),
+    (2, 13): (2, "c44938fab9b833d88f64ffbd1f2a8abfdb7ff682bd5cc3bce69b20c6fd8688f6"),
+}
+
+
+def test_generator_walk_skips_proper_subgroups(monkeypatch):
+    # an element on a cycle that closed early lies in a proper subgroup and is
+    # not walked: the generator and its power table stay as pinned, and
+    # GF(3^8) takes 12,948 products where walking every candidate took 40,813
+    assert sorted(PINNED_LOG_TABLES) == sorted(EXTENSION_FIELDS)
+    products = []
+    real = GF._mul_raw
+    monkeypatch.setattr(GF, "_mul_raw", lambda self, a, b: products.append(self.q) or real(self, a, b))
+    for (p, r), (g, digest) in PINNED_LOG_TABLES.items():
+        field = GF(p, r)
+        assert field.generator() == g, (p, r)
+        assert hashlib.sha256(repr(field._exp).encode()).hexdigest() == digest, (p, r)
+    assert products.count(3 ** 8) == 12948
 
 
 def test_point_determinism():

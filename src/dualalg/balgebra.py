@@ -44,7 +44,7 @@ from .errors import (
     ReductionUnsolvable,
     StrategyInapplicable,
 )
-from .intlinalg import IntMatrix, SmithForm, det, rank_mod_p, snf
+from .intlinalg import IntMatrix, SmithForm, det, rank_mod_p
 from .oracles import TorusPoint, enumerate_points, evaluate, sector_divisors
 from .orbitring import InvariantElement, OrbitCache, combine, multiply, product
 from .rootdata import UNAVAILABLE, FrobeniusData, RootDatum, weyl_group
@@ -199,21 +199,15 @@ class BContext:
         if any(any(row[m:]) for row in f[:m]):
             raise NonIntegral("F does not preserve the central lattice")
         a0 = IntMatrix([row[m:] for row in f[m:]]) - IntMatrix.identity(rd.rank - m)
-        d, u, _ = snf(a0)
-        diag = [d[i, i] for i in range(a0.rows)]
-        if any(x == 0 for x in diag):
+        central = SmithForm(a0)
+        if 0 in central.diag:
             raise NonIntegral("(F - id) singular on the central lattice")
-        # u is unimodular: each box vector has exactly one preimage
-        u_form = SmithForm(u)
-        reps = []
-        for box in itertools.product(*[range(x) for x in diag]):
-            ok, y = u_form.solve(box)
-            if not ok:
-                raise CrossCheckFailed(f"SNF transform u is not unimodular at {box}")
-            reps.append(y)
-        self._central_reps = reps
-        self._central_diag = diag
-        self._central_u = u
+        # the representative of box is its one preimage u^-1 * box, and the
+        # saturation basis holds the columns of u^-1
+        cols = central.saturation_basis()
+        reps = [tuple(sum(b * col[k] for b, col in zip(box, cols)) for k in range(a0.rows))
+                for box in itertools.product(*[range(x) for x in central.diag])]
+        self._central, self._central_reps = central, reps
         self._wbasis = [b + c for b in itertools.product(range(frob.q), repeat=m) for c in reps]
 
     def _central_rep_index(self, c):
@@ -221,7 +215,7 @@ class BContext:
         modulo (F - id): u*c read modulo the SNF diagonal, in the order of
         itertools.product (last digit fastest)."""
         idx = 0
-        for a, d in zip(self._central_u.apply(c), self._central_diag):
+        for a, d in zip(self._central.u.apply(c), self._central.diag):
             idx = idx * d + a % d
         return idx
 

@@ -21,12 +21,13 @@ ring-homomorphism constraints, so it is treated as a misprint.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .balgebra import GENERIC_SC, build_context, normal_form
 from .errors import CrossCheckFailed, DimensionMismatch, PrimeMismatch, QEven
 from .finitefield import GF
-from .intlinalg import IntMatrix, kernel_basis, lattice_hnf, lattices_equal, saturation_rows
+from .intlinalg import IntMatrix, SmithForm, rank_mod_p
 from .orbitring import InvariantElement, OrbitCache, multiply
 from .rootdata import FrobeniusData, build_standard, prime_power_split
 
@@ -253,30 +254,20 @@ def columns_in_parity_lattice(group, q, m1, ms):
 
 
 def saturation_check(group, q):
-    """Image lattice == (rational span intersect parity lattice), over Z."""
+    """Image lattice L == (rational span intersect parity lattice P), over Z.
+
+    Once L lies in P, L <= Sat(L) & P <= Sat(L), so equality holds iff the two
+    indices in the saturation agree: [Sat : L], the product of the nonzero
+    Smith divisors of the stacked transfer matrix, and [Sat : Sat & P], 2 to
+    the F_2-rank of the parity rows on a basis of Sat(L)."""
     m1, ms = phi_matrix(group, q)
-    n = m1.rows + ms.rows
-    image = lattice_hnf(_stacked_columns(m1, ms), n)
-    sat = saturation_rows([list(r) for r in image.entries], n)
-    parity = _parity_condition_rows(TorusIndexing(group, q))
-    # sublattice of sat where all parity forms are even
-    satm = [list(r) for r in sat]
-    cmat = [[sum(p[k] * row[k] for k in range(n)) % 2 for row in satm] for p in parity]
-    coeff_lattice = _even_solution_lattice(cmat, len(satm))
-    l2 = [
-        [sum(c[i] * satm[i][k] for i in range(len(satm))) for k in range(n)]
-        for c in coeff_lattice
-    ]
-    return lattices_equal([list(r) for r in image.entries], l2, n)
-
-
-def _even_solution_lattice(cmat_mod2, ncols):
-    """Basis of {y in Z^ncols : cmat * y = 0 mod 2}, as integer rows: the
-    first ncols coordinates of the kernel of [cmat | 2*I], in canonical HNF."""
-    n = len(cmat_mod2)
-    stacked = [list(row) + [2 * (i == j) for j in range(n)] for i, row in enumerate(cmat_mod2)]
-    kernel = kernel_basis(IntMatrix(stacked))
-    return [list(r) for r in lattice_hnf([v[:ncols] for v in kernel], ncols).entries]
+    if not columns_in_parity_lattice(group, q, m1, ms):
+        return False
+    form = SmithForm(IntMatrix(m1.entries + ms.entries))
+    sat = form.saturation_basis()
+    parity = [[sum(a * b for a, b in zip(row, v)) for v in sat]
+              for row in _parity_condition_rows(TorusIndexing(group, q))]
+    return math.prod(d for d in form.diag if d) == 2 ** rank_mod_p(parity, 2)
 
 
 def nonsaturation_witness(q):

@@ -1,5 +1,6 @@
 """Exact integer matrix kernel: Hermite and Smith normal forms, determinants,
-image-lattice membership, kernels and lattice comparisons.
+F_p ranks, and what one Smith form of a fixed matrix gives: image-lattice
+membership, the kernel and the saturation of the column span.
 
 Everything runs on arbitrary-precision Python integers; no floating point is
 used anywhere.  The Smith normal form returns its unimodular transforms, so
@@ -254,9 +255,10 @@ def rank_mod_p(rows, p):
 
 class SmithForm:
     """One Smith normal form ``u*m*v = d`` of a fixed matrix ``m``, taken once
-    and read by every solve against ``m``, by its kernel and by the reduction
-    modulo that kernel.  ``kernel`` is a Z-basis of {x : m*x = 0}, the nonzero
-    rows of its canonical HNF, so equal kernels give equal output."""
+    and read by every solve against ``m``, by its kernel, by the reduction
+    modulo that kernel and by the saturation of its column span.  ``kernel``
+    is a Z-basis of {x : m*x = 0}, the nonzero rows of its canonical HNF, so
+    equal kernels give equal output."""
 
     def __init__(self, m: IntMatrix):
         d, u, v = snf(m)
@@ -292,6 +294,22 @@ class SmithForm:
     def reduce(self, vec):
         """Canonical representative of ``vec`` modulo the kernel lattice."""
         return _reduce_hnf(vec, self.kernel)
+
+    def saturation_basis(self):
+        """Column i of ``m*v`` divided by d_i, for each nonzero d_i.
+
+        ``m*v = u^-1 * d``, so these are the leading columns of ``u^-1``: a
+        Z-basis of the saturation (rational span meet Z^rows) of the column
+        span of ``m``, in which that span has index the product of the d_i.
+        CrossCheckFailed if a division is not exact."""
+        out = []
+        for i, di in enumerate(self.diag):
+            if di:
+                col = self.m.apply(self.v.col(i))
+                if any(x % di for x in col):
+                    raise CrossCheckFailed(f"column {i} of m*v is not divisible by {di}")
+                out.append(tuple(x // di for x in col))
+        return out
 
 
 def in_image(m: IntMatrix, b):
@@ -361,10 +379,6 @@ def lattice_hnf(generators, ncols):
     return IntMatrix.of_rows(tuple(map(tuple, a[:pivot_row])))
 
 
-def lattices_equal(gens_a, gens_b, ncols):
-    return lattice_hnf(gens_a, ncols) == lattice_hnf(gens_b, ncols)
-
-
 def reduce_mod_lattice(vec, lattice_rows):
     """Canonical representative of ``vec`` modulo the lattice spanned by rows.
 
@@ -386,16 +400,3 @@ def _reduce_hnf(vec, h_rows):
             for k in range(len(x)):
                 x[k] -= q * row[k]
     return tuple(x)
-
-
-def saturation_rows(gens, ncols):
-    """Row basis of the saturation (Q-span intersect Z^n) of a row lattice."""
-    l = lattice_hnf(gens, ncols)
-    if l.rows == 0:
-        return []
-    # sat(L) = {x : k . x = 0 for every k with L k = 0}, the kernel of the
-    # matrix whose rows are a basis of ker(L)
-    k = kernel_basis(l)
-    if not k:
-        return [list(r) for r in IntMatrix.identity(ncols).entries]
-    return [list(r) for r in kernel_basis(IntMatrix(k))]

@@ -492,6 +492,29 @@ def test_so_even_cover_has_the_datum_cartan_matrix():
         assert ctx._wcache.rd.cartan == ctx.rd.cartan, n
 
 
+def central_rep_cases():
+    for n in (2, 3):
+        for q in (2, 3, 5):
+            yield f"GL{n}q{q}", make_ctx("GL", n, q)
+    yield "unitary-GL2q3", unitary_gl2(3)
+    for size, q in [(4, 3), (6, 3), (8, 2)]:
+        yield f"SO{size}q{q}-cover", so_even_cover_ctx(size, q)
+
+
+def test_central_reps_map_to_their_box_digits():
+    # each representative is the one preimage u^-1 * box of its box vector,
+    # in itertools.product order; on the unitary datum u = -1, so the
+    # representatives are negative and differ from their digits
+    seen = {}
+    for name, ctx in central_rep_cases():
+        form = ctx._central
+        boxes = list(itertools.product(*[range(d) for d in form.diag]))
+        assert [form.u.apply(rep) for rep in ctx._central_reps] == boxes, name
+        assert [ctx._central_rep_index(rep) for rep in ctx._central_reps] == list(range(len(boxes)))
+        seen[name] = ctx._central_reps
+    assert seen["unitary-GL2q3"] == [(0,), (-1,), (-2,), (-3,)]
+
+
 SO_RING_CASES = [(4, 3), (6, 2), (8, 2), (4, 5)]
 
 

@@ -9,7 +9,7 @@ from math import prod
 import pytest
 
 import dualalg
-from dualalg import balgebra, finitefield, intlinalg, matrixgroups, oracles, rootdata
+from dualalg import balgebra, curtis, finitefield, intlinalg, matrixgroups, oracles, rootdata
 from dualalg.cli import main
 from dualalg.intlinalg import IntMatrix
 from dualalg.orbitring import InvariantElement
@@ -108,6 +108,30 @@ def test_curtis_saturation(capsys):
     assert code == 0
     assert doc["saturated_over_Z"] is True
     assert doc["nonsat_witness_over_Z_1_over_p"] is True
+
+
+def doubled_column(m1, ms):
+    # column 0 twice over: still in the parity lattice, of index 2 in its
+    # saturation's parity part
+    return tuple(IntMatrix([[2 * r[0], *r[1:]] for r in m.entries]) for m in (m1, ms))
+
+
+def raised_central_entry(m1, ms):
+    # the split entry of column 0 at the central key (1, 1) raised by 1: the
+    # column leaves the parity lattice
+    sidx = curtis.TorusIndexing(curtis.GL2, 3).split_keys().index((1, 1))
+    entries = [list(r) for r in m1.entries]
+    entries[sidx][0] += 1
+    return IntMatrix(entries), ms
+
+
+@pytest.mark.parametrize("change", [doubled_column, raised_central_entry])
+def test_curtis_saturation_false_exits_2(change, monkeypatch, capsys):
+    real = curtis.phi_matrix
+    monkeypatch.setattr(curtis, "phi_matrix", lambda group, q: change(*real(group, q)))
+    code, out = run_cli(["curtis", "--group", "GL2", "--q", "3", "--check", "saturation"], capsys)
+    assert code == 2
+    assert json.loads(out)["saturated_over_Z"] is False
 
 
 def test_curtis_matrix_json(capsys):
@@ -457,6 +481,16 @@ def test_central_rep_index_reuses_one_factorization(monkeypatch):
     calls = count_normal_form_calls(monkeypatch)
     assert [ctx._central_rep_index((k,)) for k in range(-3, 4)] == [1, 0, 1, 0, 1, 0, 1]
     assert calls == {}
+
+
+def test_context_build_takes_one_snf_of_f_minus_id_on_the_center(monkeypatch):
+    # GL(3) q=3: the central representatives are read off the SmithForm of
+    # F - id on X0, with no second SNF of its transform u
+    rd = build_standard("GL", 3)
+    frob = FrobeniusData(rd, 3, 1)
+    calls = count_normal_form_calls(monkeypatch)
+    balgebra.build_context(rd, frob, balgebra.GENERIC_SC)
+    assert calls == {"snf": 3, "lattice_hnf": 3}
 
 
 def test_each_sector_matrix_built_once(monkeypatch, capsys):

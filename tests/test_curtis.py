@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from dualalg.curtis import (
     CyclotomicInt,
     TorusIndexing,
     _central_parity,
-    _even_solution_lattice,
     columns_in_parity_lattice,
     datum_for,
     eside_curtis_tables,
@@ -22,8 +22,9 @@ from dualalg.curtis import (
     phi_of_invariant,
     saturation_check,
 )
+from dualalg import curtis
 from dualalg.errors import QEven
-from dualalg.intlinalg import IntMatrix, lattice_hnf
+from dualalg.intlinalg import IntMatrix, kernel_basis, lattice_hnf
 from dualalg.orbitring import InvariantElement, OrbitCache
 from dualalg.rootdata import prime_power_split
 
@@ -276,14 +277,45 @@ def reference_even_solution_lattice(cmat_mod2, ncols):
     return [list(r) for r in lattice_hnf(basis, ncols).entries]
 
 
-def test_even_solution_lattice_matches_f2_reference():
-    rng = random.Random(2)
-    for trial in range(240):
-        nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
-        cmat = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
-        got = _even_solution_lattice(cmat, ncols)
-        assert got == reference_even_solution_lattice(cmat, ncols), cmat
-        assert len(got) == ncols
+def reference_saturation(columns, parity, n):
+    """The library's former saturation check, kept as the reference: the HNF
+    of the image lattice L, its saturation as the kernel of a kernel basis,
+    the even solutions of the parity rows on that saturation, and an HNF
+    comparison of L with the lattice they give."""
+    image = [list(r) for r in lattice_hnf(columns, n).entries]
+    if not image:
+        sat = []
+    else:
+        k = kernel_basis(IntMatrix(image))
+        sat = [list(r) for r in (kernel_basis(IntMatrix(k)) if k else IntMatrix.identity(n).entries)]
+    cmat = [[sum(a * b for a, b in zip(row, v)) % 2 for v in sat] for row in parity]
+    coeffs = reference_even_solution_lattice(cmat, len(sat))
+    even = [[sum(c[i] * sat[i][k] for i in range(len(sat))) for k in range(n)] for c in coeffs]
+    return lattice_hnf(image, n) == lattice_hnf(even, n)
+
+
+def test_saturation_index_decision_matches_reference(monkeypatch):
+    # random stacked transfer matrices and parity rows in place of the Curtis
+    # ones: the index decision agrees with the HNF construction, through all
+    # three outcomes (True, False by parity, False by index alone)
+    case = {}
+    monkeypatch.setattr(curtis, "phi_matrix", lambda group, q: case["m"])
+    monkeypatch.setattr(curtis, "_parity_condition_rows", lambda ti: case["parity"])
+    rng = random.Random(35)
+    outcomes = Counter()
+    for _ in range(2000):
+        nsplit, ntwisted, ncols = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+        n = nsplit + ntwisted
+        rows = [[rng.choice((-2, -1, 0, 0, 0, 1, 1, 2)) for _ in range(ncols)] for _ in range(n)]
+        parity = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        case["m"] = (IntMatrix(rows[:nsplit]), IntMatrix(rows[nsplit:]))
+        case["parity"] = parity
+        columns = [[row[j] for row in rows] for j in range(ncols)]
+        want = reference_saturation(columns, parity, n)
+        assert saturation_check(GL2, 3) == want, (rows, parity)
+        in_parity = all(sum(a * b for a, b in zip(p, c)) % 2 == 0 for p in parity for c in columns)
+        outcomes[want, in_parity] += 1
+    assert outcomes[True, True] and outcomes[False, False] and outcomes[False, True], outcomes
 
 
 def test_nonsat_witness_q3_explicit():

@@ -13,7 +13,6 @@ from dualalg.intlinalg import (
     in_image,
     kernel_basis,
     lattice_hnf,
-    lattices_equal,
     rank_mod_p,
     reduce_mod_lattice,
     snf,
@@ -76,7 +75,7 @@ def test_lattice_hnf_known_matrix():
     # [[1,0],[0,2]], which is what the shape predicate demands
     h = lattice_hnf([[1, 2], [3, 4]], 2)
     assert h == IntMatrix([[1, 0], [0, 2]])
-    assert lattices_equal([[1, 2], [3, 4]], [[1, 2], [0, 2]], 2)
+    assert lattice_hnf([[1, 2], [3, 4]], 2) == lattice_hnf([[1, 2], [0, 2]], 2)
     assert_lattice_hnf([[1, 2], [3, 4]], h)
 
 
@@ -307,6 +306,29 @@ def test_snf_factor_identity(entries):
     assert snf_shape_ok(d)
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_matrices)
+def test_saturation_basis_is_leading_columns_of_u_inverse(entries):
+    # rank-deficient and non-square matrices included: u maps the i-th basis
+    # vector to e_i, and the vectors scaled by their divisors span m's columns
+    m = IntMatrix(entries)
+    form = SmithForm(m)
+    basis = form.saturation_basis()
+    divisors = [d for d in form.diag if d]
+    assert len(basis) == len(divisors)
+    for i, b in enumerate(basis):
+        assert form.u.apply(b) == tuple(int(k == i) for k in range(m.rows))
+    scaled = [[d * x for x in b] for d, b in zip(divisors, basis)]
+    assert lattice_hnf(scaled, m.rows) == lattice_hnf([m.col(j) for j in range(m.cols)], m.rows)
+
+
+def test_saturation_basis_rejects_an_inexact_division():
+    form = SmithForm(IntMatrix([[3]]))
+    form.diag = (2,)
+    with pytest.raises(CrossCheckFailed, match="not divisible by 2"):
+        form.saturation_basis()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_det_equals_snf_diagonal_product(entries):
@@ -357,8 +379,8 @@ def test_smith_form_kernel_and_reduction():
 def test_lattice_equality_and_reduction():
     a = [[2, 0], [0, 3]]
     b = [[2, 3], [2, -3]]
-    assert not lattices_equal(a, b, 2)
-    assert lattices_equal(a, [[2, 3], [0, 3]], 2)
+    assert lattice_hnf(a, 2) != lattice_hnf(b, 2)
+    assert lattice_hnf(a, 2) == lattice_hnf([[2, 3], [0, 3]], 2)
     v = reduce_mod_lattice((5, 7), a)
     assert v == (1, 1)
     assert lattice_hnf(a, 2) == IntMatrix([[2, 0], [0, 3]])

@@ -151,6 +151,7 @@ def test_benchmark_harness_runs(tmp_path):
 UNREAD_OK = {
     "cli._Parser.error": pathlib.Path(argparse.__file__),
     "intlinalg.in_image": PERFBENCH / "tracer.py",
+    "intlinalg.kernel_basis": PERFBENCH / "tracer.py",
     "intlinalg.reduce_mod_lattice": PERFBENCH / "tracer.py",
     "balgebra.reducedness_certificate": PERFBENCH / "tracer.py",
     "orbitring.InvariantElement.is_zero": PERFBENCH / "tracer.py",

@@ -32,12 +32,11 @@ the project README for the full analysis.
 from __future__ import annotations
 
 import itertools
-from operator import index, mul
+from operator import index
 
 from .errors import (
     ContextMismatch,
     CrossCheckFailed,
-    LimitExceeded,
     NonIntegral,
     NonTermination,
     NotDominant,
@@ -450,20 +449,19 @@ def multiply_b(ctx: BContext, x: BElement, y: BElement) -> BElement:
     return _normal_form_w(ctx, multiply(ctx._wcache, a, b).coeffs)
 
 
-def structure_constants(ctx: BContext, limit=64):
-    """Dense tensor c[i][j][k] with basis_i * basis_j = sum_k c[i][j][k] basis_k,
-    built once per context and kept in ctx._structure; callers only read it.
-    The rank limit is checked on every call."""
-    n = len(ctx.basis)
-    if n > limit:
-        raise LimitExceeded(f"rank {n} exceeds limit {limit}")
+def structure_constants(ctx: BContext):
+    """Table t with t[i][j] = {k: c}, the nonzero coefficients of basis_i *
+    basis_j = sum_k c basis_k: multiply_b's own coefficient dict, computed
+    once for i <= j and shared by (j, i).  Built once per context and kept in
+    ctx._structure; callers only read it."""
     if ctx._structure is None:
+        n = len(ctx.basis)
         tensor = [[None] * n for _ in range(n)]
         for i in range(n):
             bi = BElement({i: 1}, ctx.ctx_id)
             for j in range(i, n):
                 bj = BElement({j: 1}, ctx.ctx_id)
-                tensor[i][j] = tensor[j][i] = _dense(multiply_b(ctx, bi, bj).coeffs, n)
+                tensor[i][j] = tensor[j][i] = multiply_b(ctx, bi, bj).coeffs
         ctx._structure = tensor
     return ctx._structure
 
@@ -502,13 +500,11 @@ def basis_traces(ctx: BContext):
 
 
 def gram_matrix(ctx: BContext):
-    """G[i][j] = tr(b_i * b_j) = sum_k c[i][j][k] * tr(b_k), by linearity."""
-    n = len(ctx.basis)
-    tensor = structure_constants(ctx, limit=n)
+    """G[i][j] = tr(b_i * b_j), the sum of c * tr(b_k) over the items {k: c}
+    of structure-constant entry (i, j), by linearity."""
     traces = basis_traces(ctx)
-    return IntMatrix(
-        [[sum(map(mul, tensor[i][j], traces)) for j in range(n)] for i in range(n)]
-    )
+    return IntMatrix([[sum(c * traces[k] for k, c in entry.items()) for entry in row]
+                      for row in structure_constants(ctx)])
 
 
 def gram_discriminant(ctx: BContext):

@@ -35,6 +35,7 @@ from .curtis import (
 from .errors import (
     CrossCheckFailed,
     DualalgError,
+    LimitExceeded,
     NonIntegral,
     NonTermination,
     ReductionUnsolvable,
@@ -185,15 +186,12 @@ def cmd_structure(args):
     rd, frob = _build_datum(args)
     strategy = _strategy_for(rd)
     ctx = build_context(rd, frob, strategy)
-    tensor = structure_constants(ctx, limit=args.limit)
     n = len(ctx.basis)
-    quads = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                c = tensor[i][j][k]
-                if c:
-                    quads.append((i, j, k, c))
+    if n > args.limit:
+        raise LimitExceeded(f"rank {n} exceeds limit {args.limit}")
+    tensor = structure_constants(ctx)
+    quads = [(i, j, k, c) for i in range(n) for j in range(i, n)
+             for k, c in sorted(tensor[i][j].items())]
     if args.format == "csv":
         _emit_csv([("i", "j", "k", "c")] + quads, args)
     else:

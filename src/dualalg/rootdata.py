@@ -19,7 +19,6 @@ from collections import deque
 
 from .errors import (
     CapExceeded,
-    CrossCheckFailed,
     DimensionMismatch,
     DualalgError,
     InvalidCartan,

@@ -10,7 +10,6 @@ important signal the tool can emit and is never downgraded to a warning.
 from __future__ import annotations
 
 import random
-from operator import mul
 
 from .balgebra import (
     GENERIC_SC,
@@ -120,7 +119,9 @@ def check_gram_p_power(ctx):
 
 
 def check_evaluation_homomorphism(ctx):
-    """eval(x*y) = eval(x)*eval(y) at every point for all basis pairs."""
+    """eval(x*y) = eval(x)*eval(y) at every point for all basis pairs, the
+    right side the sum of c * eval(b_k) over the items {k: c} of
+    structure-constant entry (i, j)."""
     tensor = structure_constants(ctx)
     pts = ctx.points()
     n = len(ctx.basis)
@@ -128,8 +129,9 @@ def check_evaluation_homomorphism(ctx):
     ell = pts[0].ell
     for i in range(n):
         for j in range(i, n):
+            items = tensor[i][j].items()
             for col in cols:
-                if col[i] * col[j] % ell != sum(map(mul, tensor[i][j], col)) % ell:
+                if col[i] * col[j] % ell != sum(c * col[k] for k, c in items) % ell:
                     return {
                         "name": "evaluation_homomorphism",
                         "passed": False,

@@ -308,9 +308,12 @@ def test_criterion_7_property_suites():
         evals = [[evaluate(ctx.cache, R(lam), pt) for pt in pts] for lam in ctx.basis]
         for i in range(nb):
             for j in range(nb):
+                # entry (i, j) is the dict of (j, i), with no zero coefficient
+                if tensor[i][j] is not tensor[j][i] or 0 in tensor[i][j].values():
+                    ok = False
                 for p_ in range(len(pts)):
                     lhs = evals[i][p_] * evals[j][p_] % pts[p_].ell
-                    rhs = sum(tensor[i][j][k] * evals[k][p_] for k in range(nb)) % pts[p_].ell
+                    rhs = sum(c * evals[k][p_] for k, c in tensor[i][j].items()) % pts[p_].ell
                     if lhs != rhs:
                         ok = False
     # regression: normal_form(r(4)) = 2 r(0) in the rank-one case at q = 3

@@ -31,7 +31,6 @@ from dualalg.balgebra import (
 from dualalg.errors import (
     ContextMismatch,
     CrossCheckFailed,
-    LimitExceeded,
     NonTermination,
     NotDominant,
     StrategyInapplicable,
@@ -69,10 +68,15 @@ def so_even_cover_ctx(size, q):
     return build_context(rd, FrobeniusData(rd, p, r), GENERIC_SC)
 
 
-def unitary_gl2(q):
-    with open(DATA / "unitary_gl2.json") as fh:
+def datum_file_ctx(name, q):
+    """The GenericSC context of the datum in tests/data/<name> at prime q."""
+    with open(DATA / name) as fh:
         rd, tau = datum_from_json(json.load(fh))
     return build_context(rd, FrobeniusData(rd, q, 1, tau), GENERIC_SC)
+
+
+def unitary_gl2(q):
+    return datum_file_ctx("unitary_gl2.json", q)
 
 
 def test_gl2_basis_matches_published_box():
@@ -185,9 +189,12 @@ def test_rank_formulas_generic():
 
 
 def test_rank_equals_class_count_generic():
-    for fam, n, q in [("GL", 2, 4), ("SL", 3, 2), ("Sp", 4, 2), ("Torus", 2, 3)]:
-        ctx = make_ctx(fam, n, q)
-        assert rank(ctx) == class_count(ctx.rd, ctx.frob) == len(ctx.points())
+    ctxs = [make_ctx(fam, n, q) for fam, n, q in
+            [("GL", 2, 4), ("SL", 3, 2), ("Sp", 4, 2), ("Torus", 2, 3)]]
+    ctxs.append(datum_file_ctx("unitary_gl2_x_gl1.json", 3))
+    for ctx in ctxs:
+        assert rank(ctx) == class_count(ctx.rd, ctx.frob) == len(ctx.points()), ctx.rd.label
+    assert rank(ctxs[-1]) == 24
 
 
 def test_strategy_inapplicable():
@@ -228,22 +235,29 @@ def test_twisted_gl2_unitary_form():
         assert normal_form(ctx, R(lam)) == normal_form(ctx, R(ctx.frob.f_apply(lam)))
 
 
+def assert_shared_and_sparse(t):
+    """Entry (i, j) of a structure-constant table is the very dict of (j, i),
+    and it holds no zero coefficient."""
+    for i, row in enumerate(t):
+        for j, entry in enumerate(row):
+            assert entry is t[j][i], (i, j)
+            assert 0 not in entry.values(), (i, j)
+
+
 def test_structure_constants_sl2():
     ctx = make_ctx("SL", 2, 3)
     t = structure_constants(ctx)
     n = rank(ctx)
+    assert_shared_and_sparse(t)
     for i in range(n):
-        for j in range(n):
-            assert t[i][j] == t[j][i]
         # unit row: multiplication by the unit is the identity
-        assert t[0][i] == [1 if k == i else 0 for k in range(n)]
-    with pytest.raises(LimitExceeded):
-        structure_constants(ctx, limit=2)
+        assert t[0][i] == {i: 1}
 
 
 def test_structure_constants_match_evaluation():
     ctx = make_ctx("GL", 2, 2)
     t = structure_constants(ctx)
+    assert_shared_and_sparse(t)
     pts = ctx.points()
     n = rank(ctx)
     evals = [[evaluate(ctx.cache, R(lam), pt) for pt in pts] for lam in ctx.basis]
@@ -251,7 +265,7 @@ def test_structure_constants_match_evaluation():
         for j in range(n):
             for p_ in range(len(pts)):
                 lhs = evals[i][p_] * evals[j][p_] % pts[p_].ell
-                rhs = sum(t[i][j][k] * evals[k][p_] for k in range(n)) % pts[p_].ell
+                rhs = sum(c * evals[k][p_] for k, c in t[i][j].items()) % pts[p_].ell
                 assert lhs == rhs
 
 
@@ -426,6 +440,7 @@ def test_so_even_products_and_normal_forms_match_evaluation(n, q):
     # the normal forms of random dominant weights, evaluated at every point
     ctx = make_ctx("SO", n, q, strategy=SO_EVEN)
     t = structure_constants(ctx)
+    assert_shared_and_sparse(t)
     pts = ctx.points()
     ell = pts[0].ell
     size = rank(ctx)
@@ -433,7 +448,8 @@ def test_so_even_products_and_normal_forms_match_evaluation(n, q):
     for i, j in itertools.product(range(size), repeat=2):
         for p_ in range(len(pts)):
             lhs = evals[i][p_] * evals[j][p_] % ell
-            assert lhs == sum(t[i][j][k] * evals[k][p_] for k in range(size)) % ell, (i, j, p_)
+            rhs = sum(c * evals[k][p_] for k, c in t[i][j].items()) % ell
+            assert lhs == rhs, (i, j, p_)
     rng = random.Random(f"so{n}q{q}")
     for _ in range(20):
         lam = chamber(tuple(rng.randint(-2 * q, 2 * q) for _ in range(ctx.rd.rank)), ctx.rd.walls)
@@ -497,6 +513,7 @@ def central_rep_cases():
         for q in (2, 3, 5):
             yield f"GL{n}q{q}", make_ctx("GL", n, q)
     yield "unitary-GL2q3", unitary_gl2(3)
+    yield "U2xT1q3", datum_file_ctx("unitary_gl2_x_gl1.json", 3)
     for size, q in [(4, 3), (6, 3), (8, 2)]:
         yield f"SO{size}q{q}-cover", so_even_cover_ctx(size, q)
 
@@ -504,7 +521,9 @@ def central_rep_cases():
 def test_central_reps_map_to_their_box_digits():
     # each representative is the one preimage u^-1 * box of its box vector,
     # in itertools.product order; on the unitary datum u = -1, so the
-    # representatives are negative and differ from their digits
+    # representatives are negative and differ from their digits, and on
+    # unitary GL(2) times a split GL(1) u is a quarter turn, so that u^-1 = -u
+    # and reading u for u^-1 moves the representatives
     seen = {}
     for name, ctx in central_rep_cases():
         form = ctx._central
@@ -513,6 +532,8 @@ def test_central_reps_map_to_their_box_digits():
         assert [ctx._central_rep_index(rep) for rep in ctx._central_reps] == list(range(len(boxes)))
         seen[name] = ctx._central_reps
     assert seen["unitary-GL2q3"] == [(0,), (-1,), (-2,), (-3,)]
+    assert seen["U2xT1q3"] == [(0, 0), (-1, 0), (-2, 0), (-3, 0),
+                               (0, 1), (-1, 1), (-2, 1), (-3, 1)]
 
 
 SO_RING_CASES = [(4, 3), (6, 2), (8, 2), (4, 5)]

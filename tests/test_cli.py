@@ -278,6 +278,29 @@ def test_structure_determinism(capsys):
     assert out1 == out2
 
 
+def test_structure_limit_at_the_rank(monkeypatch, capsys):
+    # --limit is checked by the CLI once the context is built: SL(2) q=3 has
+    # rank 3, so a limit of 3 runs and a limit of 2 exits 1 before any product
+    calls = Counter()
+    real = balgebra.multiply_b
+
+    def counted(ctx, x, y):
+        calls["multiply_b"] += 1
+        return real(ctx, x, y)
+
+    monkeypatch.setattr(balgebra, "multiply_b", counted)
+    argv = ["structure", "--group", "SL", "--n", "2", "--q", "3", "--limit"]
+    assert main(argv + ["3"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 3
+    assert calls["multiply_b"] == 6
+    calls.clear()
+    assert main(argv + ["2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rank 3 exceeds limit 2\n"
+    assert calls["multiply_b"] == 0
+
+
 def test_usage_errors(capsys):
     code = main(["rank", "--group", "GL", "--n", "2"])
     assert code == 1

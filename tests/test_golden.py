@@ -154,6 +154,13 @@ GOLDEN = [
      "37bf35782f610bd60e36bafa54a9a8ab7a8f9c3d07441ae38275be6a77f5980f"),
     (["curtis", "--group", "GL2", "--q", "32", "--check", "eside"], 0,
      "74d821213192c1766f6a3395828a71b4358ce9f1db9d3fa442b2ad218ef65271"),
+    # unitary GL(2) times a split GL(1): the unimodular factor u of F - 1 on
+    # the centre has order 4, so u^-1 != u in the central representatives
+    # (taken before the structure tensor kept one coefficient dict per pair)
+    (["structure", "--datum-file", "data/unitary_gl2_x_gl1.json", "--q", "3"], 0,
+     "c975034939f9f64ec9461e9ef591f2ff684c1ec7e91e250c7276ce2d94f82fa5"),
+    (["verify", "--datum-file", "data/unitary_gl2_x_gl1.json", "--q", "3", "--seed", "1"], 0,
+     "52bd8fdfd1967f5f72f516c819d1e44b491d3c8d8de07b612254870adb69c004"),
 ]
 
 

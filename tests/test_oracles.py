@@ -439,7 +439,9 @@ def test_point_determinism():
 # (G2).  GL(2) on the sheared basis (e1, e1 + e2) of X has W acting on Y by
 # (L1, L2) -> (-L1, L1 + L2), so walked points of one orbit differ in their
 # central pairing L1 + 2*L2 by l; on the standard GL and Torus bases they do
-# not.  n is None for G2 and the sheared GL(2)
+# not.  U2xT1 is tests/data/unitary_gl2_x_gl1.json, unitary GL(2) times a
+# split GL(1), whose F - 1 on the centre has a unimodular factor of order 4.
+# n is None for G2, the sheared GL(2) and U2xT1
 SWAP = [[0, 1], [1, 0]]
 D4_GRAPH = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
 G2 = ((2, -1), (-3, 2))
@@ -463,6 +465,7 @@ POINT_CASES = [
     ("SO", 6, 7, None, None),
     ("SO", 8, 3, None, None),
     ("GL2-sheared", None, 3, None, None),
+    ("U2xT1", None, 3, [[0, -1, 0], [-1, 0, 0], [0, 0, 1]], None),
 ]
 
 
@@ -471,6 +474,8 @@ def point_datum(fam, n):
         return build_standard("FromCartan", cartan=G2, label="G2")
     if fam == "GL2-sheared":
         return RootDatum(2, [(1, 0)], [(2, -1)], fam)
+    if fam == "U2xT1":
+        return RootDatum(3, [(1, -1, 0)], [(1, -1, 0)], fam)
     return build_standard(fam, n)
 
 

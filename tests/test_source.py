@@ -37,6 +37,31 @@ def test_imports_at_module_level():
     assert found == []
 
 
+def test_every_import_is_read():
+    # a module-level import that its module never reads is left over from
+    # code that has gone; a name listed in __all__ is read by the star import,
+    # and `from __future__ import annotations` by the compiler
+    files = sorted(pathlib.Path(dualalg.__file__).parent.glob("*.py"))
+    unread = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert unread == []
+
+
 def test_exports_resolve():
     # a name dropped from a module but left in __all__ breaks the star import
     missing = [name for name in dualalg.__all__ if not hasattr(dualalg, name)]
